@@ -3,7 +3,8 @@
 Construct boxes and deterministic strategies, measure CHSH values and
 signal/indeterminacy trade-offs, decompose boxes over communication
 vertices, certify randomness under signaling, and reproduce singlet
-statistics by Monte Carlo.
+statistics by Monte Carlo.  Every measure reads one box or a stack of
+boxes, an array of shape (..., 2, 2, 2, 2) indexed [..., x, y, a, b].
 """
 
 from .boxcore import (
@@ -19,14 +20,16 @@ from .boxcore import (
     dump_box,
     enumerate_deterministic,
     infer_scope,
-    is_nonsignaling,
     load_box,
     mix,
+    mixtures,
     pr_box,
     relabel_strategy,
+    scope_boxes,
     scope_relabelling,
     scope_strategies,
     strategy_box,
+    strategy_boxes,
     strategy_name,
 )
 from .certify import (
@@ -47,7 +50,6 @@ from .decompose import (
     conditional_lower_bounds,
     lp_vertices,
     min_comm_cost,
-    pironio_bound,
     random_feasible_box,
     random_resource_spec,
     resource_box,
@@ -75,7 +77,10 @@ from .measures import (
     entropic_signal_lower_bound,
     indeterminacy,
     indeterminacy_per_setting,
+    is_nonsignaling,
+    marginals,
     measure_report,
+    pironio_bound,
     signal,
     two_point_mutual_information,
 )
@@ -85,8 +90,6 @@ from .simulate import (
     SweepPoint,
     TrialData,
     chunk_xor_counts,
-    run_resource,
-    sample_direction,
     sgn01,
     simulate_singlet,
     sweep_angles,

@@ -3,7 +3,12 @@
 A box is the conditional distribution P(a,b|x,y) for inputs x,y in {0,1}
 (party A receives x, party B receives y) and outputs a,b in {0,1}.  It is
 stored as a read-only float64 array of shape (2,2,2,2) indexed [x,y,a,b]
-and normalized per input pair.
+and normalized per input pair.  Many boxes at once are a stack: an array
+of shape (..., 2, 2, 2, 2), which `measures` reads like a single box.
+`strategy_boxes` builds the stack of a list of deterministic strategies by
+index assignment, `scope_boxes` holds each catalogue's stack, and
+`mixtures` mixes a stack by rows of weights (`mix` is the validated
+single-box case).
 
 Deterministic strategies are pairs of response functions a = fA(x,y),
 b = fB(x,y); they are classified as local (each output ignores the remote
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +73,6 @@ class CorrelationBox:
     def prob(self, a, b, x, y):
         return float(self.p[x, y, a, b])
 
-    def marginal_a(self, x, y):
-        """(P(a=0|x,y), P(a=1|x,y)) as cell sums."""
-        return (float(self.p[x, y, 0, 0] + self.p[x, y, 0, 1]),
-                float(self.p[x, y, 1, 0] + self.p[x, y, 1, 1]))
-
-    def marginal_b(self, x, y):
-        """(P(b=0|x,y), P(b=1|x,y)) as cell sums."""
-        return (float(self.p[x, y, 0, 0] + self.p[x, y, 1, 0]),
-                float(self.p[x, y, 0, 1] + self.p[x, y, 1, 1]))
-
-    def cells(self):
-        """Flat copy of the 16 probabilities in [x,y,a,b] C order."""
-        return self.p.ravel().copy()
-
     def allclose(self, other, tol=NORM_TOL):
         return bool(np.abs(self.p - other.p).max() <= tol)
 
@@ -90,10 +82,6 @@ class CorrelationBox:
         return bool(np.array_equal(self.p, other.p))
 
     __hash__ = None
-
-    def relabel(self, label):
-        box = CorrelationBox(self.p, label=label)
-        return box
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -114,7 +102,16 @@ class CorrelationBox:
         label = data.get("label")
         if label is not None and not isinstance(label, str):
             raise BoxFormatError('"label" must be a string')
+        if not _json_numbers(data["P"]):
+            raise BoxFormatError('"P" entries must be JSON numbers')
         return cls(data["P"], label=label)
+
+
+def _json_numbers(value):
+    """True when every leaf of nested lists is an int or float (bools excluded)."""
+    if isinstance(value, list):
+        return all(_json_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_box(path):
@@ -122,7 +119,7 @@ def load_box(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BoxFormatError(f"invalid JSON: {exc}") from None
     return CorrelationBox.from_json(data)
 
@@ -188,47 +185,55 @@ class DeterministicStrategy:
         return cls(fa, fb)
 
 
+def strategy_boxes(strategies):
+    """The strategies' deterministic boxes as one read-only (n, 2, 2, 2, 2) stack.
+
+    Built by index assignment from the output tables: entry [k, x, y, a, b]
+    is 1 exactly where strategy k answers (a, b) to inputs (x, y).
+    """
+    fa = np.array([s.fa for s in strategies], dtype=np.intp).reshape(-1, 2, 2)
+    fb = np.array([s.fb for s in strategies], dtype=np.intp).reshape(-1, 2, 2)
+    k, x, y = np.indices(fa.shape)
+    stack = np.zeros(fa.shape + (2, 2))
+    stack[k, x, y, fa, fb] = 1.0
+    stack.flags.writeable = False
+    return stack
+
+
 def strategy_box(strategy, label=None):
     """Deterministic box with all weight on the strategy's outputs."""
-    p = np.zeros((2, 2, 2, 2))
-    for x, y in INPUT_PAIRS:
-        p[x, y, strategy.a(x, y), strategy.b(x, y)] = 1.0
-    return CorrelationBox(p, label=label)
+    return CorrelationBox(strategy_boxes([strategy])[0], label=label)
+
+
+def mixtures(weights, boxes):
+    """Mixtures sum_k weights[..., k] * boxes[k] of a (n, 2, 2, 2, 2) stack.
+
+    One mixture per weight row, each summed in k order; `mix` is the
+    validated single-box case.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    return (w[..., None, None, None, None] * boxes).sum(axis=-5)
 
 
 def mix(weights, boxes, label=None):
-    """Convex mixture of boxes; raises WeightError on bad weights."""
+    """Convex mixture of boxes (a sequence of boxes or a (n, 2, 2, 2, 2) stack).
+
+    Raises WeightError on bad weights.
+    """
     w = [float(v) for v in weights]
     if len(w) != len(boxes):
         raise WeightError(f"{len(w)} weights for {len(boxes)} boxes")
     if not w:
         raise WeightError("empty mixture")
+    if not all(math.isfinite(v) for v in w):
+        raise WeightError(f"non-finite weight in {w!r}")
     if any(v < 0.0 for v in w):
         raise WeightError(f"negative weight {min(w)}")
-    import math
     total = math.fsum(w)
     if abs(total - 1.0) > NORM_TOL:
         raise WeightError(f"weights sum to {total!r}, not 1")
-    acc = np.zeros((2, 2, 2, 2))
-    for wi, box in zip(w, boxes):
-        acc += wi * box.p
-    return CorrelationBox(acc, label=label)
-
-
-def is_nonsignaling(box, tol=NORM_TOL):
-    """True when each party's marginals are independent of the other's input."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    for z in (0, 1):
-        ma0 = box.marginal_a(z, 0)
-        ma1 = box.marginal_a(z, 1)
-        mb0 = box.marginal_b(0, z)
-        mb1 = box.marginal_b(1, z)
-        if abs(ma0[1] - ma1[1]) > tol or abs(ma0[0] - ma1[0]) > tol:
-            return False
-        if abs(mb0[1] - mb1[1]) > tol or abs(mb0[0] - mb1[0]) > tol:
-            return False
-    return True
+    stack = boxes if isinstance(boxes, np.ndarray) else np.array([box.p for box in boxes])
+    return CorrelationBox(mixtures(w, stack), label=label)
 
 
 @dataclass(frozen=True)
@@ -429,6 +434,17 @@ def scope_strategies(scope=PRScope()):
         return list(_CANONICAL_TABLE)
     rel = scope_relabelling(scope)
     return [relabel_strategy(s, rel) for s in _CANONICAL_TABLE]
+
+
+_CATALOGUE_BOXES = {scope: strategy_boxes(scope_strategies(scope)) for scope in all_scopes()}
+
+
+def scope_boxes(scope=PRScope()):
+    """The scope's catalogue as one (16, 2, 2, 2, 2) stack, in STRATEGY_NAMES order.
+
+    Built once per scope; it always matches scope_strategies(scope).
+    """
+    return _CATALOGUE_BOXES[scope]
 
 
 def strategy_name(strategy, scope=None):

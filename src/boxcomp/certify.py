@@ -14,21 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcore import (
-    INPUT_PAIRS,
-    PRScope,
-    STRATEGY_NAMES,
-    enumerate_deterministic,
-    mix,
-    scope_strategies,
-    strategy_box,
-)
+from .boxcore import INPUT_PAIRS, PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
 from .decompose import (
+    SIGNAL_COEFFICIENTS,
+    VERTEX_BOXES,
     ResourceSpec,
-    _SIGNED_TERMS,
     conditional_lower_bounds,
     min_comm_cost,
-    pironio_bound,
     random_feasible_box,
     resource_box,
     signed_signals,
@@ -41,6 +33,7 @@ from .measures import (
     entropic_signal,
     entropic_signal_lower_bound,
     indeterminacy,
+    pironio_bound,
     signal,
     two_point_mutual_information,
 )
@@ -51,23 +44,24 @@ def certified_indeterminacy_bound(lam, s):
     """Indeterminacy certified by a CHSH value under signal strength s.
 
     Returns max(lam/4 - (1 + s)/2, 0); lam is the sign-maximized CHSH value
-    in [0, 4] and s the observed signal strength in [0, 1].
+    in [0, 4] and s the observed signal strength in [0, 1].  Arrays of
+    values give an array of bounds.
     """
-    lam = float(lam)
-    s = float(s)
-    if lam < 0.0 or lam > 4.0 + 1e-12:
-        raise DomainError(f"CHSH value outside [0,4]: {lam!r}")
-    if s < 0.0 or s > 1.0 + 1e-12:
-        raise DomainError(f"signal strength outside [0,1]: {s!r}")
-    return max(lam / 4.0 - (1.0 + s) / 2.0, 0.0)
+    lam = np.asarray(lam, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if lam.min() < 0.0 or lam.max() > 4.0 + 1e-12:
+        raise DomainError(f"CHSH value outside [0,4]: {lam.min()}..{lam.max()}")
+    if s.min() < 0.0 or s.max() > 1.0 + 1e-12:
+        raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
+    bound = np.maximum(lam / 4.0 - (1.0 + s) / 2.0, 0.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def relaxed_bell_check(box, tol=1e-9):
-    """Check chsh_max - 2 <= 2 S + 4 I; returns (lhs, rhs, holds)."""
+    """Check chsh_max - 2 <= 2 S + 4 I; returns (lhs, rhs, holds), per box for a stack."""
     lhs = chsh_max(box) - 2.0
-    sig = signal(box)
-    rhs = 2.0 * sig.S + 4.0 * indeterminacy(box)
-    return lhs, rhs, bool(lhs <= rhs + tol)
+    rhs = 2.0 * signal(box).S + 4.0 * indeterminacy(box)
+    return lhs, rhs, lhs <= rhs + tol
 
 
 @dataclass(frozen=True)
@@ -191,18 +185,6 @@ def entropic_complementarity(spec_or_box, tol=1e-9, prior=(0.5, 0.5)):
     return h_s, h_i, bool(h_s + h_i >= 1.0 - tol)
 
 
-def _signal_coefficients():
-    """(4, 16) matrix mapping catalogue weights to the four signed signals."""
-    idx = {name: i for i, name in enumerate(STRATEGY_NAMES)}
-    coeff = np.zeros((4, 16))
-    for row, (plus, minus) in enumerate(_SIGNED_TERMS):
-        for name in plus:
-            coeff[row, idx[name]] = 1.0
-        for name in minus:
-            coeff[row, idx[name]] = -1.0
-    return coeff
-
-
 def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
     """Largest |marginal - 1/2| reachable by a zero-signal mixture of the catalogue.
 
@@ -211,7 +193,7 @@ def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
     forced, which is why no nonsignaling catalogue mixture can be sharper.
     """
     strategies = scope_strategies(scope)
-    a_eq = np.vstack([np.ones((1, 16)), _signal_coefficients()])
+    a_eq = np.vstack([np.ones((1, 16)), SIGNAL_COEFFICIENTS])
     b_eq = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     worst = 0.0
     for x, y in INPUT_PAIRS:
@@ -282,61 +264,46 @@ def _check_catalogue(strategies, scope):
     return bad
 
 
-def _suite_feasible_boxes(rng, instances, tol):
-    worst_thm1 = worst_pir = worst_relax = worst_cert = math.inf
-    for _ in range(instances):
-        box, _ = random_feasible_box(rng)
-        dec = min_comm_cost(box)
-        sig = signal(box)
-        ind = indeterminacy(box)
-        worst_thm1 = min(worst_thm1, sig.S + 2.0 * ind - dec.C)
-        worst_pir = min(worst_pir, dec.C - pironio_bound(box))
-        lhs, rhs, _ = relaxed_bell_check(box, tol)
-        worst_relax = min(worst_relax, rhs - lhs)
-        worst_cert = min(worst_cert, ind - certified_indeterminacy_bound(chsh_max(box), sig.S))
-    return worst_thm1, worst_pir, worst_relax, worst_cert
+def _suite_feasible_boxes(rng, instances):
+    boxes = [random_feasible_box(rng)[0] for _ in range(instances)]
+    cost = np.array([min_comm_cost(box).C for box in boxes])
+    p = np.stack([box.p for box in boxes])
+    s = signal(p).S
+    ind = indeterminacy(p)
+    lhs, rhs, _ = relaxed_bell_check(p)
+    bound = certified_indeterminacy_bound(chsh_max(p), s)
+    return (float((s + 2.0 * ind - cost).min()), float((cost - pironio_bound(p)).min()),
+            float((rhs - lhs).min()), float((ind - bound).min()))
 
 
-def _suite_specs(rng, instances, strategies, scope, tol):
-    locals_ = enumerate_deterministic("local")
-    worst_signed = 0.0
-    worst_cond = math.inf
-    worst_sat = math.inf
+def _suite_specs(rng, instances, strategies, scope):
+    specs, noisy = [], []
     for _ in range(instances):
-        weights = rng.dirichlet(np.ones(16))
-        spec = ResourceSpec(scope=scope, weights=tuple(weights))
-        box = mix(weights, [strategy_box(s) for s in strategies])
-        sig = signal(box)
-        ss = signed_signals(spec)
-        measured = (sig.s_A_to_B_per_y[0], sig.s_A_to_B_per_y[1],
-                    sig.s_B_to_A_per_x[0], sig.s_B_to_A_per_x[1])
-        for s_signed, s_measured in zip(ss.as_tuple(), measured):
-            worst_signed = max(worst_signed, abs(abs(s_signed) - s_measured))
-        worst_sat = min(worst_sat, sig.S + 2.0 * indeterminacy(box) - 1.0)
-        c = float(rng.uniform(0.2, 1.0))
-        noise = strategy_box(locals_[int(rng.integers(len(locals_)))])
-        mixed = mix((c, 1.0 - c), (box, noise))
-        for x, y, a, b, bound in conditional_lower_bounds(spec, nonlocal_weight=c):
-            worst_cond = min(worst_cond, mixed.prob(a, b, x, y) - bound)
-    return worst_signed, worst_cond, worst_sat
+        specs.append(ResourceSpec(scope=scope, weights=tuple(rng.dirichlet(np.ones(16)))))
+        noisy.append((float(rng.uniform(0.2, 1.0)), int(rng.integers(16))))
+    boxes = mixtures([spec.weights for spec in specs], strategy_boxes(strategies))
+    sig = signal(boxes)
+    measured = np.concatenate([sig.s_A_to_B_per_y, sig.s_B_to_A_per_x], axis=-1)
+    signed = np.array([signed_signals(spec).as_tuple() for spec in specs])
+    worst_signed = float(np.abs(np.abs(signed) - measured).max())
+    worst_sat = float((sig.S + 2.0 * indeterminacy(boxes) - 1.0).min())
+    # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
+    c = np.array([c for c, _ in noisy])[:, None, None, None, None]
+    mixed = c * boxes + (1.0 - c) * VERTEX_BOXES[[k for _, k in noisy]]
+    worst_cond = min(mixed[i, x, y, a, b] - bound
+                     for i, (spec, (c_i, _)) in enumerate(zip(specs, noisy))
+                     for x, y, a, b, bound in conditional_lower_bounds(spec, nonlocal_weight=c_i))
+    return worst_signed, float(worst_cond), worst_sat
 
 
 def _suite_single_pairs(scope):
-    table = scope_strategies(scope)
-    worst_sat = 0.0
-    worst_ent = 0.0
-    for j in range(4):
-        plus, minus = table[2 * j], table[2 * j + 1]
-        for k in range(101):
-            p = k / 100.0
-            box = mix((p, 1.0 - p), (strategy_box(plus), strategy_box(minus)))
-            sig_s = signal(box).S
-            ind = indeterminacy(box)
-            worst_sat = max(worst_sat, abs(sig_s + 2.0 * ind - 1.0))
-            h_s = entropic_signal(box)
-            h_i = entropic_indeterminacy(box)
-            worst_ent = max(worst_ent, abs(h_s + h_i - 1.0))
-    return worst_sat, worst_ent
+    p = np.arange(101) / 100.0
+    w = np.stack([p, 1.0 - p], axis=-1)
+    table = scope_boxes(scope)
+    boxes = np.concatenate([mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
+    worst_sat = np.abs(signal(boxes).S + 2.0 * indeterminacy(boxes) - 1.0).max()
+    worst_ent = np.abs(entropic_signal(boxes) + entropic_indeterminacy(boxes) - 1.0).max()
+    return float(worst_sat), float(worst_ent)
 
 
 def _suite_entropic_floor():
@@ -370,7 +337,7 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None, scope=
     checks.append(SuiteCheck("catalogue-structure", bad == 0, float(bad),
                              "scope relation, kind split, +/- complements"))
 
-    thm1, pir, relax, cert = _suite_feasible_boxes(rng, instances, tol)
+    thm1, pir, relax, cert = _suite_feasible_boxes(rng, instances)
     checks.append(SuiteCheck("cost-complementarity", thm1 >= -tol, thm1,
                              f"min S + 2I - C over {instances} random 1-bit boxes"))
     checks.append(SuiteCheck("pironio-floor", pir >= -tol, pir,
@@ -380,7 +347,7 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None, scope=
     checks.append(SuiteCheck("certified-indeterminacy", cert >= -tol, cert,
                              f"min I - bound over {instances} boxes"))
 
-    signed, cond, sat = _suite_specs(rng, instances, strategies, scope, tol)
+    signed, cond, sat = _suite_specs(rng, instances, strategies, scope)
     checks.append(SuiteCheck("signed-signal-consistency", signed <= 1e-12, signed,
                              f"max ||s_k| - measured| over {instances} specs"))
     checks.append(SuiteCheck("conditional-bounds", cond >= -1e-12, cond,

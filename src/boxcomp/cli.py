@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .boxcore import is_nonsignaling, load_box
+from .boxcore import load_box
 from .certify import complementarity_report, run_property_suite
 from .decompose import ResourceSpec, min_comm_cost
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     ScopeError,
     WeightError,
 )
-from .measures import measure_report
+from .measures import is_nonsignaling, measure_report
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -235,15 +235,18 @@ _COMMANDS = {
 }
 
 
+# built once and never mutated; parse_args only reads it
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (BoxFormatError, WeightError, DomainError) as exc:

@@ -5,12 +5,16 @@ convex mixture of the 16 local and 96 strictly one-way deterministic
 vertices.  `min_comm_cost` finds such a mixture minimizing the total weight
 on one-way vertices (the communication cost C) by linear programming, and
 raises Infeasible outside that polytope (e.g. for two-way deterministic
-boxes).
+boxes).  The vertices' boxes are one stack, VERTEX_BOXES, built once at
+import; the LP, `random_feasible_box` and `Decomposition.reconstruct` all
+read it.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
-strategies; `signed_signals` evaluates the four directed marginal shifts
-such a mixture produces, whose alternating-sum structure yields certified
-per-cell lower bounds via `conditional_lower_bounds`.
+strategies, whose boxes `resource_box` mixes from the scope's catalogue
+stack.  `signed_signals` evaluates the four directed marginal shifts such a
+mixture produces, with coefficients read from the canonical catalogue's
+outputs; their alternating-sum structure yields certified per-cell lower
+bounds via `conditional_lower_bounds`.
 """
 
 from __future__ import annotations
@@ -25,37 +29,38 @@ from .boxcore import (
     CorrelationBox,
     PRScope,
     STRATEGY_NAMES,
-    DeterministicStrategy,
     enumerate_deterministic,
     infer_scope,
     mix,
+    scope_boxes,
     scope_strategies,
-    strategy_box,
+    strategy_boxes,
     strategy_name,
 )
 from .errors import DomainError, NumericalError, WeightError
-from .measures import chsh_max
 from .simplex import solve_lp
 
 SUPPORT_EPS = 1e-12
 WEIGHT_TOL = 1e-9
 
-_VERTEX_CACHE = None
+# the 16 local vertices first, then the 96 one-way ones
+VERTICES = tuple(enumerate_deterministic("local") + enumerate_deterministic("all_one_bit"))
+VERTEX_BOXES = strategy_boxes(VERTICES)
+_VERTEX_INDEX = {s: i for i, s in enumerate(VERTICES)}
+_COLUMNS = np.ascontiguousarray(VERTEX_BOXES.reshape(len(VERTICES), 16).T)
+_ONEWAY = np.array([0.0 if s.kind == "local" else 1.0 for s in VERTICES])
+_A_EQ = np.vstack([_COLUMNS, np.ones((1, len(VERTICES)))])
+_COLUMNS.flags.writeable = _ONEWAY.flags.writeable = _A_EQ.flags.writeable = False
 
 
 def lp_vertices():
     """(strategies, cell matrix, one-way mask) for the 112-vertex polytope.
 
     The matrix has one row per box cell in [x,y,a,b] C order and one column
-    per vertex; the mask is 1.0 on strictly one-way columns.
+    per vertex; the mask is 1.0 on strictly one-way columns.  All three are
+    read from VERTICES and VERTEX_BOXES, built once at import.
     """
-    global _VERTEX_CACHE
-    if _VERTEX_CACHE is None:
-        strategies = enumerate_deterministic("local") + enumerate_deterministic("all_one_bit")
-        columns = np.stack([strategy_box(s).p.ravel() for s in strategies], axis=1)
-        oneway = np.array([0.0 if s.kind == "local" else 1.0 for s in strategies])
-        _VERTEX_CACHE = (strategies, columns, oneway)
-    return _VERTEX_CACHE
+    return list(VERTICES), _COLUMNS, _ONEWAY
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class Decomposition:
     C: float
 
     def reconstruct(self):
-        items = list(self.weights.items())
-        return mix([w for _, w in items], [strategy_box(s) for s, _ in items])
+        rows = [_VERTEX_INDEX[s] for s in self.weights]
+        return mix(list(self.weights.values()), VERTEX_BOXES[rows])
 
     def to_json(self):
         rows = []
@@ -93,21 +98,13 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    strategies, columns, oneway = lp_vertices()
-    nrows, ncols = columns.shape
-    a_eq = np.vstack([columns, np.ones((1, ncols))])
     b_eq = np.append(box.p.ravel(), 1.0)
-    x, value = solve_lp(oneway, a_eq, b_eq, tol=tol)
-    residual = float(np.abs(columns @ x - box.p.ravel()).max())
+    x, value = solve_lp(_ONEWAY, _A_EQ, b_eq, tol=tol)
+    residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())
     if residual > tol:
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
-    weights = {strategies[i]: float(x[i]) for i in range(ncols) if x[i] > SUPPORT_EPS}
+    weights = {VERTICES[i]: float(x[i]) for i in range(len(VERTICES)) if x[i] > SUPPORT_EPS}
     return Decomposition(weights=weights, C=float(min(max(value, 0.0), 1.0)))
-
-
-def pironio_bound(box):
-    """Communication lower bound from CHSH violation: max(chsh_max/2 - 1, 0)."""
-    return max(chsh_max(box) / 2.0 - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,8 @@ class ResourceSpec:
         w = tuple(float(v) for v in self.weights)
         if len(w) != 16:
             raise WeightError(f"expected 16 weights, got {len(w)}")
+        if not all(math.isfinite(v) for v in w):
+            raise WeightError(f"non-finite weight in {w!r}")
         if any(v < 0.0 for v in w):
             raise WeightError(f"negative weight {min(w)}")
         total = math.fsum(w)
@@ -208,7 +207,7 @@ class ResourceSpec:
 
 def resource_box(spec, label=None):
     """The box realized by mixing the spec's strategies with its weights."""
-    return mix(spec.weights, [strategy_box(s) for s in spec.strategies()], label=label)
+    return mix(spec.weights, scope_boxes(spec.scope), label=label)
 
 
 def random_resource_spec(rng, scope=PRScope()):
@@ -222,10 +221,9 @@ def random_feasible_box(rng):
     Returns (box, one-way weight of the generating mixture); the latter upper
     bounds the box's min_comm_cost.
     """
-    _, columns, oneway = lp_vertices()
-    w = rng.dirichlet(np.ones(columns.shape[1]))
-    box = CorrelationBox((columns @ w).reshape(2, 2, 2, 2))
-    return box, float(oneway @ w)
+    w = rng.dirichlet(np.ones(len(VERTICES)))
+    box = CorrelationBox((_COLUMNS @ w).reshape(2, 2, 2, 2))
+    return box, float(_ONEWAY @ w)
 
 
 @dataclass(frozen=True)
@@ -248,27 +246,36 @@ class SignedSignals:
         return {"s1": self.s1, "s2": self.s2, "s3": self.s3, "s4": self.s4}
 
 
-# weight index sets whose alternating sums give each signed signal, by name
-_SIGNED_TERMS = (
-    (("S3+", "S6+", "S7+", "S8+"), ("S3-", "S6-", "S7-", "S8-")),  # s1
-    (("S1+", "S5-", "S6+", "S8-"), ("S1-", "S5+", "S6-", "S8+")),  # s2
-    (("S4+", "S5+", "S7+", "S8+"), ("S4-", "S5-", "S7-", "S8-")),  # s3
-    (("S2+", "S5+", "S6-", "S7-"), ("S2-", "S5-", "S6+", "S7+")),  # s4
-)
+def _signal_coefficients():
+    """(4, 16) signs with which each catalogue weight enters s1..s4.
+
+    Read from the canonical catalogue's output tables (flat input index
+    2*x + y): s1, s2 take P(b=1) at x = 1 minus x = 0, for y = 0, 1; s3, s4
+    take P(a=1) at y = 1 minus y = 0, for x = 0, 1.
+    """
+    table = scope_strategies()
+    fa = np.array([s.fa for s in table], dtype=np.int8)
+    fb = np.array([s.fb for s in table], dtype=np.int8)
+    coeff = np.stack([fb[:, 2] - fb[:, 0], fb[:, 3] - fb[:, 1],
+                      fa[:, 1] - fa[:, 0], fa[:, 3] - fa[:, 2]]).astype(np.float64)
+    coeff.flags.writeable = False
+    return coeff
+
+
+SIGNAL_COEFFICIENTS = _signal_coefficients()
 
 
 def signed_signals(spec):
     """The four signed marginal shifts produced by a resource spec.
 
-    Each equals a difference of two four-weight sums; their absolute values
-    match the per-setting directed signals of the mixed box.
+    Each is the exactly rounded sum of the weights with coefficient +1 minus
+    that of the weights with coefficient -1 in SIGNAL_COEFFICIENTS; their
+    absolute values match the per-setting directed signals of the mixed box.
     """
-    idx = {name: i for i, name in enumerate(STRATEGY_NAMES)}
-    vals = []
-    for plus, minus in _SIGNED_TERMS:
-        vals.append(math.fsum([spec.weights[idx[n]] for n in plus])
-                    - math.fsum([spec.weights[idx[n]] for n in minus]))
-    return SignedSignals(*vals)
+    w = spec.weights
+    return SignedSignals(*(math.fsum(w[k] for k in np.flatnonzero(row > 0.0))
+                           - math.fsum(w[k] for k in np.flatnonzero(row < 0.0))
+                           for row in SIGNAL_COEFFICIENTS))
 
 
 def conditional_lower_bounds(spec, nonlocal_weight=1.0):

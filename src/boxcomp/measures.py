@@ -1,4 +1,10 @@
-"""Statistical and entropic measures on correlation boxes.
+"""Statistical and entropic measures on correlation boxes, over stacks.
+
+Every measure takes a box or a stack of boxes: a CorrelationBox, or an
+array of shape (..., 2, 2, 2, 2) indexed [..., x, y, a, b].  Each is written
+once over the leading axes, so a single box is just a stack of one.  A
+single box's values are Python floats (per-setting pairs are tuples, tables
+are (2, 2) arrays); a stack's are arrays with the stack's leading shape.
 
 Correlators are E(x,y) = P(a=b|x,y) - P(a!=b|x,y).  The fixed CHSH value is
 E(0,0) + E(0,1) + E(1,0) - E(1,1); `chsh_max` maximizes over the position of
@@ -12,21 +18,39 @@ H_S and H_I are their entropic counterparts: the best mutual information a
 remote party can extract about the flipped input under a chosen prior, and
 the largest output Shannon entropy over settings and parties.
 
-Marginals are always computed as cell sums (never as 1 - x), which keeps
-every measure exact on exactly-normalized dyadic tables.
+Every marginal-based measure reads `marginals`, which forms the outcome
+marginals as cell sums (never as 1 - x); this keeps every measure exact on
+exactly-normalized dyadic tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcore import INPUT_PAIRS
+from .boxcore import NORM_TOL
 from .errors import DomainError
 
 _ENTROPY_SLACK = 1e-12
+
+
+def _stack(box):
+    """The float64 probability array of a box or of a stack of boxes."""
+    return np.asarray(getattr(box, "p", box), dtype=np.float64)
+
+
+def _value(v):
+    """A single box's value as a Python float; a stack's as an array."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _entropy(m):
+    """Shannon entropy (bits) of two-outcome distributions along the last axis."""
+    log = np.zeros_like(m)
+    np.log2(m, out=log, where=m > 0.0)
+    t = m * log
+    return (0.0 - t[..., 0]) - t[..., 1]
 
 
 def binary_entropy(p):
@@ -35,47 +59,50 @@ def binary_entropy(p):
     if arr.size and (arr.min() < -_ENTROPY_SLACK or arr.max() > 1.0 + _ENTROPY_SLACK):
         raise DomainError(f"probability outside [0,1]: {arr.min()}..{arr.max()}")
     arr = np.clip(arr, 0.0, 1.0)
-    out = np.zeros_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    q = arr[interior]
-    out[interior] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return float(out) if np.isscalar(p) or out.ndim == 0 else out
+    return _value(_entropy(np.stack([arr, 1.0 - arr], axis=-1)))
 
 
-def _entropy_pair(p0, p1):
-    """Shannon entropy (bits) of a two-outcome distribution given as cell sums."""
-    h = 0.0
-    for v in (p0, p1):
-        if v > 0.0:
-            h -= v * math.log2(v)
-    return h
+def marginals(box):
+    """Outcome marginals as cell sums, indexed [..., party, x, y, outcome].
+
+    Party 0 is A, with P(a|x,y) = P(a,0|x,y) + P(a,1|x,y); party 1 is B, with
+    P(b|x,y) = P(0,b|x,y) + P(1,b|x,y).
+    """
+    p = _stack(box)
+    return np.stack([p[..., 0] + p[..., 1], p[..., 0, :] + p[..., 1, :]], axis=-4)
 
 
 def correlators(box):
-    """E(x,y) matrix indexed [x][y]."""
-    p = box.p
-    e = np.empty((2, 2))
-    for x, y in INPUT_PAIRS:
-        e[x, y] = (p[x, y, 0, 0] + p[x, y, 1, 1]) - (p[x, y, 0, 1] + p[x, y, 1, 0])
-    return e
+    """E(x,y) indexed [..., x, y]."""
+    p = _stack(box)
+    return (p[..., 0, 0] + p[..., 1, 1]) - (p[..., 0, 1] + p[..., 1, 0])
 
 
 def chsh(box):
     """Fixed-form CHSH value E(0,0) + E(0,1) + E(1,0) - E(1,1)."""
     e = correlators(box)
-    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    return _value(e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1])
 
 
 def chsh_max(box):
     """CHSH maximized over the 8 sign choices (minus-sign position and global sign)."""
     e = correlators(box)
-    total = e.sum()
-    return float(max(abs(total - 2.0 * e[x, y]) for x, y in INPUT_PAIRS))
+    total = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] + e[..., 1, 1]
+    return _value(np.abs(total[..., None, None] - 2.0 * e).max(axis=(-2, -1)))
+
+
+def pironio_bound(box):
+    """Communication lower bound from CHSH violation: max(chsh_max/2 - 1, 0)."""
+    return _value(np.maximum(chsh_max(box) / 2.0 - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
 class SignalReport:
-    """Directed marginal shifts: per remote-facing setting and their maxima."""
+    """Directed marginal shifts: per remote-facing setting and their maxima.
+
+    For a stack, each field is an array over the stack's leading axes, with
+    the per-setting pairs on a last axis of length 2.
+    """
 
     s_A_to_B_per_y: tuple  # shift of B's marginal at y when x flips, y = 0, 1
     s_B_to_A_per_x: tuple  # shift of A's marginal at x when y flips, x = 0, 1
@@ -95,64 +122,47 @@ class SignalReport:
 
 def signal(box):
     """Marginal-shift signal strengths in both directions."""
-    s_ab = []
-    for y in (0, 1):
-        m0 = box.marginal_b(0, y)
-        m1 = box.marginal_b(1, y)
-        s_ab.append(max(abs(m1[0] - m0[0]), abs(m1[1] - m0[1])))
-    s_ba = []
-    for x in (0, 1):
-        m0 = box.marginal_a(x, 0)
-        m1 = box.marginal_a(x, 1)
-        s_ba.append(max(abs(m1[0] - m0[0]), abs(m1[1] - m0[1])))
-    s_a_to_b = max(s_ab)
-    s_b_to_a = max(s_ba)
+    m = marginals(box)
+    s_ab = np.abs(m[..., 1, 1, :, :] - m[..., 1, 0, :, :]).max(axis=-1)
+    s_ba = np.abs(m[..., 0, :, 1, :] - m[..., 0, :, 0, :]).max(axis=-1)
+    s_a_to_b = s_ab.max(axis=-1)
+    s_b_to_a = s_ba.max(axis=-1)
+    if s_ab.ndim == 1:
+        s_ab, s_ba = tuple(s_ab.tolist()), tuple(s_ba.tolist())
     return SignalReport(
-        s_A_to_B_per_y=tuple(s_ab),
-        s_B_to_A_per_x=tuple(s_ba),
-        S_A_to_B=s_a_to_b,
-        S_B_to_A=s_b_to_a,
-        S=max(s_a_to_b, s_b_to_a),
+        s_A_to_B_per_y=s_ab,
+        s_B_to_A_per_x=s_ba,
+        S_A_to_B=_value(s_a_to_b),
+        S_B_to_A=_value(s_b_to_a),
+        S=_value(np.maximum(s_a_to_b, s_b_to_a)),
     )
 
 
+def is_nonsignaling(box, tol=NORM_TOL):
+    """True when neither party's marginals move with the other's input: S <= tol."""
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    return signal(box).S <= tol
+
+
 def indeterminacy_per_setting(box):
-    """Smallest outcome-marginal probability at each setting, indexed [x][y]."""
-    out = np.empty((2, 2))
-    for x, y in INPUT_PAIRS:
-        ma = box.marginal_a(x, y)
-        mb = box.marginal_b(x, y)
-        out[x, y] = min(ma[0], ma[1], mb[0], mb[1])
-    return out
+    """Smallest outcome-marginal probability at each setting, indexed [..., x, y]."""
+    return marginals(box).min(axis=(-4, -1))
 
 
 def indeterminacy(box):
     """Sup over settings of the per-setting indeterminacy; 0 deterministic, 1/2 unbiased."""
-    return float(indeterminacy_per_setting(box).max())
+    return _value(indeterminacy_per_setting(box).max(axis=(-2, -1)))
 
 
 def entropic_indeterminacy_per_setting(box):
     """Largest output Shannon entropy (bits) over the two parties, per setting."""
-    out = np.empty((2, 2))
-    for x, y in INPUT_PAIRS:
-        ma = box.marginal_a(x, y)
-        mb = box.marginal_b(x, y)
-        out[x, y] = max(_entropy_pair(*ma), _entropy_pair(*mb))
-    return out
+    return _entropy(marginals(box)).max(axis=-3)
 
 
 def entropic_indeterminacy(box):
     """H_I: sup over settings and parties of the output Shannon entropy."""
-    return float(entropic_indeterminacy_per_setting(box).max())
-
-
-def _mutual_information_rows(row0, row1, prior):
-    """I(input; output) for a binary channel with outcome rows row0, row1."""
-    pi0, pi1 = prior
-    m0 = pi0 * row0[0] + pi1 * row1[0]
-    m1 = pi0 * row0[1] + pi1 * row1[1]
-    return (_entropy_pair(m0, m1)
-            - pi0 * _entropy_pair(*row0) - pi1 * _entropy_pair(*row1))
+    return _value(entropic_indeterminacy_per_setting(box).max(axis=(-2, -1)))
 
 
 def entropic_signal(box, prior=(0.5, 0.5)):
@@ -164,14 +174,13 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     pi0, pi1 = float(prior[0]), float(prior[1])
     if pi0 < 0.0 or pi1 < 0.0 or abs(pi0 + pi1 - 1.0) > _ENTROPY_SLACK:
         raise DomainError(f"prior must be a distribution, got {prior!r}")
-    best = 0.0
-    for y in (0, 1):
-        best = max(best, _mutual_information_rows(
-            box.marginal_b(0, y), box.marginal_b(1, y), (pi0, pi1)))
-    for x in (0, 1):
-        best = max(best, _mutual_information_rows(
-            box.marginal_a(x, 0), box.marginal_a(x, 1), (pi0, pi1)))
-    return float(best)
+    m = marginals(box)
+    # the receiver's outcome rows for remote input 0 and 1: B at y = 0, 1, then A at x = 0, 1
+    rows0 = np.concatenate([m[..., 1, 0, :, :], m[..., 0, :, 0, :]], axis=-2)
+    rows1 = np.concatenate([m[..., 1, 1, :, :], m[..., 0, :, 1, :]], axis=-2)
+    info = (_entropy(pi0 * rows0 + pi1 * rows1)
+            - pi0 * _entropy(rows0) - pi1 * _entropy(rows1))
+    return _value(np.maximum(0.0, info.max(axis=-1)))
 
 
 def two_point_mutual_information(p, shift, prior=0.5):
@@ -224,14 +233,13 @@ class MeasureReport:
 
 
 def measure_report(box, prior=(0.5, 0.5)):
-    sig = signal(box)
     per = indeterminacy_per_setting(box)
     return MeasureReport(
         lambda_=chsh(box),
         lambda_max=chsh_max(box),
-        signal=sig,
+        signal=signal(box),
         I=float(per.max()),
-        I_per_setting=tuple(tuple(float(v) for v in row) for row in per),
+        I_per_setting=tuple(tuple(row) for row in per.tolist()),
         H_S=entropic_signal(box, prior),
         H_I=entropic_indeterminacy(box),
     )

@@ -19,7 +19,9 @@ anticorrelation probability for measurement axes x_hat, y_hat.
 Trials are processed in fixed chunks of 65536; chunk i uses a counter-based
 generator seeded SeedSequence(entropy=seed, spawn_key=(i,)), and estimates
 are integer counts, so results do not depend on the order (or parallelism)
-in which chunks are evaluated.
+in which chunks are evaluated.  `chunk_xor_counts` (behind `simulate_singlet`
+and `sweep_angles`) and `trial_records` read the same per-chunk loop, so the
+per-trial records are exactly the trials that the counts come from.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcore import INPUT_PAIRS
 from .errors import DomainError
 
 CHUNK = 1 << 16
@@ -81,15 +82,6 @@ def _as_direction(value):
     return value if isinstance(value, Direction) else Direction.from_vector(value)
 
 
-def sample_direction(rng):
-    """Uniform random unit vector (normalized 3-d normal draw)."""
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > DEGENERATE_TOL:
-            return Direction(v / norm)
-
-
 def _unit_rows(g, n):
     v = g.normal(size=(n, 3))
     while True:
@@ -102,24 +94,11 @@ def _unit_rows(g, n):
 
 def _spec_arrays(spec):
     table = spec.strategies()
-    a_t = np.empty((16, 2, 2), dtype=np.int8)
-    b_t = np.empty((16, 2, 2), dtype=np.int8)
-    for k, s in enumerate(table):
-        for x, y in INPUT_PAIRS:
-            a_t[k, x, y] = s.a(x, y)
-            b_t[k, x, y] = s.b(x, y)
+    a_t = np.array([s.fa for s in table], dtype=np.int8).reshape(16, 2, 2)
+    b_t = np.array([s.fb for s in table], dtype=np.int8).reshape(16, 2, 2)
     cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))
     mu = (spec.scope.mu1, spec.scope.mu2, spec.scope.mu3)
     return cum, a_t, b_t, mu
-
-
-def run_resource(spec, x_in, y_in, rng):
-    """One use of the resource: sample a strategy, return its outputs (a, b)."""
-    if x_in not in (0, 1) or y_in not in (0, 1):
-        raise DomainError(f"inputs must be bits, got {(x_in, y_in)!r}")
-    cum, a_t, b_t, _ = _spec_arrays(spec)
-    k = min(int(np.searchsorted(cum, rng.random(), side="right")), 15)
-    return int(a_t[k, x_in, y_in]), int(b_t[k, x_in, y_in])
 
 
 def _generator(seed, chunk_index):
@@ -150,9 +129,16 @@ def _chunk_trials(arrays, xhat, yhat, n, g):
     return x_in, y_in, a, b, alpha, beta, x_out, y_out
 
 
-def _chunk_ranges(n_trials):
+def _chunks(spec, x_hat, y_hat, n_trials, seed):
+    """Trial arrays of each chunk, in chunk order: the loop every entry point reads."""
+    if n_trials < 1:
+        raise DomainError(f"need at least one trial, got {n_trials!r}")
+    arrays = _spec_arrays(spec)
+    xhat = _as_direction(x_hat).v
+    yhat = _as_direction(y_hat).v
+    n_trials = int(n_trials)
     for i, lo in enumerate(range(0, n_trials, CHUNK)):
-        yield i, min(CHUNK, n_trials - lo)
+        yield _chunk_trials(arrays, xhat, yhat, min(CHUNK, n_trials - lo), _generator(seed, i))
 
 
 def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
@@ -161,16 +147,7 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     The counts are integers tied to fixed chunk indices, so any processing
     order (or parallel schedule) reproduces the same total.
     """
-    if n_trials < 1:
-        raise DomainError(f"need at least one trial, got {n_trials!r}")
-    arrays = _spec_arrays(spec)
-    xhat = _as_direction(x_hat).v
-    yhat = _as_direction(y_hat).v
-    counts = []
-    for i, size in _chunk_ranges(int(n_trials)):
-        out = _chunk_trials(arrays, xhat, yhat, size, _generator(seed, i))
-        counts.append(int((out[6] ^ out[7]).sum()))
-    return counts
+    return [int((out[6] ^ out[7]).sum()) for out in _chunks(spec, x_hat, y_hat, n_trials, seed)]
 
 
 def simulate_singlet(spec, x_hat, y_hat, n_trials, seed):
@@ -198,16 +175,8 @@ class TrialData:
 
 def trial_records(spec, x_hat, y_hat, n_trials, seed):
     """TrialData for n_trials, identical to what the counting path simulates."""
-    if n_trials < 1:
-        raise DomainError(f"need at least one trial, got {n_trials!r}")
-    arrays = _spec_arrays(spec)
-    xhat = _as_direction(x_hat).v
-    yhat = _as_direction(y_hat).v
-    parts = []
-    for i, size in _chunk_ranges(int(n_trials)):
-        parts.append(_chunk_trials(arrays, xhat, yhat, size, _generator(seed, i)))
-    cols = [np.concatenate([p[j] for p in parts]) for j in range(8)]
-    return TrialData(*cols)
+    parts = list(_chunks(spec, x_hat, y_hat, n_trials, seed))
+    return TrialData(*(np.concatenate([p[j] for p in parts]) for j in range(8)))
 
 
 @dataclass(frozen=True)
@@ -233,10 +202,13 @@ def sweep_angles(spec, angles, n_trials, seed):
     x_hat is fixed at the pole and y_hat rotated by each angle; each angle
     runs n_trials on its own derived stream of the master seed.
     """
+    angles = [float(angle) for angle in angles]
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise DomainError(f"angle must be finite, got {angle!r}")
     x_hat = Direction.polar(0.0)
     points = []
-    for i, angle in enumerate(angles):
-        theta = float(angle)
+    for i, theta in enumerate(angles):
         y_hat = Direction.polar(theta)
         est = simulate_singlet(spec, x_hat, y_hat, n_trials, _angle_seed(seed, i))
         target = (1.0 + math.cos(theta)) / 2.0

@@ -113,6 +113,9 @@ def test_mix_weight_validation():
         bc.mix((0.6, 0.6), boxes)
     with pytest.raises(bc.WeightError):
         bc.mix((), ())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(bc.WeightError):
+            bc.mix((bad, 1.0), boxes)
 
 
 def test_box_validation():

@@ -66,6 +66,20 @@ def test_analyze_error_codes(tmp_path, capsys):
     data["P"][0][0][0][0] = 0.75
     unnorm.write_text(json.dumps(data))
     assert main(["analyze", "--box", str(unnorm)]) == 1
+    capsys.readouterr()
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"P": [], "label": "\xe9"}')
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"P": [[[["0.25"] * 2] * 2] * 2] * 2}))
+    bools = tmp_path / "bools.json"
+    data = bc.pr_box().to_json()
+    data["P"][0][0][0][0] = True
+    bools.write_text(json.dumps(data))
+    for path in (tmp_path, latin1, strings, bools):
+        assert main(["analyze", "--box", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_decompose_json(box_files, tmp_path, capsys):
@@ -116,6 +130,13 @@ def test_simulate_rejects_bad_resource(capsys):
     assert main(["simulate", "--resource", "scope=000;S1+:1.0", "--angle", "0",
                  "--trials", "0"]) == 2
     assert main(["simulate", "--resource", "scope=000;S1+:1.0"]) == 2  # no angle
+    capsys.readouterr()
+    for resource, angle in (("S1+:nan,S1-:1", "0"), ("S1+:1.0", "nan"), ("S1+:1.0", "inf")):
+        assert main(["simulate", "--resource", resource, "--angle", angle,
+                     "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_sweep_csv_files_are_byte_identical(tmp_path, capsys):
@@ -147,6 +168,13 @@ def test_sweep_requires_exactly_one_grid_flag(capsys):
     assert main(["sweep", "--resource", "scope=000;S1+:1.0"]) == 2
     assert main(["sweep", "--resource", "scope=000;S1+:1.0",
                  "--angles", "0", "--angle-grid", "3"]) == 2
+    capsys.readouterr()
+    for angles in ("0,nan", "-inf,1"):
+        assert main(["sweep", "--resource", "scope=000;S1+:1.0", f"--angles={angles}",
+                     "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_ok_and_corrupted(tmp_path, capsys):

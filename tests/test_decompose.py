@@ -117,6 +117,9 @@ def test_resource_spec_validation():
         bc.ResourceSpec.from_mapping({"S1+": 1.5, "S1-": -0.5})
     with pytest.raises(bc.WeightError):
         bc.ResourceSpec.from_mapping({"S9+": 1.0})
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(bc.WeightError):
+            bc.ResourceSpec.from_mapping({"S1+": bad, "S1-": 1.0})
 
 
 def test_resource_spec_parse_and_format():
@@ -133,7 +136,8 @@ def test_resource_spec_parse_and_format():
     spec = bc.ResourceSpec.parse("scope=101;S2+:1.0")
     assert spec.scope == bc.PRScope(1, 0, 1)
 
-    for text in ("", "scope=000", "S1+", "S1+:x", "S1+:0.5,S1+:0.5", "bad=000;S1+:1"):
+    for text in ("", "scope=000", "S1+", "S1+:x", "S1+:0.5,S1+:0.5", "bad=000;S1+:1",
+                 "S1+:nan,S1-:1", "S1+:inf,S1-:1"):
         with pytest.raises(bc.WeightError):
             bc.ResourceSpec.parse(text)
     with pytest.raises(bc.DomainError):

@@ -182,3 +182,45 @@ def test_measure_report_json_keys():
     assert set(data) >= {"lambda", "lambda_max", "S", "S_AtoB", "S_BtoA", "I",
                          "H_S", "H_I", "s_A_to_B_per_y", "s_B_to_A_per_x",
                          "I_per_setting"}
+
+
+def test_measures_invariant_under_relabellings_and_party_swap():
+    rng = np.random.default_rng(24)
+    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    boxes = [bc.random_feasible_box(rng)[0] for _ in range(10)]
+    for _ in range(10):
+        k = int(rng.integers(2, 5))
+        support = rng.choice(len(vertices), size=k, replace=False)
+        boxes.append(bc.mix(rng.dirichlet(np.ones(k)), vertices[support]))
+    stack = np.array([box.p for box in boxes])
+
+    def measures(p):
+        sig = bc.signal(p)
+        return np.stack([bc.chsh_max(p), sig.S, bc.indeterminacy(p),
+                         bc.entropic_signal(p), bc.entropic_indeterminacy(p)])
+
+    base = measures(stack)
+    images = [np.array([bc.apply_relabelling(box, rel).p for box in boxes])
+              for rel in bc.all_relabellings()]
+    images.append(stack.transpose(0, 2, 1, 4, 3))  # A <-> B: swap x with y and a with b
+    for image in images:
+        assert np.abs(measures(image) - base).max() <= 1e-12
+
+    # the cost and feasibility on a few boxes, the last one two-way
+    def cost(box):
+        try:
+            return bc.min_comm_cost(box).C
+        except bc.Infeasible:
+            return None
+
+    few = boxes[:2] + boxes[10:13] + [bc.strategy_box(bc.scope_strategies()[8])]
+    for box in few:
+        c = cost(box)
+        moved = [bc.apply_relabelling(box, rel) for rel in bc.all_relabellings()]
+        moved.append(bc.CorrelationBox(box.p.transpose(1, 0, 3, 2)))
+        for image in moved:
+            c_image = cost(image)
+            assert (c is None) == (c_image is None)
+            if c is not None:
+                assert abs(c_image - c) <= 1e-12
+    assert cost(few[-1]) is None

@@ -1,0 +1,216 @@
+"""The stacked measures against per-setting loop references.
+
+The references below are the loop forms the measures had before they were
+written once over stacks: per-INPUT_PAIRS marginals as cell sums, the
+signal and indeterminacy read from them, the two entropies with math.log2,
+the hand-written signed-signal index sets, and the sequential mixture sum.
+On random, sparse and catalogue boxes in all 8 scopes, the stacked code
+must give exactly their results.  The one exception is log2-derived values:
+np.log2 and math.log2 may differ in the last bit, so those are compared
+within 4 ulp.
+"""
+
+import math
+
+import numpy as np
+
+import boxcomp as bc
+from boxcomp.boxcore import INPUT_PAIRS
+
+# 4 ulp of the values compared; a mutual information is a difference of
+# entropies of at most 1 bit, so its unit in the last place is that of 1.0
+ULPS = 4
+
+
+def ref_marginal_a(p, x, y):
+    return (float(p[x, y, 0, 0] + p[x, y, 0, 1]), float(p[x, y, 1, 0] + p[x, y, 1, 1]))
+
+
+def ref_marginal_b(p, x, y):
+    return (float(p[x, y, 0, 0] + p[x, y, 1, 0]), float(p[x, y, 0, 1] + p[x, y, 1, 1]))
+
+
+def ref_marginals(p):
+    out = np.empty((2, 2, 2, 2))
+    for x, y in INPUT_PAIRS:
+        out[0, x, y] = ref_marginal_a(p, x, y)
+        out[1, x, y] = ref_marginal_b(p, x, y)
+    return out
+
+
+def ref_signal(p):
+    s_ab = []
+    for y in (0, 1):
+        m0, m1 = ref_marginal_b(p, 0, y), ref_marginal_b(p, 1, y)
+        s_ab.append(max(abs(m1[0] - m0[0]), abs(m1[1] - m0[1])))
+    s_ba = []
+    for x in (0, 1):
+        m0, m1 = ref_marginal_a(p, x, 0), ref_marginal_a(p, x, 1)
+        s_ba.append(max(abs(m1[0] - m0[0]), abs(m1[1] - m0[1])))
+    return tuple(s_ab), tuple(s_ba), max(s_ab), max(s_ba), max(max(s_ab), max(s_ba))
+
+
+def ref_indeterminacy_per_setting(p):
+    out = np.empty((2, 2))
+    for x, y in INPUT_PAIRS:
+        ma, mb = ref_marginal_a(p, x, y), ref_marginal_b(p, x, y)
+        out[x, y] = min(ma[0], ma[1], mb[0], mb[1])
+    return out
+
+
+def ref_entropy_pair(p0, p1):
+    h = 0.0
+    for v in (p0, p1):
+        if v > 0.0:
+            h -= v * math.log2(v)
+    return h
+
+
+def ref_entropic_indeterminacy_per_setting(p):
+    out = np.empty((2, 2))
+    for x, y in INPUT_PAIRS:
+        out[x, y] = max(ref_entropy_pair(*ref_marginal_a(p, x, y)),
+                        ref_entropy_pair(*ref_marginal_b(p, x, y)))
+    return out
+
+
+def ref_mutual_information(row0, row1, prior):
+    pi0, pi1 = prior
+    m0 = pi0 * row0[0] + pi1 * row1[0]
+    m1 = pi0 * row0[1] + pi1 * row1[1]
+    return (ref_entropy_pair(m0, m1)
+            - pi0 * ref_entropy_pair(*row0) - pi1 * ref_entropy_pair(*row1))
+
+
+def ref_entropic_signal(p, prior):
+    best = 0.0
+    for y in (0, 1):
+        best = max(best, ref_mutual_information(ref_marginal_b(p, 0, y),
+                                                ref_marginal_b(p, 1, y), prior))
+    for x in (0, 1):
+        best = max(best, ref_mutual_information(ref_marginal_a(p, x, 0),
+                                                ref_marginal_a(p, x, 1), prior))
+    return best
+
+
+# weight index sets whose alternating sums give each signed signal, by name
+SIGNED_TERMS = (
+    (("S3+", "S6+", "S7+", "S8+"), ("S3-", "S6-", "S7-", "S8-")),  # s1
+    (("S1+", "S5-", "S6+", "S8-"), ("S1-", "S5+", "S6-", "S8+")),  # s2
+    (("S4+", "S5+", "S7+", "S8+"), ("S4-", "S5-", "S7-", "S8-")),  # s3
+    (("S2+", "S5+", "S6-", "S7-"), ("S2-", "S5-", "S6+", "S7+")),  # s4
+)
+
+
+def ref_signed_signals(spec):
+    idx = {name: i for i, name in enumerate(bc.STRATEGY_NAMES)}
+    return tuple(math.fsum([spec.weights[idx[n]] for n in plus])
+                 - math.fsum([spec.weights[idx[n]] for n in minus])
+                 for plus, minus in SIGNED_TERMS)
+
+
+def ref_mix(weights, stack):
+    acc = np.zeros((2, 2, 2, 2))
+    for w, p in zip(weights, stack):
+        acc += w * p
+    return acc
+
+
+def _boxes():
+    """Dense random, sparse and catalogue boxes over all 8 scopes, as one stack."""
+    rng = np.random.default_rng(2024)
+    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    p = [bc.random_feasible_box(rng)[0].p for _ in range(300)]
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        support = rng.choice(len(vertices), size=k, replace=False)
+        p.append(bc.mix(rng.dirichlet(np.ones(k)), vertices[support]).p)
+    for scope in bc.all_scopes():
+        table = bc.scope_boxes(scope)
+        p.extend(table)
+        p.append(bc.pr_box(scope).p)
+        for _ in range(50):
+            p.append(bc.resource_box(bc.random_resource_spec(rng, scope)).p)
+        for _ in range(10):
+            pair = 2 * int(rng.integers(8))
+            q = float(rng.integers(101)) / 100.0
+            p.append(bc.mix((q, 1.0 - q), table[pair:pair + 2]).p)
+    return np.array(p)
+
+
+BOXES = _boxes()
+
+
+def _close_in_ulps(new, ref, scale):
+    return bool(np.all(np.abs(new - ref) <= ULPS * np.spacing(np.abs(scale))))
+
+
+def test_marginals_signal_and_indeterminacy_are_exact():
+    assert len(BOXES) >= 1000
+    m = bc.marginals(BOXES)
+    sig = bc.signal(BOXES)
+    per = bc.indeterminacy_per_setting(BOXES)
+    ind = bc.indeterminacy(BOXES)
+    nonsig = bc.is_nonsignaling(BOXES, 1e-12)
+    for i, p in enumerate(BOXES):
+        assert np.array_equal(m[i], ref_marginals(p))
+        s_ab, s_ba, s_a_to_b, s_b_to_a, s = ref_signal(p)
+        assert tuple(sig.s_A_to_B_per_y[i]) == s_ab
+        assert tuple(sig.s_B_to_A_per_x[i]) == s_ba
+        assert (sig.S_A_to_B[i], sig.S_B_to_A[i], sig.S[i]) == (s_a_to_b, s_b_to_a, s)
+        assert nonsig[i] == (s <= 1e-12)
+        ref_per = ref_indeterminacy_per_setting(p)
+        assert np.array_equal(per[i], ref_per)
+        assert ind[i] == ref_per.max()
+
+
+def test_single_box_is_a_stack_of_one():
+    for p in BOXES[::37]:
+        box = bc.CorrelationBox(p)
+        s_ab, s_ba, s_a_to_b, s_b_to_a, s = ref_signal(p)
+        rep = bc.signal(box)
+        assert (rep.s_A_to_B_per_y, rep.s_B_to_A_per_x) == (s_ab, s_ba)
+        assert (rep.S_A_to_B, rep.S_B_to_A, rep.S) == (s_a_to_b, s_b_to_a, s)
+        assert type(rep.S) is float and type(bc.indeterminacy(box)) is float
+        assert bc.indeterminacy(box) == ref_indeterminacy_per_setting(p).max()
+        assert type(bc.entropic_signal(box)) is float
+        assert bc.entropic_signal(box) == bc.entropic_signal(p[None])[0]
+        assert bc.chsh_max(box) == bc.chsh_max(p[None])[0]
+
+
+def test_entropies_within_four_ulp():
+    per = bc.entropic_indeterminacy_per_setting(BOXES)
+    h_i = bc.entropic_indeterminacy(BOXES)
+    signal_by_prior = {prior: bc.entropic_signal(BOXES, prior)
+                       for prior in ((0.5, 0.5), (0.9, 0.1), (0.25, 0.75))}
+    for i, p in enumerate(BOXES):
+        ref_per = ref_entropic_indeterminacy_per_setting(p)
+        assert _close_in_ulps(per[i], ref_per, ref_per)
+        assert _close_in_ulps(h_i[i], ref_per.max(), ref_per.max())
+        for prior, h_s in signal_by_prior.items():
+            assert _close_in_ulps(h_s[i], ref_entropic_signal(p, prior), 1.0)
+
+
+def test_signed_signals_match_hand_written_index_sets():
+    rng = np.random.default_rng(2025)
+    for scope in bc.all_scopes():
+        for _ in range(150):
+            spec = bc.random_resource_spec(rng, scope)
+            assert bc.signed_signals(spec).as_tuple() == ref_signed_signals(spec)
+    for name in bc.STRATEGY_NAMES:
+        spec = bc.ResourceSpec.from_mapping({name: 1.0})
+        assert bc.signed_signals(spec).as_tuple() == ref_signed_signals(spec)
+
+
+def test_mixtures_sum_in_vertex_order():
+    rng = np.random.default_rng(2026)
+    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    weights = rng.dirichlet(np.ones(len(vertices)), size=200)
+    stacked = bc.mixtures(weights, vertices)
+    for w, p in zip(weights, stacked):
+        assert np.array_equal(p, ref_mix(w, vertices))
+        assert np.array_equal(bc.mix(w, vertices).p, p)
+    for scope in bc.all_scopes():
+        spec = bc.random_resource_spec(rng, scope)
+        table = [bc.strategy_box(s).p for s in bc.scope_strategies(scope)]
+        assert np.array_equal(bc.resource_box(spec).p, ref_mix(spec.weights, table))

@@ -1,4 +1,4 @@
-"""Sphere sampling, resource runs, and the singlet-statistics estimator."""
+"""Trial records, resource outputs, and the singlet-statistics estimator."""
 
 import math
 
@@ -33,39 +33,24 @@ def test_direction_validation():
     assert bc.Direction.polar(0.0).v[2] == 1.0
 
 
-def test_sample_direction_is_uniform_enough():
-    rng = np.random.default_rng(51)
-    vs = np.array([bc.sample_direction(rng).v for _ in range(20000)])
-    assert np.abs(np.linalg.norm(vs, axis=1) - 1.0).max() <= 1e-12
-    assert np.abs(vs.mean(axis=0)).max() <= 0.02
-    # each squared coordinate of a uniform direction averages 1/3
-    assert abs((vs[:, 2] ** 2).mean() - 1.0 / 3.0) <= 0.02
+def test_trial_records_deterministic_strategy_outputs():
+    # S1+ answers a = 0, b = x*y on every trial
+    td = bc.trial_records(TB_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.1),
+                          4000, seed=52)
+    assert np.array_equal(td.a, np.zeros_like(td.a))
+    assert np.array_equal(td.b, td.x_in & td.y_in)
+    assert set(zip(td.x_in.tolist(), td.y_in.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-def test_run_resource_deterministic_strategy():
-    rng = np.random.default_rng(52)
-    for _ in range(20):
-        assert bc.run_resource(TB_SPEC, 1, 1, rng) == (0, 1)
-        assert bc.run_resource(TB_SPEC, 0, 1, rng) == (0, 0)
-    with pytest.raises(bc.DomainError):
-        bc.run_resource(TB_SPEC, 2, 0, rng)
-
-
-def test_run_resource_respects_scope_relation():
-    rng = np.random.default_rng(53)
-    spec = bc.random_resource_spec(rng, scope=bc.PRScope(1, 1, 0))
-    for _ in range(200):
-        x, y = int(rng.integers(2)), int(rng.integers(2))
-        a, b = bc.run_resource(spec, x, y, rng)
-        assert a ^ b == spec.scope.relation(x, y)
-
-
-def test_run_resource_pr_spec_outputs_balanced():
-    rng = np.random.default_rng(54)
-    outs = [bc.run_resource(PR_SPEC, 0, 0, rng) for _ in range(4000)]
-    assert all(a == b for a, b in outs)  # relation at (0,0) forces a = b
-    frac = sum(a for a, _ in outs) / len(outs)
-    assert abs(frac - 0.5) <= 5.0 * math.sqrt(0.25 / len(outs))
+def test_trial_records_pr_spec_outputs_balanced():
+    td = bc.trial_records(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(0.4),
+                          20_000, seed=54)
+    at_00 = (td.x_in == 0) & (td.y_in == 0)
+    assert np.array_equal(td.a[at_00], td.b[at_00])  # relation at (0,0) forces a = b
+    n = int(at_00.sum())
+    assert n >= 2000
+    frac = float(td.a[at_00].mean())
+    assert abs(frac - 0.5) <= 5.0 * math.sqrt(0.25 / n)
 
 
 def test_simulation_is_deterministic_and_chunk_order_free():
