@@ -108,10 +108,18 @@ class CorrelationBox:
 
 
 def _json_numbers(value):
-    """True when every leaf of nested lists is an int or float (bools excluded)."""
-    if isinstance(value, list):
-        return all(_json_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True when every leaf of nested lists is an int or float (bools excluded).
+
+    The walk keeps its own stack, so no nesting depth can exhaust Python's.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True
 
 
 def load_box(path):
@@ -121,6 +129,8 @@ def load_box(path):
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BoxFormatError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise BoxFormatError("invalid JSON: nested too deeply") from None
     return CorrelationBox.from_json(data)
 
 

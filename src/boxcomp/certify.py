@@ -19,6 +19,7 @@ from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
     ResourceSpec,
+    check_tolerance,
     conditional_lower_bounds,
     min_comm_cost,
     random_feasible_box,
@@ -134,8 +135,7 @@ def complementarity_report(box, tol=1e-9):
     Boxes outside the local + one-way polytope skip the cost-based checks;
     the signal/indeterminacy relations are checked regardless.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tolerance(tol)
     lam = chsh(box)
     lam_max = chsh_max(box)
     sig = signal(box)
@@ -328,6 +328,7 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None, scope=
     """
     if instances < 1:
         raise DomainError(f"need at least one instance, got {instances!r}")
+    check_tolerance(tol)
     if strategies is None:
         strategies = scope_strategies(scope)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -88,6 +88,16 @@ class Decomposition:
         return {"C": self.C, "weights": rows}
 
 
+def check_tolerance(tol):
+    """Accept a solver tolerance only in the open interval (0, 1).
+
+    A tolerance of 1 or more lets the LP's feasibility and residual checks
+    pass any box, so it is refused like NaN and infinity.
+    """
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
+
+
 def min_comm_cost(box, tol=WEIGHT_TOL):
     """Cheapest 1-bit decomposition of a box.
 
@@ -96,8 +106,7 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     two-way communication and NumericalError if the solution fails to
     reproduce the box within tol.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tolerance(tol)
     b_eq = np.append(box.p.ravel(), 1.0)
     x, value = solve_lp(_ONEWAY, _A_EQ, b_eq, tol=tol)
     residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())

@@ -16,12 +16,31 @@ relabelling, which keeps the estimator identity intact).  The fraction of
 trials with X xor Y = 1 estimates (1 + x_hat.y_hat)/2, the singlet's
 anticorrelation probability for measurement axes x_hat, y_hat.
 
+Sampler (Marsaglia disc points in the (x_hat, y_hat) frame).  Only the
+projections of t1 and t2 onto span(x_hat, y_hat) matter, so the kernel never
+forms 3-vectors.  It reads the axes through c = x_hat.y_hat, clamped to
+[-1, 1], and s = sqrt(1 - c^2), in an orthonormal frame with e1 = x_hat and
+y_hat = c e1 + s e2.  Each direction comes from one point (u, v) uniform in
+the open unit disc, drawn by rejection from the square [-1, 1)^2, with
+q = u^2 + v^2 < 1.  Marsaglia's map (Ann. Math. Stat. 43, 1972)
+
+    t = (2u sqrt(1-q), 2v sqrt(1-q), 1 - 2q)
+
+is exactly uniform on the sphere, so sgn(t.x_hat) = sgn(u) and
+t.y_hat / 2 = sqrt(1-q) (c u + s v), with no normalisation or trigonometry.
+A pair with |t1 - t2| < 1e-12, the distance taken from these coordinates,
+has no well-defined inputs; both of its directions are redrawn.
+
 Trials are processed in fixed chunks of 65536; chunk i uses a counter-based
-generator seeded SeedSequence(entropy=seed, spawn_key=(i,)), and estimates
-are integer counts, so results do not depend on the order (or parallelism)
-in which chunks are evaluated.  `chunk_xor_counts` (behind `simulate_singlet`
-and `sweep_angles`) and `trial_records` read the same per-chunk loop, so the
-per-trial records are exactly the trials that the counts come from.
+Philox generator seeded SeedSequence(entropy=seed, spawn_key=(i,)), and
+draws in a fixed order: the strategy uniforms, then t1's disc candidates
+(a block of u's, then one of v's), then t2's, then any redraws of
+degenerate pairs.  Every top-up comes from the chunk's own generator, and
+estimates are integer counts, so results depend only on (seed, chunk index)
+and not on the order (or parallelism) in which chunks are evaluated.
+`chunk_xor_counts` (behind `simulate_singlet` and `sweep_angles`) and
+`trial_records` read the same per-chunk loop, so the per-trial records are
+exactly the trials that the counts come from.
 """
 
 from __future__ import annotations
@@ -35,6 +54,7 @@ from .errors import DomainError
 
 CHUNK = 1 << 16
 DEGENERATE_TOL = 1e-12
+_CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
 
 
 def sgn01(z):
@@ -82,23 +102,19 @@ def _as_direction(value):
     return value if isinstance(value, Direction) else Direction.from_vector(value)
 
 
-def _unit_rows(g, n):
-    v = g.normal(size=(n, 3))
-    while True:
-        norms = np.linalg.norm(v, axis=1)
-        bad = norms < DEGENERATE_TOL
-        if not bad.any():
-            return v / norms[:, None]
-        v[bad] = g.normal(size=(int(bad.sum()), 3))
-
-
 def _spec_arrays(spec):
+    """Strategy bounds, flat output tables indexed 4k + 2x + y, and the scope.
+
+    A uniform r picks strategy k = #{j < 15 : r >= cum_j}, the inverse CDF
+    of the weights with strategy 15 taking any rounding shortfall.  Bounds
+    of 1 or more are dropped, since r < 1 never reaches them.
+    """
     table = spec.strategies()
-    a_t = np.array([s.fa for s in table], dtype=np.int8).reshape(16, 2, 2)
-    b_t = np.array([s.fb for s in table], dtype=np.int8).reshape(16, 2, 2)
-    cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))
+    a_t = np.array([s.fa for s in table], dtype=np.int8)
+    b_t = np.array([s.fb for s in table], dtype=np.int8)
+    cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))[:15]
     mu = (spec.scope.mu1, spec.scope.mu2, spec.scope.mu3)
-    return cum, a_t, b_t, mu
+    return cum[cum < 1.0], a_t.ravel(), b_t.ravel(), mu
 
 
 def _generator(seed, chunk_index):
@@ -106,24 +122,83 @@ def _generator(seed, chunk_index):
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def _chunk_trials(arrays, xhat, yhat, n, g):
-    cum, a_t, b_t, (mu1, mu2, mu3) = arrays
-    t1 = _unit_rows(g, n)
-    t2 = _unit_rows(g, n)
-    while True:
-        bad = np.linalg.norm(t1 - t2, axis=1) < DEGENERATE_TOL
-        if not bad.any():
-            break
-        m = int(bad.sum())
-        t1[bad] = _unit_rows(g, m)
-        t2[bad] = _unit_rows(g, m)
-    k = np.minimum(np.searchsorted(cum, g.random(n), side="right"), 15)
-    alpha = sgn01(t1 @ xhat)
-    x_in = alpha ^ sgn01(t2 @ xhat)
-    beta = sgn01((t1 + t2) @ yhat)
-    y_in = beta ^ sgn01((t1 - t2) @ yhat)
-    a = a_t[k, x_in, y_in]
-    b = b_t[k, x_in, y_in]
+def _disc_points(g, n):
+    """(u, v, q): n points uniform in the open unit disc, q = u^2 + v^2.
+
+    Each round draws m uniforms on [-1, 1) for u, then m for v; candidate j
+    is (u_j, v_j) and is kept, in order, while q_j < 1.  About pi/4 of them
+    survive, so a shortfall is topped up by another round from g.
+    """
+    parts = []
+    while n > 0:
+        m = int(n * _CANDIDATES_PER_POINT) + 16
+        u = g.random(m)
+        u *= 2.0
+        u -= 1.0
+        v = g.random(m)
+        v *= 2.0
+        v -= 1.0
+        q = u * u
+        q += v * v
+        kept = np.flatnonzero(q < 1.0)[:n]
+        part = (u.take(kept), v.take(kept), q.take(kept))
+        parts.append(part)
+        n -= len(part[0])
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+
+
+def _y_projection(u, v, q, c, s):
+    """t.y_hat / 2 for the direction t that the disc point (u, v) maps to."""
+    p = c * u
+    p += s * v
+    p *= np.sqrt(1.0 - q)
+    return p
+
+
+def _strategy_index(bounds, pick):
+    """int8 strategy index k = #{bounds <= pick} for each strategy uniform.
+
+    The uniforms are freed on return, before the directions are drawn, which
+    keeps a chunk's peak memory down.
+    """
+    k = np.zeros(len(pick), dtype=np.int8)
+    for bound in bounds:
+        k += pick >= bound
+    return k
+
+
+def _chunk_trials(arrays, c, s, n, g):
+    bounds, a_t, b_t, (mu1, mu2, mu3) = arrays
+    cell = _strategy_index(bounds, g.random(n))
+    u1, v1, q1 = _disc_points(g, n)
+    u2, v2, q2 = _disc_points(g, n)
+    # t1 - t2 = 2 (u1 r1 - u2 r2, v1 r1 - v2 r2, q2 - q1) with r = sqrt(1 - q):
+    # only pairs with |q1 - q2| < tol can lie closer than tol, so the full
+    # distance is taken on those alone
+    redo = np.flatnonzero(np.abs(q1 - q2) < DEGENERATE_TOL)
+    while redo.size:
+        r1, r2 = np.sqrt(1.0 - q1[redo]), np.sqrt(1.0 - q2[redo])
+        dist = 2.0 * np.sqrt((u1[redo] * r1 - u2[redo] * r2) ** 2
+                             + (v1[redo] * r1 - v2[redo] * r2) ** 2
+                             + (q1[redo] - q2[redo]) ** 2)
+        redo = redo[dist < DEGENERATE_TOL]
+        if redo.size:
+            u1[redo], v1[redo], q1[redo] = _disc_points(g, redo.size)
+            u2[redo], v2[redo], q2[redo] = _disc_points(g, redo.size)
+    # t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0
+    alpha = sgn01(u1)
+    x_in = alpha ^ sgn01(u2)
+    p1 = _y_projection(u1, v1, q1, c, s)
+    p2 = _y_projection(u2, v2, q2, c, s)
+    beta = sgn01(p1 + p2)
+    y_in = beta ^ sgn01(p1 - p2)
+    cell <<= 2  # output table cell 4k + 2x + y, from the strategy index k
+    cell += x_in << 1
+    cell += y_in
+    a = a_t.take(cell)
+    b = b_t.take(cell)
     x_out = a ^ (mu1 & x_in) ^ mu3 ^ alpha
     y_out = b ^ (mu2 & y_in) ^ beta ^ 1
     return x_in, y_in, a, b, alpha, beta, x_out, y_out
@@ -134,11 +209,11 @@ def _chunks(spec, x_hat, y_hat, n_trials, seed):
     if n_trials < 1:
         raise DomainError(f"need at least one trial, got {n_trials!r}")
     arrays = _spec_arrays(spec)
-    xhat = _as_direction(x_hat).v
-    yhat = _as_direction(y_hat).v
+    c = min(max(_as_direction(x_hat).dot(_as_direction(y_hat)), -1.0), 1.0)
+    s = math.sqrt(1.0 - c * c)
     n_trials = int(n_trials)
     for i, lo in enumerate(range(0, n_trials, CHUNK)):
-        yield _chunk_trials(arrays, xhat, yhat, min(CHUNK, n_trials - lo), _generator(seed, i))
+        yield _chunk_trials(arrays, c, s, min(CHUNK, n_trials - lo), _generator(seed, i))
 
 
 def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):

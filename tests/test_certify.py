@@ -157,3 +157,16 @@ def test_property_suite_detects_corrupted_catalogue():
 def test_property_suite_validation():
     with pytest.raises(bc.DomainError):
         bc.run_property_suite(instances=0)
+
+
+def test_tolerances_outside_the_unit_interval_are_refused():
+    two_way = bc.strategy_box(bc.scope_strategies()[8])
+    for tol in (math.inf, math.nan, 10.0, 1.0, 0.0, -1e-9):
+        with pytest.raises(bc.DomainError):
+            bc.min_comm_cost(two_way, tol=tol)
+        with pytest.raises(bc.DomainError):
+            bc.complementarity_report(two_way, tol=tol)
+        with pytest.raises(bc.DomainError):
+            bc.run_property_suite(instances=1, tol=tol)
+    with pytest.raises(bc.Infeasible):
+        bc.min_comm_cost(two_way, tol=0.5)

@@ -76,7 +76,11 @@ def test_analyze_error_codes(tmp_path, capsys):
     data = bc.pr_box().to_json()
     data["P"][0][0][0][0] = True
     bools.write_text(json.dumps(data))
-    for path in (tmp_path, latin1, strings, bools):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    deep_p = tmp_path / "deep_p.json"
+    deep_p.write_text('{"P": ' + "[" * 900 + "]" * 900 + "}")
+    for path in (tmp_path, latin1, strings, bools, deep, deep_p):
         assert main(["analyze", "--box", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -106,6 +110,15 @@ def test_decompose_infeasible_exit_code(box_files, capsys):
     rc = main(["decompose", "--box", str(box_files["two_way"]), "--format", "json"])
     assert rc == 3
     assert json.loads(capsys.readouterr().out)["infeasible"] is True
+    assert main(["decompose", "--box", str(box_files["two_way"]), "--tol", "0.5"]) == 3
+    capsys.readouterr()
+    # a tolerance of 1 or more let the LP accept this two-way box with C = 1.0
+    for tol in ("inf", "nan", "10", "1", "0"):
+        for command in ("analyze", "decompose"):
+            assert main([command, "--box", str(box_files["two_way"]), "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_simulate_csv(capsys):
@@ -190,6 +203,12 @@ def test_verify_ok_and_corrupted(tmp_path, capsys):
     assert data["passed"] is False
     failed = {c["name"] for c in data["checks"] if not c["passed"]}
     assert "signed-signal-consistency" in failed
+
+    for tol in ("inf", "nan", "10"):
+        assert main(["verify", "--instances", "2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import boxcomp as bc
 from _helpers import pair_spec
+from boxcomp import simulate
 
 PR_SPEC = bc.ResourceSpec.from_mapping({"S1+": 0.5, "S1-": 0.5})
 TB_SPEC = bc.ResourceSpec.from_mapping({"S1+": 1.0})
@@ -31,6 +33,81 @@ def test_direction_validation():
     d = bc.Direction.from_vector([3.0, 0.0, 4.0])
     assert abs(np.linalg.norm(d.v) - 1.0) <= 1e-12
     assert bc.Direction.polar(0.0).v[2] == 1.0
+
+
+def test_direction_draw_follows_the_sphere_law():
+    # the kernel's own draw; (u, v) maps to t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q)
+    n = 200_000
+    u, v, q = simulate._disc_points(simulate._generator(21, 0), n)
+    assert len(u) == n and q.max() < 1.0 and np.array_equal(q, u * u + v * v)
+    t_x = 2.0 * u * np.sqrt(1.0 - q)
+    # a uniform direction has E[(t.x)^2] = 1/3 and Var[(t.x)^2] = 1/5 - 1/9
+    assert abs(float(np.mean(t_x ** 2)) - 1.0 / 3.0) <= 4.0 * math.sqrt((1 / 5 - 1 / 9) / n)
+    for theta in (math.pi / 6, math.pi / 2, 5.0 * math.pi / 6):
+        t_y = simulate._y_projection(u, v, q, math.cos(theta), math.sin(theta))
+        # random-hyperplane law: the signs of t.x and t.y differ with probability theta/pi
+        differ = float(np.mean(bc.sgn01(t_x) != bc.sgn01(t_y)))
+        p = theta / math.pi
+        assert abs(differ - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+    again = simulate._disc_points(simulate._generator(21, 0), n)
+    assert all(np.array_equal(x, y) for x, y in zip((u, v, q), again))
+
+
+def test_coincident_directions_are_redrawn(monkeypatch):
+    real = simulate._disc_points
+    drawn = []
+
+    def t2_repeats_t1(g, n):
+        points = real(g, n)
+        if len(drawn) == 1:  # t2 := t1, so every pair coincides
+            points = tuple(arr.copy() for arr in drawn[0])
+        drawn.append(points)
+        return points
+
+    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1)
+    td = bc.trial_records(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
+                          1000, seed=3)
+    assert [len(points[0]) for points in drawn] == [1000] * 4  # t1, t2, redrawn t1 and t2
+    assert set(td.x_in.tolist()) == {0, 1}  # t1 = t2 would give x = 0 on every trial
+
+
+def test_per_chunk_counts_disperse_like_a_binomial():
+    # Pearson's dispersion statistic of 64 chunk counts about their pooled
+    # share is chi-square with 63 degrees of freedom for a sound sampler.
+    # Either tail below 1e-4 fails: chunks too alike, or too spread.
+    chunks, n = 64, bc.CHUNK
+    counts = np.array(bc.chunk_xor_counts(PR_SPEC, bc.Direction.polar(0.0),
+                                          bc.Direction.polar(math.pi / 3), chunks * n, seed=31))
+    assert counts.shape == (chunks,)
+    p = counts.sum() / (chunks * n)
+    stat = float(((counts - n * p) ** 2).sum() / (n * p * (1.0 - p)))
+    assert chi2.sf(stat, chunks - 1) >= 1e-4
+    assert chi2.cdf(stat, chunks - 1) >= 1e-4
+
+
+def test_sampler_counts_are_pinned():
+    # every estimate moves when these do: change them only on purpose, and
+    # record the old and new values with the change
+    counts = bc.chunk_xor_counts(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
+                                 3 * bc.CHUNK, seed=2026)
+    assert counts == [50385, 50355, 50460]
+
+
+def test_outputs_are_the_replies_of_the_picked_strategy():
+    # a chunk's first n uniforms pick each trial's strategy by inverse CDF
+    rng = np.random.default_rng(57)
+    n = 5000
+    for spec in (PR_SPEC, bc.ResourceSpec.parse("scope=101;S2+:0.3,S5-:0.7"),
+                 bc.random_resource_spec(rng)):
+        td = bc.trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.8),
+                              n, seed=15)
+        pick = simulate._generator(15, 0).random(n)
+        k = np.minimum(np.searchsorted(np.cumsum(spec.weights), pick, side="right"), 15)
+        table = spec.strategies()
+        fa = np.array([s.fa for s in table]).reshape(16, 2, 2)
+        fb = np.array([s.fb for s in table]).reshape(16, 2, 2)
+        assert np.array_equal(td.a, fa[k, td.x_in, td.y_in])
+        assert np.array_equal(td.b, fb[k, td.x_in, td.y_in])
 
 
 def test_trial_records_deterministic_strategy_outputs():
