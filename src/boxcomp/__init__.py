@@ -5,7 +5,11 @@ signal/indeterminacy trade-offs, decompose boxes over communication
 vertices, certify randomness under signaling, and reproduce singlet
 statistics by Monte Carlo.  Every measure reads one box or a stack of
 boxes, an array of shape (..., 2, 2, 2, 2) indexed [..., x, y, a, b].
+
+`__all__` is every name imported below, the list the README documents.
 """
+
+from types import ModuleType as _ModuleType
 
 from .boxcore import (
     CorrelationBox,
@@ -19,7 +23,6 @@ from .boxcore import (
     apply_relabelling,
     dump_box,
     enumerate_deterministic,
-    infer_scope,
     load_box,
     mix,
     mixtures,
@@ -38,7 +41,6 @@ from .certify import (
     SuiteReport,
     certified_indeterminacy_bound,
     complementarity_report,
-    entropic_complementarity,
     max_marginal_bias_zero_signal,
     relaxed_bell_check,
     run_property_suite,
@@ -48,7 +50,6 @@ from .decompose import (
     ResourceSpec,
     SignedSignals,
     conditional_lower_bounds,
-    lp_vertices,
     min_comm_cost,
     random_feasible_box,
     random_resource_spec,
@@ -61,7 +62,6 @@ from .errors import (
     DomainError,
     Infeasible,
     NumericalError,
-    ScopeError,
     WeightError,
 )
 from .measures import (
@@ -88,13 +88,14 @@ from .simulate import (
     CHUNK,
     Direction,
     SweepPoint,
-    TrialData,
     chunk_xor_counts,
     sgn01,
     simulate_singlet,
     sweep_angles,
-    trial_records,
     write_sweep_csv,
 )
 
 __version__ = "0.1.0"
+
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

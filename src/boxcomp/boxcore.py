@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxFormatError, BoxInvariantError, DomainError, ScopeError, WeightError
+from .errors import BoxFormatError, BoxInvariantError, DomainError, WeightError
 
 NORM_TOL = 1e-12
 
@@ -69,12 +69,6 @@ class CorrelationBox:
         arr.flags.writeable = False
         self.p = arr
         self.label = label
-
-    def prob(self, a, b, x, y):
-        return float(self.p[x, y, a, b])
-
-    def allclose(self, other, tol=NORM_TOL):
-        return bool(np.abs(self.p - other.p).max() <= tol)
 
     def __eq__(self, other):
         if not isinstance(other, CorrelationBox):
@@ -184,15 +178,6 @@ class DeterministicStrategy:
     def table_str(self):
         """Output pairs "ab" per input pair, e.g. "00,00,00,01"."""
         return ",".join(f"{self.fa[i]}{self.fb[i]}" for i in range(4))
-
-    @classmethod
-    def from_table_str(cls, text):
-        parts = [part.strip() for part in text.split(",")]
-        if len(parts) != 4 or any(len(p) != 2 or set(p) - {"0", "1"} for p in parts):
-            raise BoxFormatError(f"strategy table must be 4 comma-separated bit pairs, got {text!r}")
-        fa = tuple(int(p[0]) for p in parts)
-        fb = tuple(int(p[1]) for p in parts)
-        return cls(fa, fb)
 
 
 def strategy_boxes(strategies):
@@ -313,27 +298,6 @@ class Relabelling:
                 raise DomainError(f"{name} must have one bit per own input")
             object.__setattr__(self, name, tuple(_check_bit(v, name) for v in off))
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    def after(self, inner):
-        """Composite relabelling: apply `inner` first, then this one."""
-        return Relabelling(
-            flip_x=self.flip_x ^ inner.flip_x,
-            flip_y=self.flip_y ^ inner.flip_y,
-            a_offset=tuple(self.a_offset[x] ^ inner.a_offset[x ^ self.flip_x] for x in (0, 1)),
-            b_offset=tuple(self.b_offset[y] ^ inner.b_offset[y ^ self.flip_y] for y in (0, 1)),
-        )
-
-    def inverse(self):
-        return Relabelling(
-            flip_x=self.flip_x,
-            flip_y=self.flip_y,
-            a_offset=tuple(self.a_offset[x ^ self.flip_x] for x in (0, 1)),
-            b_offset=tuple(self.b_offset[y ^ self.flip_y] for y in (0, 1)),
-        )
-
 
 def all_relabellings():
     """The full group of 64 local reversible relabellings."""
@@ -425,6 +389,7 @@ def _build_canonical_table():
 
 
 _CANONICAL_TABLE = _build_canonical_table()
+_CANONICAL_NAMES = dict(zip(_CANONICAL_TABLE, STRATEGY_NAMES))
 
 
 def scope_relabelling(scope):
@@ -457,35 +422,6 @@ def scope_boxes(scope=PRScope()):
     return _CATALOGUE_BOXES[scope]
 
 
-def strategy_name(strategy, scope=None):
-    """Name of a strategy within its scope's catalogue, or None if unnamed."""
-    if scope is None:
-        try:
-            scope = infer_scope([strategy])
-        except ScopeError:
-            return None
-    for name, member in zip(STRATEGY_NAMES, scope_strategies(scope)):
-        if member == strategy:
-            return name
-    return None
-
-
-def infer_scope(strategies):
-    """The unique scope all strategies satisfy; raises ScopeError otherwise."""
-    strategies = list(strategies)
-    if not strategies:
-        raise ScopeError("no strategies given")
-    scopes = set()
-    for s in strategies:
-        h = [s.a(x, y) ^ s.b(x, y) for x, y in INPUT_PAIRS]
-        mu3 = h[0]
-        mu2 = h[1] ^ mu3
-        mu1 = h[2] ^ mu3
-        if h[3] != 1 ^ mu1 ^ mu2 ^ mu3:
-            raise ScopeError(f"strategy {s.table_str()} satisfies no PR-type relation")
-        scopes.add((mu1, mu2, mu3))
-    if len(scopes) > 1:
-        labels = sorted("".join(map(str, t)) for t in scopes)
-        raise ScopeError(f"strategies span multiple scopes: {labels}")
-    mu1, mu2, mu3 = scopes.pop()
-    return PRScope(mu1, mu2, mu3)
+def strategy_name(strategy):
+    """Name of a strategy in the canonical scope (0,0,0) catalogue, or None if unnamed."""
+    return _CANONICAL_NAMES.get(strategy)

@@ -2,9 +2,9 @@
 
 Subcommands: analyze (measure a box file), decompose (minimum-cost 1-bit
 decomposition), simulate (one angle), sweep (angle grid to CSV), verify
-(randomized property suites).  Exit codes: 0 ok, 1 invariant violation or
-failed verification, 2 malformed input or usage, 3 infeasible decomposition,
-4 numerical failure, 5 inconsistent strategy scopes.
+(randomized property suites).  Exit codes: 0 ok, 1 invariant violation,
+failed analyze check or failed verification, 2 malformed input or usage,
+3 infeasible decomposition, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     Infeasible,
     NumericalError,
-    ScopeError,
     WeightError,
 )
 from .measures import is_nonsignaling, measure_report
@@ -34,17 +33,31 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-EXIT_SCOPE = 5
+
+# exception types and the exit code each ends in, after one `error:` line
+_EXIT_CODES = (
+    ((OSError, BoxFormatError, WeightError, DomainError), EXIT_USAGE),
+    ((BoxInvariantError,), EXIT_INVARIANT),
+    ((Infeasible,), EXIT_INFEASIBLE),
+    ((NumericalError,), EXIT_NUMERICAL),
+)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return value
+def _int_at_least(lower):
+    """An argparse type: an integer no smaller than `lower`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be >= {lower}: {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _angle_list(text):
@@ -78,7 +91,7 @@ def build_parser():
     p_si.add_argument("--angle", type=float, required=True,
                       help="angle between measurement axes, radians")
     p_si.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_si.add_argument("--seed", type=int, default=0)
+    p_si.add_argument("--seed", type=_nonnegative_int, default=0)
     p_si.add_argument("--out")
     p_si.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
@@ -90,12 +103,12 @@ def build_parser():
     grid.add_argument("--angle-grid", type=_positive_int,
                       help="K evenly spaced angles covering [0, pi]")
     p_sw.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_sw.add_argument("--seed", type=int, default=0)
+    p_sw.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sw.add_argument("--out")
     p_sw.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p_ve = sub.add_parser("verify", help="run the randomized property suites")
-    p_ve.add_argument("--seed", type=int, default=0)
+    p_ve.add_argument("--seed", type=_nonnegative_int, default=0)
     p_ve.add_argument("--instances", type=_positive_int, default=200)
     p_ve.add_argument("--tol", type=float, default=1e-9)
     p_ve.add_argument("--out")
@@ -137,7 +150,7 @@ def cmd_analyze(args):
                  f"nonsignaling = {nonsig}",
                  cert.render_text()]
         _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_OK if cert.passed else EXIT_INVARIANT
 
 
 def cmd_decompose(args):
@@ -246,24 +259,12 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (BoxFormatError, WeightError, DomainError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except BoxInvariantError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVARIANT
-    except ScopeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCOPE
-    except Infeasible as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INFEASIBLE
-    except NumericalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                sys.stderr.write(f"error: {exc}\n")
+                return code
+        raise
 
 
 def entry():

@@ -6,8 +6,7 @@ vertices.  `min_comm_cost` finds such a mixture minimizing the total weight
 on one-way vertices (the communication cost C) by linear programming, and
 raises Infeasible outside that polytope (e.g. for two-way deterministic
 boxes).  The vertices' boxes are one stack, VERTEX_BOXES, built once at
-import; the LP, `random_feasible_box` and `Decomposition.reconstruct` all
-read it.
+import; the LP and `random_feasible_box` read it.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -30,7 +29,6 @@ from .boxcore import (
     PRScope,
     STRATEGY_NAMES,
     enumerate_deterministic,
-    infer_scope,
     mix,
     scope_boxes,
     scope_strategies,
@@ -46,21 +44,10 @@ WEIGHT_TOL = 1e-9
 # the 16 local vertices first, then the 96 one-way ones
 VERTICES = tuple(enumerate_deterministic("local") + enumerate_deterministic("all_one_bit"))
 VERTEX_BOXES = strategy_boxes(VERTICES)
-_VERTEX_INDEX = {s: i for i, s in enumerate(VERTICES)}
 _COLUMNS = np.ascontiguousarray(VERTEX_BOXES.reshape(len(VERTICES), 16).T)
 _ONEWAY = np.array([0.0 if s.kind == "local" else 1.0 for s in VERTICES])
 _A_EQ = np.vstack([_COLUMNS, np.ones((1, len(VERTICES)))])
 _COLUMNS.flags.writeable = _ONEWAY.flags.writeable = _A_EQ.flags.writeable = False
-
-
-def lp_vertices():
-    """(strategies, cell matrix, one-way mask) for the 112-vertex polytope.
-
-    The matrix has one row per box cell in [x,y,a,b] C order and one column
-    per vertex; the mask is 1.0 on strictly one-way columns.  All three are
-    read from VERTICES and VERTEX_BOXES, built once at import.
-    """
-    return list(VERTICES), _COLUMNS, _ONEWAY
 
 
 @dataclass(frozen=True)
@@ -70,15 +57,11 @@ class Decomposition:
     weights: dict
     C: float
 
-    def reconstruct(self):
-        rows = [_VERTEX_INDEX[s] for s in self.weights]
-        return mix(list(self.weights.values()), VERTEX_BOXES[rows])
-
     def to_json(self):
         rows = []
         for s, w in self.weights.items():
             # names are only unambiguous for the canonical scope; raw tables otherwise
-            name = strategy_name(s, scope=PRScope())
+            name = strategy_name(s)
             rows.append({
                 "strategy": name if name is not None else s.table_str(),
                 "kind": s.kind,
@@ -148,16 +131,6 @@ class ResourceSpec:
         return cls(scope=scope, weights=w)
 
     @classmethod
-    def from_strategies(cls, mapping):
-        """Build from {DeterministicStrategy: weight}; infers the common scope."""
-        scope = infer_scope(mapping.keys())
-        table = scope_strategies(scope)
-        w = [0.0] * 16
-        for s, v in mapping.items():
-            w[table.index(s)] += float(v)
-        return cls(scope=scope, weights=tuple(w))
-
-    @classmethod
     def parse(cls, text):
         """Parse the compact form "scope=000;S1+:0.75,S1-:0.25"."""
         text = text.strip()
@@ -196,12 +169,6 @@ class ResourceSpec:
                  if w > 0.0]
         return f"scope={self.scope.label};" + ",".join(parts)
 
-    def weight(self, name):
-        return self.weights[STRATEGY_NAMES.index(name)]
-
-    def as_mapping(self):
-        return {name: w for name, w in zip(STRATEGY_NAMES, self.weights) if w > 0.0}
-
     def strategies(self):
         return scope_strategies(self.scope)
 
@@ -209,9 +176,6 @@ class ResourceSpec:
     def one_way_support(self):
         """True when all weight sits on the one-way half of the catalogue."""
         return all(w <= SUPPORT_EPS for w in self.weights[8:])
-
-    def to_json(self):
-        return {"scope": self.scope.label, "weights": self.as_mapping()}
 
 
 def resource_box(spec, label=None):
@@ -250,9 +214,6 @@ class SignedSignals:
 
     def as_tuple(self):
         return (self.s1, self.s2, self.s3, self.s4)
-
-    def to_json(self):
-        return {"s1": self.s1, "s2": self.s2, "s3": self.s3, "s4": self.s4}
 
 
 def _signal_coefficients():

@@ -17,10 +17,6 @@ class DomainError(ValueError):
     """A scalar argument falls outside its documented range."""
 
 
-class ScopeError(ValueError):
-    """Deterministic strategies do not share a single PR-type relation."""
-
-
 class Infeasible(Exception):
     """The box lies outside the local + one-way communication polytope."""
 

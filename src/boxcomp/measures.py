@@ -110,15 +110,6 @@ class SignalReport:
     S_B_to_A: float
     S: float
 
-    def to_json(self):
-        return {
-            "s_A_to_B_per_y": list(self.s_A_to_B_per_y),
-            "s_B_to_A_per_x": list(self.s_B_to_A_per_x),
-            "S_A_to_B": self.S_A_to_B,
-            "S_B_to_A": self.S_B_to_A,
-            "S": self.S,
-        }
-
 
 def signal(box):
     """Marginal-shift signal strengths in both directions."""

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import Infeasible, NumericalError
 
 PIVOT_TOL = 1e-10
+MAX_PIVOTS = 20000
 
 
 def _pivot(tableau, basis, row, col):
@@ -23,9 +24,9 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run(tableau, basis, ncols, max_iter):
+def _run(tableau, basis, ncols):
     """Bland-rule pivoting until no reduced cost is negative. Entering columns < ncols."""
-    for _ in range(max_iter):
+    for _ in range(MAX_PIVOTS):
         reduced = tableau[-1, :ncols]
         candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
         if candidates.size == 0:
@@ -40,10 +41,10 @@ def _run(tableau, basis, ncols, max_iter):
         ties = rows[ratios <= best + 1e-12]
         row = int(min(ties, key=lambda i: basis[i]))
         _pivot(tableau, basis, row, col)
-    raise NumericalError(f"simplex did not converge in {max_iter} pivots")
+    raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
 
-def solve_lp(c, a_eq, b_eq, tol=1e-9, max_iter=20000):
+def solve_lp(c, a_eq, b_eq, tol=1e-9):
     """Minimize c.x over A x = b, x >= 0; returns (x, objective).
 
     Raises Infeasible when no nonnegative solution fits b within tol, and
@@ -65,7 +66,7 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9, max_iter=20000):
     tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _run(tableau, basis, n, max_iter)
+    _run(tableau, basis, n)
     if -tableau[m, -1] > tol:
         raise Infeasible(f"phase-1 residual {-tableau[m, -1]:.3e} exceeds {tol:.1e}")
 
@@ -94,7 +95,7 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9, max_iter=20000):
     phase2[rows, :n] = cost
     for i, var in enumerate(basis):
         phase2[rows] -= cost[var] * phase2[i]
-    _run(phase2, basis, n, max_iter)
+    _run(phase2, basis, n)
 
     x = np.zeros(n)
     for i, var in enumerate(basis):

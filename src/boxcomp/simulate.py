@@ -38,9 +38,8 @@ draws in a fixed order: the strategy uniforms, then t1's disc candidates
 degenerate pairs.  Every top-up comes from the chunk's own generator, and
 estimates are integer counts, so results depend only on (seed, chunk index)
 and not on the order (or parallelism) in which chunks are evaluated.
-`chunk_xor_counts` (behind `simulate_singlet` and `sweep_angles`) and
-`trial_records` read the same per-chunk loop, so the per-trial records are
-exactly the trials that the counts come from.
+`chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`, reads the
+per-trial arrays of one per-chunk loop.
 """
 
 from __future__ import annotations
@@ -58,9 +57,7 @@ _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
 
 
 def sgn01(z):
-    """Half-space indicator: 0 for z < 0, else 1 (so sgn01(0) = 1)."""
-    if np.isscalar(z):
-        return 0 if z < 0 else 1
+    """Half-space indicator: 0 for z < 0, else 1 (so sgn01(0) = 1), as int8."""
     return (np.asarray(z) >= 0).astype(np.int8)
 
 
@@ -82,24 +79,12 @@ class Direction:
         object.__setattr__(self, "v", arr)
 
     @classmethod
-    def from_vector(cls, v):
-        arr = np.asarray(v, dtype=np.float64).reshape(3)
-        norm = float(np.linalg.norm(arr))
-        if norm < DEGENERATE_TOL:
-            raise DomainError("cannot normalize a near-zero vector")
-        return cls(arr / norm)
-
-    @classmethod
     def polar(cls, theta):
         """Direction at polar angle theta in the x-z plane."""
         return cls(np.array([math.sin(theta), 0.0, math.cos(theta)]))
 
     def dot(self, other):
         return float(self.v @ other.v)
-
-
-def _as_direction(value):
-    return value if isinstance(value, Direction) else Direction.from_vector(value)
 
 
 def _spec_arrays(spec):
@@ -170,6 +155,10 @@ def _strategy_index(bounds, pick):
 
 
 def _chunk_trials(arrays, c, s, n, g):
+    """Per-trial (x_in, y_in, a, b, alpha, beta, x_out, y_out) of one chunk.
+
+    alpha = sgn01(t1.x_hat) and beta = sgn01((t1 + t2).y_hat).
+    """
     bounds, a_t, b_t, (mu1, mu2, mu3) = arrays
     cell = _strategy_index(bounds, g.random(n))
     u1, v1, q1 = _disc_points(g, n)
@@ -209,7 +198,7 @@ def _chunks(spec, x_hat, y_hat, n_trials, seed):
     if n_trials < 1:
         raise DomainError(f"need at least one trial, got {n_trials!r}")
     arrays = _spec_arrays(spec)
-    c = min(max(_as_direction(x_hat).dot(_as_direction(y_hat)), -1.0), 1.0)
+    c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
     s = math.sqrt(1.0 - c * c)
     n_trials = int(n_trials)
     for i, lo in enumerate(range(0, n_trials, CHUNK)):
@@ -229,29 +218,6 @@ def simulate_singlet(spec, x_hat, y_hat, n_trials, seed):
     """Estimate P(X xor Y = 1), which targets (1 + x_hat.y_hat)/2."""
     counts = chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed)
     return sum(counts) / int(n_trials)
-
-
-@dataclass(frozen=True)
-class TrialData:
-    """Raw per-trial arrays from a simulation run."""
-
-    x_in: np.ndarray
-    y_in: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    alpha: np.ndarray  # sgn01(t1 . x_hat)
-    beta: np.ndarray   # sgn01((t1 + t2) . y_hat)
-    x_out: np.ndarray
-    y_out: np.ndarray
-
-    def estimate(self):
-        return float((self.x_out ^ self.y_out).mean())
-
-
-def trial_records(spec, x_hat, y_hat, n_trials, seed):
-    """TrialData for n_trials, identical to what the counting path simulates."""
-    parts = list(_chunks(spec, x_hat, y_hat, n_trials, seed))
-    return TrialData(*(np.concatenate([p[j] for p in parts]) for j in range(8)))
 
 
 @dataclass(frozen=True)

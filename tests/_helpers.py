@@ -1,10 +1,14 @@
 """Shared builders for the test suite."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 import boxcomp as bc
+from boxcomp import decompose, simulate
+
+TRIAL_FIELDS = ("x_in", "y_in", "a", "b", "alpha", "beta", "x_out", "y_out")
 
 
 def tsirelson_box():
@@ -30,3 +34,25 @@ def pair_spec(j, p, scope=bc.PRScope()):
 
 def pair_box(j, p, scope=bc.PRScope()):
     return bc.resource_box(pair_spec(j, p, scope))
+
+
+def trial_records(spec, x_hat, y_hat, n_trials, seed):
+    """The chunk kernel's per-trial arrays over all chunks, by field name.
+
+    These are exactly the trials that `chunk_xor_counts` counts.
+    """
+    parts = list(simulate._chunks(spec, x_hat, y_hat, n_trials, seed))
+    return SimpleNamespace(**{name: np.concatenate([p[j] for p in parts])
+                              for j, name in enumerate(TRIAL_FIELDS)})
+
+
+def reconstruct(dec):
+    """The box a decomposition's weights mix from its strategies."""
+    return bc.mixtures(list(dec.weights.values()), bc.strategy_boxes(list(dec.weights)))
+
+
+def lp_matrices():
+    """(A_eq, one-way mask) of the 112-vertex LP: cell rows plus a weight-sum row."""
+    columns = decompose.VERTEX_BOXES.reshape(len(decompose.VERTICES), 16).T
+    oneway = np.array([0.0 if s.kind == "local" else 1.0 for s in decompose.VERTICES])
+    return np.vstack([columns, np.ones((1, columns.shape[1]))]), oneway

@@ -145,12 +145,12 @@ def test_criterion_7_signed_signal_consistency():
             for signed, direct in zip(bc.signed_signals(spec).as_tuple(), measured):
                 assert abs(abs(signed) - direct) <= 1e-12
             for x, y, a, b, bound in bc.conditional_lower_bounds(spec):
-                assert box.prob(a, b, x, y) >= bound - 1e-12
+                assert box.p[x, y, a, b] >= bound - 1e-12
             c = float(rng.uniform(0.2, 1.0))
             noise = bc.strategy_box(locals_[int(rng.integers(16))])
             noisy = bc.mix((c, 1.0 - c), (box, noise))
             for x, y, a, b, bound in bc.conditional_lower_bounds(spec, nonlocal_weight=c):
-                assert noisy.prob(a, b, x, y) >= bound - 1e-12
+                assert noisy.p[x, y, a, b] >= bound - 1e-12
 
     _run(7, "signed signals and conditional bounds on 1000 specs", 30.0, body)
 

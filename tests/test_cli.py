@@ -49,6 +49,57 @@ def test_analyze_text_to_stdout(box_files, capsys):
     assert "nonsignaling = False" in text
 
 
+# analyze's text report on 0.75 [a=0, b=1^x^y] + 0.25 [a=xy, b=1], labelled "mixed"
+MIXED_REPORT = """\
+box          = mixed
+nonsignaling = False
+lambda       = 0.5
+lambda_max   = 1.5
+S            = 0.75
+I            = 0.0
+H_S          = 0.5487949406953987
+H_I          = 0.8112781244591328
+C_min        = 1.0
+S + 2I - C   = -0.25
+cert I bound = 0.0
+relaxed Bell = lhs -0.5 vs rhs 1.5
+PASS relaxed_bell
+PASS operational_bell
+PASS certified_I
+FAIL cost_complementarity
+PASS pironio
+"""
+
+
+def test_analyze_exits_1_when_a_check_fails(tmp_path, capsys):
+    # one-way vertices of both directions: S + 2I >= C fails on their mixture
+    a_to_b = bc.DeterministicStrategy((0, 0, 0, 0), (1, 0, 0, 1))
+    b_to_a = bc.DeterministicStrategy((0, 0, 0, 1), (1, 1, 1, 1))
+    path = tmp_path / "mixed.json"
+    bc.dump_box(bc.mix((0.75, 0.25), bc.strategy_boxes([a_to_b, b_to_a]), label="mixed"), path)
+    assert main(["analyze", "--box", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    got, want = captured.out.splitlines(), MIXED_REPORT.splitlines()
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        if line.startswith("H_"):  # entropies: allow libm's last-digit rounding
+            name, _, value = line.partition("=")
+            assert name == expected.partition("=")[0]
+            assert abs(float(value) - float(expected.partition("=")[2])) <= 1e-12
+        else:
+            assert line == expected
+    assert main(["analyze", "--box", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["flags"]["cost_complementarity"] is False
+
+
+def _refused_by_the_parser(captured):
+    """Exit-2 refusals from argparse: usage lines, then one `error:` line, no stdout."""
+    lines = captured.err.splitlines()
+    return (captured.out == "" and "Traceback" not in captured.err
+            and [line for line in lines if "error:" in line] == lines[-1:])
+
+
 def test_analyze_error_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["analyze", "--box", str(missing)]) == 2
@@ -144,6 +195,9 @@ def test_simulate_rejects_bad_resource(capsys):
                  "--trials", "0"]) == 2
     assert main(["simulate", "--resource", "scope=000;S1+:1.0"]) == 2  # no angle
     capsys.readouterr()
+    assert main(["simulate", "--resource", "S1+:1.0", "--angle", "0", "--trials", "10",
+                 "--seed", "-1"]) == 2
+    assert _refused_by_the_parser(capsys.readouterr())
     for resource, angle in (("S1+:nan,S1-:1", "0"), ("S1+:1.0", "nan"), ("S1+:1.0", "inf")):
         assert main(["simulate", "--resource", resource, "--angle", angle,
                      "--trials", "10"]) == 2
@@ -182,6 +236,9 @@ def test_sweep_requires_exactly_one_grid_flag(capsys):
     assert main(["sweep", "--resource", "scope=000;S1+:1.0",
                  "--angles", "0", "--angle-grid", "3"]) == 2
     capsys.readouterr()
+    assert main(["sweep", "--resource", "scope=000;S1+:1.0", "--angle-grid", "2",
+                 "--trials", "10", "--seed", "-1"]) == 2
+    assert _refused_by_the_parser(capsys.readouterr())
     for angles in ("0,nan", "-inf,1"):
         assert main(["sweep", "--resource", "scope=000;S1+:1.0", f"--angles={angles}",
                      "--trials", "10"]) == 2
@@ -209,6 +266,8 @@ def test_verify_ok_and_corrupted(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main(["verify", "--instances", "2", "--seed", "-1"]) == 2
+    assert _refused_by_the_parser(capsys.readouterr())
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import boxcomp as bc
 from _helpers import pair_box, pair_spec, tsirelson_box
+from boxcomp import decompose
 
 # frozen oracle: -0.25*log2(0.25) - 0.75*log2(0.75)
 H_QUARTER = 0.8112781244591328
@@ -186,7 +187,7 @@ def test_measure_report_json_keys():
 
 def test_measures_invariant_under_relabellings_and_party_swap():
     rng = np.random.default_rng(24)
-    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    vertices = decompose.VERTEX_BOXES
     boxes = [bc.random_feasible_box(rng)[0] for _ in range(10)]
     for _ in range(10):
         k = int(rng.integers(2, 5))

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 import boxcomp as bc
+from boxcomp import decompose
 from boxcomp.boxcore import INPUT_PAIRS
 
 # 4 ulp of the values compared; a mutual information is a difference of
@@ -119,7 +120,7 @@ def ref_mix(weights, stack):
 def _boxes():
     """Dense random, sparse and catalogue boxes over all 8 scopes, as one stack."""
     rng = np.random.default_rng(2024)
-    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    vertices = decompose.VERTEX_BOXES
     p = [bc.random_feasible_box(rng)[0].p for _ in range(300)]
     for _ in range(300):
         k = int(rng.integers(2, 5))
@@ -204,7 +205,7 @@ def test_signed_signals_match_hand_written_index_sets():
 
 def test_mixtures_sum_in_vertex_order():
     rng = np.random.default_rng(2026)
-    vertices = bc.strategy_boxes(bc.lp_vertices()[0])
+    vertices = decompose.VERTEX_BOXES
     weights = rng.dirichlet(np.ones(len(vertices)), size=200)
     stacked = bc.mixtures(weights, vertices)
     for w, p in zip(weights, stacked):

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import boxcomp as bc
+from _helpers import lp_matrices
 from boxcomp.simplex import solve_lp
 
 
@@ -74,8 +75,7 @@ def test_agrees_with_scipy_on_random_instances():
 
 def test_box_polytope_instances_match_scipy():
     rng = np.random.default_rng(32)
-    _, columns, oneway = bc.lp_vertices()
-    a = np.vstack([columns, np.ones((1, columns.shape[1]))])
+    a, oneway = lp_matrices()
     for _ in range(30):
         box, _ = bc.random_feasible_box(rng)
         b = np.append(box.p.ravel(), 1.0)
