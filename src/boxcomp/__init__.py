@@ -42,7 +42,6 @@ from .certify import (
     certified_indeterminacy_bound,
     complementarity_report,
     max_marginal_bias_zero_signal,
-    relaxed_bell_check,
     run_property_suite,
 )
 from .decompose import (
@@ -65,7 +64,6 @@ from .errors import (
     WeightError,
 )
 from .measures import (
-    MeasureReport,
     SignalReport,
     binary_entropy,
     chsh,
@@ -77,9 +75,7 @@ from .measures import (
     entropic_signal_lower_bound,
     indeterminacy,
     indeterminacy_per_setting,
-    is_nonsignaling,
     marginals,
-    measure_report,
     pironio_bound,
     signal,
     two_point_mutual_information,

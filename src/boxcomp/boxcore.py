@@ -210,6 +210,22 @@ def mixtures(weights, boxes):
     return (w[..., None, None, None, None] * boxes).sum(axis=-5)
 
 
+def check_weights(w):
+    """Raise WeightError unless the weights are finite, nonnegative and sum to 1.
+
+    The sum may miss 1 by at most NORM_TOL, the slack CorrelationBox allows
+    its normalization, so that `mix` and `ResourceSpec` accept the same
+    weights and every mixture they allow is a box.
+    """
+    if not all(math.isfinite(v) for v in w):
+        raise WeightError(f"non-finite weight in {w!r}")
+    if any(v < 0.0 for v in w):
+        raise WeightError(f"negative weight {min(w)}")
+    total = math.fsum(w)
+    if abs(total - 1.0) > NORM_TOL:
+        raise WeightError(f"weights sum to {total!r}, not 1")
+
+
 def mix(weights, boxes, label=None):
     """Convex mixture of boxes (a sequence of boxes or a (n, 2, 2, 2, 2) stack).
 
@@ -220,13 +236,7 @@ def mix(weights, boxes, label=None):
         raise WeightError(f"{len(w)} weights for {len(boxes)} boxes")
     if not w:
         raise WeightError("empty mixture")
-    if not all(math.isfinite(v) for v in w):
-        raise WeightError(f"non-finite weight in {w!r}")
-    if any(v < 0.0 for v in w):
-        raise WeightError(f"negative weight {min(w)}")
-    total = math.fsum(w)
-    if abs(total - 1.0) > NORM_TOL:
-        raise WeightError(f"weights sum to {total!r}, not 1")
+    check_weights(w)
     stack = boxes if isinstance(boxes, np.ndarray) else np.array([box.p for box in boxes])
     return CorrelationBox(mixtures(w, stack), label=label)
 

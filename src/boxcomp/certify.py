@@ -17,14 +17,21 @@ It is not a law of every 1-bit box.  The mixed-direction box
 suite's `cost-complementarity` check draws dense mixtures of all 112
 vertices, on which no failure has been seen.
 
-This module packages the scalar checks (per box) and seeded randomized
-suites over the whole polytope, which double as the `verify` CLI backend.
+Each relation is written once, in `_relations`, as a slack that is
+nonnegative exactly when the relation holds.  It measures a box, or a
+(..., 2, 2, 2, 2) stack, once: `chsh_max`, `signal` and
+`indeterminacy_per_setting`.  The bounds then read those measured values,
+never the box.  `complementarity_report` (a stack of one, behind `analyze`)
+and the `verify` suite's random 1-bit boxes (one stack) both read it, so
+`analyze` and `verify` share one relation core.  The per-box `Certificate`
+is `analyze`'s only record: it renders both the text and the JSON report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,12 +48,14 @@ from .decompose import (
 )
 from .errors import DomainError, Infeasible
 from .measures import (
+    SignalReport,
     chsh,
     chsh_max,
     entropic_indeterminacy,
     entropic_signal,
     entropic_signal_lower_bound,
     indeterminacy,
+    indeterminacy_per_setting,
     pironio_bound,
     signal,
     two_point_mutual_information,
@@ -63,29 +72,48 @@ def certified_indeterminacy_bound(lam, s):
     """
     lam = np.asarray(lam, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    if lam.min() < 0.0 or lam.max() > 4.0 + 1e-12:
+    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 4.0 + 1e-12):
         raise DomainError(f"CHSH value outside [0,4]: {lam.min()}..{lam.max()}")
-    if s.min() < 0.0 or s.max() > 1.0 + 1e-12:
+    if s.size and not (s.min() >= 0.0 and s.max() <= 1.0 + 1e-12):
         raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
     bound = np.maximum(lam / 4.0 - (1.0 + s) / 2.0, 0.0)
     return float(bound) if bound.ndim == 0 else bound
 
 
-def relaxed_bell_check(box, tol=1e-9):
-    """Check chsh_max - 2 <= 2 S + 4 I; returns (lhs, rhs, holds), per box for a stack."""
-    lhs = chsh_max(box) - 2.0
-    rhs = 2.0 * signal(box).S + 4.0 * indeterminacy(box)
-    return lhs, rhs, lhs <= rhs + tol
+def _relations(box, cost=None):
+    """Measure a box or a stack once; the terms and slack of every relation.
+
+    Each slack is nonnegative exactly when its relation holds:
+    relaxed Bell chsh_max - 2 <= 2S + 4I, certified I >= chsh_max/4 - (1+S)/2,
+    and, given the cost C (a value, or an array over the stack), S + 2I >= C
+    and the CHSH floor C >= chsh_max/2 - 1.
+    """
+    lam_max = chsh_max(box)
+    sig = signal(box)
+    per = indeterminacy_per_setting(box)
+    ind = per.max(axis=(-2, -1))
+    ind = float(ind) if ind.ndim == 0 else ind
+    bound = certified_indeterminacy_bound(lam_max, sig.S)
+    lhs, rhs = lam_max - 2.0, 2.0 * sig.S + 4.0 * ind
+    terms = SimpleNamespace(lambda_max=lam_max, signal=sig, I_per_setting=per, I=ind,
+                            cert_I_bound=bound, relax_lhs=lhs, relax_rhs=rhs,
+                            relax_slack=rhs - lhs, cert_slack=ind - bound,
+                            thm1_slack=None, pironio_slack=None)
+    if cost is not None:
+        terms.thm1_slack = sig.S + 2.0 * ind - cost
+        terms.pironio_slack = cost - pironio_bound(lam_max)
+    return terms
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Scalar complementarity audit of one box."""
+    """Complementarity audit of one box: `analyze`'s report, as text or JSON."""
 
     lambda_fixed: float
     lambda_max: float
-    S: float
+    signal: SignalReport
     I: float
+    I_per_setting: tuple
     H_S: float
     H_I: float
     C_min: float | None
@@ -93,12 +121,38 @@ class Certificate:
     relax_lhs: float
     relax_rhs: float
     thm1_slack: float | None
-    feasible: bool
     flags: dict
+
+    @property
+    def S(self):
+        return self.signal.S
+
+    @property
+    def feasible(self):
+        return self.C_min is not None
 
     @property
     def passed(self):
         return all(self.flags.values())
+
+    def to_json(self):
+        sig = self.signal
+        return {
+            "lambda": self.lambda_fixed,
+            "lambda_max": self.lambda_max,
+            "S": sig.S,
+            "S_AtoB": sig.S_A_to_B,
+            "S_BtoA": sig.S_B_to_A,
+            "I": self.I,
+            "H_S": self.H_S,
+            "H_I": self.H_I,
+            "s_A_to_B_per_y": list(sig.s_A_to_B_per_y),
+            "s_B_to_A_per_x": list(sig.s_B_to_A_per_x),
+            "I_per_setting": [list(row) for row in self.I_per_setting],
+            "flags": dict(self.flags),
+            "C_min": self.C_min,
+            "feasible": self.feasible,
+        }
 
     def render_text(self):
         lines = [
@@ -128,42 +182,32 @@ def complementarity_report(box, tol=1e-9):
     the signal/indeterminacy relations are checked regardless.
     """
     check_tolerance(tol)
-    lam = chsh(box)
-    lam_max = chsh_max(box)
-    sig = signal(box)
-    ind = indeterminacy(box)
     try:
-        dec = min_comm_cost(box, tol=max(tol, 1e-9))
-        c_min = dec.C
-        feasible = True
+        c_min = min_comm_cost(box, tol=max(tol, 1e-9)).C
     except Infeasible:
         c_min = None
-        feasible = False
-    bound = certified_indeterminacy_bound(lam_max, sig.S)
-    lhs, rhs, relax_ok = relaxed_bell_check(box, tol=tol)
+    r = _relations(box, c_min)
     flags = {
-        "relaxed_bell": relax_ok,
-        "operational_bell": bool(not lam_max > 2.0 + tol or sig.S + 2.0 * ind > 0.0),
-        "certified_I": bool(ind >= bound - tol),
+        "relaxed_bell": bool(r.relax_slack >= -tol),
+        "operational_bell": bool(not r.lambda_max > 2.0 + tol or r.signal.S + 2.0 * r.I > 0.0),
+        "certified_I": bool(r.cert_slack >= -tol),
     }
-    thm1_slack = None
-    if feasible:
-        thm1_slack = sig.S + 2.0 * ind - c_min
-        flags["cost_complementarity"] = bool(thm1_slack >= -tol)
-        flags["pironio"] = bool(c_min >= pironio_bound(box) - tol)
+    if c_min is not None:
+        flags["cost_complementarity"] = bool(r.thm1_slack >= -tol)
+        flags["pironio"] = bool(r.pironio_slack >= -tol)
     return Certificate(
-        lambda_fixed=lam,
-        lambda_max=lam_max,
-        S=sig.S,
-        I=ind,
+        lambda_fixed=chsh(box),
+        lambda_max=r.lambda_max,
+        signal=r.signal,
+        I=r.I,
+        I_per_setting=tuple(tuple(row) for row in r.I_per_setting.tolist()),
         H_S=entropic_signal(box),
         H_I=entropic_indeterminacy(box),
         C_min=c_min,
-        cert_I_bound=bound,
-        relax_lhs=lhs,
-        relax_rhs=rhs,
-        thm1_slack=thm1_slack,
-        feasible=feasible,
+        cert_I_bound=r.cert_I_bound,
+        relax_lhs=r.relax_lhs,
+        relax_rhs=r.relax_rhs,
+        thm1_slack=r.thm1_slack,
         flags=flags,
     )
 
@@ -250,13 +294,9 @@ def _check_catalogue(strategies, scope):
 def _suite_feasible_boxes(rng, instances):
     boxes = [random_feasible_box(rng)[0] for _ in range(instances)]
     cost = np.array([min_comm_cost(box).C for box in boxes])
-    p = np.stack([box.p for box in boxes])
-    s = signal(p).S
-    ind = indeterminacy(p)
-    lhs, rhs, _ = relaxed_bell_check(p)
-    bound = certified_indeterminacy_bound(chsh_max(p), s)
-    return (float((s + 2.0 * ind - cost).min()), float((cost - pironio_bound(p)).min()),
-            float((rhs - lhs).min()), float((ind - bound).min()))
+    r = _relations(np.stack([box.p for box in boxes]), cost)
+    return tuple(float(v.min()) for v in (r.thm1_slack, r.pironio_slack, r.relax_slack,
+                                           r.cert_slack))
 
 
 def _suite_specs(rng, instances, strategies, scope):

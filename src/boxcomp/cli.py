@@ -26,7 +26,6 @@ from .errors import (
     NumericalError,
     WeightError,
 )
-from .measures import is_nonsignaling, measure_report
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -134,17 +133,10 @@ def _json_dumps(payload):
 
 def cmd_analyze(args):
     box = load_box(args.box)
-    report = measure_report(box)
     cert = complementarity_report(box, tol=args.tol)
-    nonsig = is_nonsignaling(box, tol=max(args.tol, 1e-12))
+    nonsig = cert.S <= max(args.tol, 1e-12)
     if args.format == "json":
-        payload = report.to_json()
-        payload["nonsignaling"] = nonsig
-        payload["label"] = box.label
-        payload["flags"] = dict(cert.flags)
-        payload["C_min"] = cert.C_min
-        payload["feasible"] = cert.feasible
-        _emit(_json_dumps(payload), args.out)
+        _emit(_json_dumps(dict(cert.to_json(), nonsignaling=nonsig, label=box.label)), args.out)
     else:
         lines = [f"box          = {box.label or args.box}",
                  f"nonsignaling = {nonsig}",

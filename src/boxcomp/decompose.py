@@ -28,6 +28,7 @@ from .boxcore import (
     CorrelationBox,
     PRScope,
     STRATEGY_NAMES,
+    check_weights,
     enumerate_deterministic,
     mix,
     scope_boxes,
@@ -113,13 +114,7 @@ class ResourceSpec:
         w = tuple(float(v) for v in self.weights)
         if len(w) != 16:
             raise WeightError(f"expected 16 weights, got {len(w)}")
-        if not all(math.isfinite(v) for v in w):
-            raise WeightError(f"non-finite weight in {w!r}")
-        if any(v < 0.0 for v in w):
-            raise WeightError(f"negative weight {min(w)}")
-        total = math.fsum(w)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise WeightError(f"weights sum to {total!r}, not 1")
+        check_weights(w)
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -258,7 +253,7 @@ def conditional_lower_bounds(spec, nonlocal_weight=1.0):
     alternating sum of signed signals scaled by nonlocal_weight.
     """
     c = float(nonlocal_weight)
-    if c < 0.0 or c > 1.0 + SUPPORT_EPS:
+    if not 0.0 <= c <= 1.0 + SUPPORT_EPS:
         raise DomainError(f"nonlocal weight outside [0,1]: {nonlocal_weight!r}")
     s = signed_signals(spec)
     t_by_setting = {

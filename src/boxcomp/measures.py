@@ -21,6 +21,13 @@ the largest output Shannon entropy over settings and parties.
 Every marginal-based measure reads `marginals`, which forms the outcome
 marginals as cell sums (never as 1 - x); this keeps every measure exact on
 exactly-normalized dyadic tables.
+
+Measures read boxes; bounds read measured values.  `pironio_bound` takes a
+sign-maximized CHSH value and `entropic_signal_lower_bound` a signal
+strength, like `certify.certified_indeterminacy_bound`, and each raises
+DomainError on a value outside its range, NaN included.  `analyze` and
+`verify` measure through one relation core in `certify`, which evaluates
+`chsh_max`, `signal` and `indeterminacy_per_setting` once per box or stack.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcore import NORM_TOL
 from .errors import DomainError
 
 _ENTROPY_SLACK = 1e-12
@@ -56,7 +62,7 @@ def _entropy(m):
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with H(0) = H(1) = 0."""
     arr = np.asarray(p, dtype=np.float64)
-    if arr.size and (arr.min() < -_ENTROPY_SLACK or arr.max() > 1.0 + _ENTROPY_SLACK):
+    if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
         raise DomainError(f"probability outside [0,1]: {arr.min()}..{arr.max()}")
     arr = np.clip(arr, 0.0, 1.0)
     return _value(_entropy(np.stack([arr, 1.0 - arr], axis=-1)))
@@ -91,9 +97,15 @@ def chsh_max(box):
     return _value(np.abs(total[..., None, None] - 2.0 * e).max(axis=(-2, -1)))
 
 
-def pironio_bound(box):
-    """Communication lower bound from CHSH violation: max(chsh_max/2 - 1, 0)."""
-    return _value(np.maximum(chsh_max(box) / 2.0 - 1.0, 0.0))
+def pironio_bound(lam_max):
+    """Communication lower bound from a sign-maximized CHSH value: max(lam_max/2 - 1, 0).
+
+    Arrays of values give an array of bounds.
+    """
+    lam = np.asarray(lam_max, dtype=np.float64)
+    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 4.0 + 1e-12):
+        raise DomainError(f"CHSH value outside [0,4]: {lam.min()}..{lam.max()}")
+    return _value(np.maximum(lam / 2.0 - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -129,13 +141,6 @@ def signal(box):
     )
 
 
-def is_nonsignaling(box, tol=NORM_TOL):
-    """True when neither party's marginals move with the other's input: S <= tol."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    return signal(box).S <= tol
-
-
 def indeterminacy_per_setting(box):
     """Smallest outcome-marginal probability at each setting, indexed [..., x, y]."""
     return marginals(box).min(axis=(-4, -1))
@@ -163,7 +168,7 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     over direction and the receiving party's own setting.
     """
     pi0, pi1 = float(prior[0]), float(prior[1])
-    if pi0 < 0.0 or pi1 < 0.0 or abs(pi0 + pi1 - 1.0) > _ENTROPY_SLACK:
+    if not (pi0 >= 0.0 and pi1 >= 0.0 and abs(pi0 + pi1 - 1.0) <= _ENTROPY_SLACK):
         raise DomainError(f"prior must be a distribution, got {prior!r}")
     m = marginals(box)
     # the receiver's outcome rows for remote input 0 and 1: B at y = 0, 1, then A at x = 0, 1
@@ -188,49 +193,7 @@ def two_point_mutual_information(p, shift, prior=0.5):
 def entropic_signal_lower_bound(s):
     """Least H_S compatible with signal strength s: 1 - H((1 - s)/2)."""
     s = float(s)
-    if s < -_ENTROPY_SLACK or s > 1.0 + _ENTROPY_SLACK:
+    if not -_ENTROPY_SLACK <= s <= 1.0 + _ENTROPY_SLACK:
         raise DomainError(f"signal strength outside [0,1]: {s!r}")
     s = min(max(s, 0.0), 1.0)
     return 1.0 - binary_entropy((1.0 - s) / 2.0)
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """All scalar measures of one box."""
-
-    lambda_: float
-    lambda_max: float
-    signal: SignalReport
-    I: float
-    I_per_setting: tuple
-    H_S: float
-    H_I: float
-
-    def to_json(self):
-        data = {
-            "lambda": self.lambda_,
-            "lambda_max": self.lambda_max,
-            "S": self.signal.S,
-            "S_AtoB": self.signal.S_A_to_B,
-            "S_BtoA": self.signal.S_B_to_A,
-            "I": self.I,
-            "H_S": self.H_S,
-            "H_I": self.H_I,
-            "s_A_to_B_per_y": list(self.signal.s_A_to_B_per_y),
-            "s_B_to_A_per_x": list(self.signal.s_B_to_A_per_x),
-            "I_per_setting": [list(row) for row in self.I_per_setting],
-        }
-        return data
-
-
-def measure_report(box, prior=(0.5, 0.5)):
-    per = indeterminacy_per_setting(box)
-    return MeasureReport(
-        lambda_=chsh(box),
-        lambda_max=chsh_max(box),
-        signal=signal(box),
-        I=float(per.max()),
-        I_per_setting=tuple(tuple(row) for row in per.tolist()),
-        H_S=entropic_signal(box, prior),
-        H_I=entropic_indeterminacy(box),
-    )

@@ -72,7 +72,7 @@ class Direction:
         if arr.shape != (3,):
             raise DomainError(f"direction must be a 3-vector, got shape {arr.shape}")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise DomainError(f"direction norm {norm} is not 1")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -34,13 +34,13 @@ def _run(num, title, limit_s, body):
 def test_criterion_1_pr_box_saturation():
     def body():
         pr = bc.pr_box()
-        report = bc.measure_report(pr)
-        assert report.lambda_ == 4.0
-        assert report.signal.S == 0.0
-        assert report.I == 0.5
+        cert = bc.complementarity_report(pr)
+        assert cert.lambda_fixed == 4.0
+        assert cert.signal.S == 0.0
+        assert cert.I == 0.5
         dec = bc.min_comm_cost(pr)
         assert abs(dec.C - 1.0) <= 1e-9
-        assert abs(report.signal.S + 2.0 * report.I - dec.C) <= 1e-9
+        assert abs(cert.signal.S + 2.0 * cert.I - dec.C) <= 1e-9
 
     _run(1, "PR-box saturation", 1.0, body)
 

@@ -95,12 +95,12 @@ def test_enumeration_counts_and_kinds():
 
 def test_nonsignaling_iff_local_for_deterministic_boxes():
     for s in bc.enumerate_deterministic("local"):
-        assert bc.is_nonsignaling(bc.strategy_box(s))
+        assert bc.signal(bc.strategy_box(s)).S <= 1e-12
     for s in bc.enumerate_deterministic("all_one_bit"):
-        assert not bc.is_nonsignaling(bc.strategy_box(s))
+        assert not bc.signal(bc.strategy_box(s)).S <= 1e-12
     for s in bc.scope_strategies()[8:]:
-        assert not bc.is_nonsignaling(bc.strategy_box(s))
-    assert bc.is_nonsignaling(bc.pr_box())
+        assert not bc.signal(bc.strategy_box(s)).S <= 1e-12
+    assert bc.signal(bc.pr_box()).S <= 1e-12
 
 
 def test_mix_weight_validation():

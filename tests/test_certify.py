@@ -1,12 +1,16 @@
 """Certificates, entropic complementarity, and the property suites."""
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import boxcomp as bc
-from _helpers import pair_box
+from boxcomp import certify, measures
+from boxcomp.cli import main
+from _helpers import pair_box, tsirelson_box
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -25,6 +29,10 @@ def test_certified_indeterminacy_bound_values():
         bc.certified_indeterminacy_bound(4.5, 0.0)
     with pytest.raises(bc.DomainError):
         bc.certified_indeterminacy_bound(4.0, -0.5)
+    for lam, s in ((math.nan, 0.0), (4.0, math.nan)):
+        with pytest.raises(bc.DomainError):
+            bc.certified_indeterminacy_bound(lam, s)
+    assert bc.certified_indeterminacy_bound(np.empty(0), np.empty(0)).shape == (0,)
 
 
 def test_certified_bound_is_respected_by_boxes():
@@ -35,15 +43,20 @@ def test_certified_bound_is_respected_by_boxes():
         assert bc.indeterminacy(box) >= bound - 1e-9
 
 
+def _relaxed_bell(box):
+    cert = bc.complementarity_report(box)
+    return cert.relax_lhs, cert.relax_rhs, cert.flags["relaxed_bell"]
+
+
 def test_relaxed_bell_check():
-    lhs, rhs, holds = bc.relaxed_bell_check(bc.pr_box())
+    lhs, rhs, holds = _relaxed_bell(bc.pr_box())
     assert (lhs, rhs, holds) == (2.0, 2.0, True)
     # deterministic signaling box: maximal CHSH but the signal term covers it
     tb = bc.strategy_box(bc.scope_strategies()[0])
-    lhs, rhs, holds = bc.relaxed_bell_check(tb)
+    lhs, rhs, holds = _relaxed_bell(tb)
     assert lhs == 2.0 and rhs == 2.0 and holds
     zero = bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0))
-    lhs, rhs, holds = bc.relaxed_bell_check(bc.strategy_box(zero))
+    lhs, rhs, holds = _relaxed_bell(bc.strategy_box(zero))
     assert lhs == 0.0 and rhs == 0.0 and holds
 
 
@@ -166,3 +179,43 @@ def test_tolerances_outside_the_unit_interval_are_refused():
             bc.run_property_suite(instances=1, tol=tol)
     with pytest.raises(bc.Infeasible):
         bc.min_comm_cost(two_way, tol=0.5)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the named measures, wherever a boxcomp module binds them.
+
+    Calls from one measure to another, inside `measures`, count too.
+    """
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "boxcomp"]
+    for name in names:
+        fn = getattr(measures, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_measures_each_box_once(tmp_path, monkeypatch, capsys):
+    names = ("chsh", "chsh_max", "signal", "indeterminacy_per_setting", "entropic_signal",
+             "entropic_indeterminacy")
+    path = tmp_path / "tsirelson.json"
+    bc.dump_box(tsirelson_box(), path)
+    calls = _count_calls(monkeypatch, names)
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert main(["analyze", "--box", str(path), "--format", fmt]) == 0
+        assert calls == dict.fromkeys(names, 1), fmt
+
+
+def test_suite_measures_its_box_stack_once(monkeypatch):
+    names = ("chsh_max", "signal", "indeterminacy_per_setting")
+    calls = _count_calls(monkeypatch, names)
+    worst = certify._suite_feasible_boxes(np.random.default_rng(5), 20)
+    assert calls == dict.fromkeys(names, 1)
+    assert len(worst) == 4 and all(math.isfinite(v) for v in worst)

@@ -198,7 +198,8 @@ def test_simulate_rejects_bad_resource(capsys):
     assert main(["simulate", "--resource", "S1+:1.0", "--angle", "0", "--trials", "10",
                  "--seed", "-1"]) == 2
     assert _refused_by_the_parser(capsys.readouterr())
-    for resource, angle in (("S1+:nan,S1-:1", "0"), ("S1+:1.0", "nan"), ("S1+:1.0", "inf")):
+    for resource, angle in (("S1+:nan,S1-:1", "0"), ("S1+:1.0", "nan"), ("S1+:1.0", "inf"),
+                            ("S1+:0.5,S1-:0.5000000001", "1.0")):
         assert main(["simulate", "--resource", resource, "--angle", angle,
                      "--trials", "10"]) == 2
         captured = capsys.readouterr()

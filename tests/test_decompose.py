@@ -74,17 +74,21 @@ def test_cost_matches_scipy_oracle():
 
 
 def test_pironio_bound_values():
-    assert bc.pironio_bound(bc.pr_box()) == 1.0
+    assert bc.pironio_bound(bc.chsh_max(bc.pr_box())) == 1.0
     zero = bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0))
-    assert bc.pironio_bound(bc.strategy_box(zero)) == 0.0
-    assert abs(bc.pironio_bound(tsirelson_box()) - (SQRT2 - 1.0)) <= 1e-12
+    assert bc.pironio_bound(bc.chsh_max(bc.strategy_box(zero))) == 0.0
+    assert abs(bc.pironio_bound(bc.chsh_max(tsirelson_box())) - (SQRT2 - 1.0)) <= 1e-12
+    for bad in (-0.5, 4.5, math.nan):
+        with pytest.raises(bc.DomainError):
+            bc.pironio_bound(bad)
+    assert bc.pironio_bound(bc.chsh_max(np.empty((0, 2, 2, 2, 2)))).shape == (0,)
 
 
 def test_cost_dominates_pironio_bound():
     rng = np.random.default_rng(44)
     for _ in range(200):
         box, _ = bc.random_feasible_box(rng)
-        assert bc.min_comm_cost(box).C >= bc.pironio_bound(box) - 1e-9
+        assert bc.min_comm_cost(box).C >= bc.pironio_bound(bc.chsh_max(box)) - 1e-9
 
 
 def test_cost_complementarity_on_random_boxes():
@@ -116,6 +120,9 @@ def test_resource_spec_validation():
         bc.ResourceSpec.from_mapping({"S1+": 1.5, "S1-": -0.5})
     with pytest.raises(bc.WeightError):
         bc.ResourceSpec.from_mapping({"S9+": 1.0})
+    # a sum that mixing could not turn into a box is refused when the spec is made
+    with pytest.raises(bc.WeightError):
+        bc.ResourceSpec.parse("S1+:0.5,S1-:0.5000000001")
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(bc.WeightError):
             bc.ResourceSpec.from_mapping({"S1+": bad, "S1-": 1.0})
@@ -191,3 +198,5 @@ def test_conditional_lower_bounds_are_tight_for_pure_specs():
 def test_conditional_lower_bounds_validation():
     with pytest.raises(bc.DomainError):
         bc.conditional_lower_bounds(pair_spec(1, 0.5), nonlocal_weight=1.5)
+    with pytest.raises(bc.DomainError):
+        bc.conditional_lower_bounds(pair_spec(1, 0.5), nonlocal_weight=math.nan)

@@ -24,6 +24,8 @@ def test_binary_entropy_edges_and_values():
         bc.binary_entropy(1.5)
     with pytest.raises(bc.DomainError):
         bc.binary_entropy(-0.2)
+    with pytest.raises(bc.DomainError):
+        bc.binary_entropy(math.nan)
 
 
 def test_chsh_values():
@@ -88,15 +90,22 @@ def test_indeterminacy_values():
     assert np.array_equal(per, np.full((2, 2), 0.25))
 
 
+def _nonsignaling(box, tol=1e-12):
+    """Neither party's outcome marginals move when the other's input flips."""
+    m = bc.marginals(box)  # [party, x, y, outcome]
+    return bool(np.abs(m[0, :, 1] - m[0, :, 0]).max() <= tol
+                and np.abs(m[1, 1] - m[1, 0]).max() <= tol)
+
+
 def test_signal_zero_iff_nonsignaling():
     rng = np.random.default_rng(21)
     for _ in range(200):
         box, _ = bc.random_feasible_box(rng)
-        assert (bc.signal(box).S <= 1e-12) == bc.is_nonsignaling(box, 1e-12)
+        assert (bc.signal(box).S <= 1e-12) == _nonsignaling(box, 1e-12)
     for s in bc.enumerate_deterministic("all_one_bit"):
         box = bc.strategy_box(s)
         assert bc.signal(box).S == 1.0
-        assert not bc.is_nonsignaling(box)
+        assert not _nonsignaling(box)
 
 
 def test_entropic_signal_values():
@@ -106,6 +115,8 @@ def test_entropic_signal_values():
     assert abs(bc.entropic_signal(pair_box(1, 0.75)) - expected) <= 1e-12
     with pytest.raises(bc.DomainError):
         bc.entropic_signal(bc.pr_box(), prior=(0.7, 0.7))
+    with pytest.raises(bc.DomainError):
+        bc.entropic_signal(bc.pr_box(), prior=(math.nan, math.nan))
 
 
 def test_entropic_signal_with_biased_prior():
@@ -137,6 +148,8 @@ def test_entropic_signal_lower_bound():
         bc.entropic_signal_lower_bound(-0.1)
     with pytest.raises(bc.DomainError):
         bc.entropic_signal_lower_bound(1.1)
+    with pytest.raises(bc.DomainError):
+        bc.entropic_signal_lower_bound(math.nan)
 
 
 def test_entropic_signal_meets_floor_on_random_and_pair_boxes():
@@ -173,8 +186,7 @@ def test_measure_ranges_on_random_boxes():
 
 
 def test_measure_report_json_keys():
-    report = bc.measure_report(pair_box(1, 0.75))
-    data = report.to_json()
+    data = bc.complementarity_report(pair_box(1, 0.75)).to_json()
     assert data["lambda"] == bc.chsh(pair_box(1, 0.75))
     assert data["S"] == 0.5
     assert data["S_AtoB"] == 0.5

@@ -30,6 +30,8 @@ def test_direction_validation():
         bc.Direction(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(bc.DomainError):
         bc.Direction(np.zeros(2))
+    with pytest.raises(bc.DomainError):
+        bc.Direction(np.array([math.nan, 0.0, 0.0]))
     d = bc.Direction(np.array([0.6, 0.0, 0.8]))
     assert abs(np.linalg.norm(d.v) - 1.0) <= 1e-12
     assert bc.Direction.polar(0.0).v[2] == 1.0
