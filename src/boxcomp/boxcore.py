@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxFormatError, BoxInvariantError, DomainError, WeightError
+from .measures import marginals
 
 NORM_TOL = 1e-12
 
@@ -50,7 +51,7 @@ class CorrelationBox:
     def __init__(self, p, label=None):
         try:
             arr = np.asarray(p, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BoxFormatError(f"box entries are not numeric: {exc}") from None
         if arr.shape != (2, 2, 2, 2):
             raise BoxFormatError(f"expected probabilities of shape (2,2,2,2), got {arr.shape}")
@@ -121,7 +122,7 @@ def load_box(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad syntax or encoding, or an int literal too long
             raise BoxFormatError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise BoxFormatError("invalid JSON: nested too deeply") from None
@@ -330,71 +331,48 @@ def apply_relabelling(box, rel, label=None):
 
 
 def relabel_strategy(strategy, rel):
-    """Strategy whose box is apply_relabelling(strategy_box(s), rel); preserves kind."""
-    fa = []
-    fb = []
-    for x, y in INPUT_PAIRS:
-        fa.append(strategy.a(x ^ rel.flip_x, y ^ rel.flip_y) ^ rel.a_offset[x])
-        fb.append(strategy.b(x ^ rel.flip_x, y ^ rel.flip_y) ^ rel.b_offset[y])
+    """Strategy whose box is apply_relabelling(strategy_box(s), rel), read off its marginals."""
+    box = apply_relabelling(strategy_box(strategy), rel)
+    fa, fb = marginals(box).argmax(axis=-1).reshape(2, 4).tolist()
     return DeterministicStrategy(tuple(fa), tuple(fb))
 
 
-def enumerate_deterministic(kind_filter):
-    """Deterministic strategies of one class, deduplicated, in a fixed order.
+_TABLES = tuple(itertools.product((0, 1), repeat=4))
+_DETERMINISTIC = tuple(DeterministicStrategy(fa, fb) for fa in _TABLES for fb in _TABLES)
 
-    Filters: "local" (16), "signal_A_to_B" (48), "signal_B_to_A" (48),
-    "all_one_bit" (96, the union of both strictly one-way families).
+
+def enumerate_deterministic(kind_filter):
+    """Deterministic strategies of one kind, in a fixed order.
+
+    Filters the 256 strategies by `DeterministicStrategy.kind`, with fA in
+    the outer loop and fB in the inner: any of STRATEGY_KINDS ("local" 16,
+    "signal_A_to_B" 48, "signal_B_to_A" 48, "two_way" 144), or
+    "all_one_bit" (96, the A->B family then the B->A one).
     """
-    if kind_filter == "local":
-        out = []
-        for f0, f1 in itertools.product((0, 1), repeat=2):
-            for g0, g1 in itertools.product((0, 1), repeat=2):
-                out.append(DeterministicStrategy((f0, f0, f1, f1), (g0, g1, g0, g1)))
-        return out
-    if kind_filter == "signal_A_to_B":
-        out = []
-        for f0, f1 in itertools.product((0, 1), repeat=2):
-            fa = (f0, f0, f1, f1)
-            for fb in itertools.product((0, 1), repeat=4):
-                if fb[0] == fb[2] and fb[1] == fb[3]:
-                    continue  # fB ignores x: that strategy is local
-                out.append(DeterministicStrategy(fa, fb))
-        return out
-    if kind_filter == "signal_B_to_A":
-        out = []
-        for fa in itertools.product((0, 1), repeat=4):
-            if fa[0] == fa[1] and fa[2] == fa[3]:
-                continue  # fA ignores y: local
-            for g0, g1 in itertools.product((0, 1), repeat=2):
-                out.append(DeterministicStrategy(fa, (g0, g1, g0, g1)))
-        return out
     if kind_filter == "all_one_bit":
         return enumerate_deterministic("signal_A_to_B") + enumerate_deterministic("signal_B_to_A")
-    raise DomainError(f"unknown strategy filter {kind_filter!r}")
+    if kind_filter not in STRATEGY_KINDS:
+        raise DomainError(f"unknown strategy filter {kind_filter!r}")
+    return [s for s in _DETERMINISTIC if s.kind == kind_filter]
 
 
-# The sixteen deterministic strategies of the canonical scope (0,0,0), as
-# output pairs "ab" per input row.  Names pair each strategy with its
-# output-complemented partner ("+"/"-"); S1..S4 are one-way, S5..S8 two-way.
+# Names of the canonical scope's sixteen strategies, in "+"/"-" pairs of output
+# complements; S1..S4 are one-way, S5..S8 two-way.
 STRATEGY_NAMES = ("S1+", "S1-", "S2+", "S2-", "S3+", "S3-", "S4+", "S4-",
                   "S5+", "S5-", "S6+", "S6-", "S7+", "S7-", "S8+", "S8-")
 
-_CANONICAL_ROWS = (
-    # inputs (x,y) = (0,0), (0,1), (1,0), (1,1); columns follow STRATEGY_NAMES
-    "00 11 00 11 00 11 00 11 00 11 00 11 00 11 00 11",
-    "00 11 00 11 00 11 11 00 11 00 00 11 11 00 11 00",
-    "00 11 00 11 11 00 00 11 00 11 11 00 11 00 11 00",
-    "01 10 10 01 10 01 01 10 10 01 01 10 01 10 10 01",
-)
+# A's outputs of the eight "+" strategies, in name order, over INPUT_PAIRS;
+# B answers a xor xy, and each "-" strategy complements both outputs of its "+"
+_CANONICAL_A = ("0000", "0001", "0011", "0100", "0101", "0010", "0110", "0111")
 
 
 def _build_canonical_table():
-    rows = [row.split() for row in _CANONICAL_ROWS]
     table = []
-    for k in range(16):
-        fa = tuple(int(rows[i][k][0]) for i in range(4))
-        fb = tuple(int(rows[i][k][1]) for i in range(4))
+    for row in _CANONICAL_A:
+        fa = tuple(int(bit) for bit in row)
+        fb = tuple(a ^ PRScope().relation(x, y) for a, (x, y) in zip(fa, INPUT_PAIRS))
         table.append(DeterministicStrategy(fa, fb))
+        table.append(DeterministicStrategy(tuple(1 - a for a in fa), tuple(1 - b for b in fb)))
     return tuple(table)
 
 
@@ -409,19 +387,19 @@ def scope_relabelling(scope):
                        b_offset=(0, scope.mu2))
 
 
+_CATALOGUE = {scope: tuple(relabel_strategy(s, scope_relabelling(scope)) for s in _CANONICAL_TABLE)
+              for scope in all_scopes()}
+_CATALOGUE_BOXES = {scope: strategy_boxes(table) for scope, table in _CATALOGUE.items()}
+
+
 def scope_strategies(scope=PRScope()):
     """The 16 deterministic strategies satisfying the scope's parity relation.
 
     Ordered and named per STRATEGY_NAMES; the first 8 are one-way, the last 8
-    two-way, and consecutive +/- entries are output complements.
+    two-way, and consecutive +/- entries are output complements.  Each call
+    returns a new list, which the caller may change.
     """
-    if (scope.mu1, scope.mu2, scope.mu3) == (0, 0, 0):
-        return list(_CANONICAL_TABLE)
-    rel = scope_relabelling(scope)
-    return [relabel_strategy(s, rel) for s in _CANONICAL_TABLE]
-
-
-_CATALOGUE_BOXES = {scope: strategy_boxes(scope_strategies(scope)) for scope in all_scopes()}
+    return list(_CATALOGUE[scope])
 
 
 def scope_boxes(scope=PRScope()):

@@ -22,8 +22,8 @@ nonnegative exactly when the relation holds.  It measures a box, or a
 (..., 2, 2, 2, 2) stack, once: `chsh_max`, `signal` and
 `indeterminacy_per_setting`.  The bounds then read those measured values,
 never the box.  `complementarity_report` (a stack of one, behind `analyze`)
-and the `verify` suite's random 1-bit boxes (one stack) both read it, so
-`analyze` and `verify` share one relation core.  The per-box `Certificate`
+and the `verify` suites' stacks (random 1-bit boxes, catalogue specs and
++/- pairs, at C = 1 for the latter two) all read it.  The per-box `Certificate`
 is `analyze`'s only record: it renders both the text and the JSON report.
 """
 
@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .boxcore import INPUT_PAIRS, PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
+from .boxcore import CorrelationBox, PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
@@ -54,8 +54,8 @@ from .measures import (
     entropic_indeterminacy,
     entropic_signal,
     entropic_signal_lower_bound,
-    indeterminacy,
     indeterminacy_per_setting,
+    marginals,
     pironio_bound,
     signal,
     two_point_mutual_information,
@@ -179,9 +179,12 @@ def complementarity_report(box, tol=1e-9):
     """Measure a box and audit every complementarity relation that applies.
 
     Boxes outside the local + one-way polytope skip the cost-based checks;
-    the signal/indeterminacy relations are checked regardless.
+    the signal/indeterminacy relations are checked regardless.  Anything but
+    a CorrelationBox is first made into one.
     """
     check_tolerance(tol)
+    if not isinstance(box, CorrelationBox):
+        box = CorrelationBox(box)
     try:
         c_min = min_comm_cost(box, tol=max(tol, 1e-9)).C
     except Infeasible:
@@ -219,16 +222,15 @@ def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
     signal pinned to zero.  The result is 0: unbiased marginals (I = 1/2) are
     forced, which is why no nonsignaling catalogue mixture can be sharper.
     """
-    strategies = scope_strategies(scope)
+    # one objective row per party and setting: each strategy's P(outcome 1)
+    objectives = marginals(scope_boxes(scope))[..., 1].reshape(16, 8).T
     a_eq = np.vstack([np.ones((1, 16)), SIGNAL_COEFFICIENTS])
     b_eq = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     worst = 0.0
-    for x, y in INPUT_PAIRS:
-        for party in ("a", "b"):
-            c = np.array([float(getattr(s, party)(x, y)) for s in strategies])
-            for sign in (1.0, -1.0):
-                _, value = solve_lp(sign * c, a_eq, b_eq, tol=tol)
-                worst = max(worst, abs(sign * value - 0.5))
+    for c in objectives:
+        for sign in (1.0, -1.0):
+            _, value = solve_lp(sign * c, a_eq, b_eq, tol=tol)
+            worst = max(worst, abs(sign * value - 0.5))
     return worst
 
 
@@ -305,11 +307,11 @@ def _suite_specs(rng, instances, strategies, scope):
         specs.append(random_resource_spec(rng, scope))
         noisy.append((float(rng.uniform(0.2, 1.0)), int(rng.integers(16))))
     boxes = mixtures([spec.weights for spec in specs], strategy_boxes(strategies))
-    sig = signal(boxes)
-    measured = np.concatenate([sig.s_A_to_B_per_y, sig.s_B_to_A_per_x], axis=-1)
+    r = _relations(boxes, cost=1.0)
+    measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
     signed = np.array([signed_signals(spec).as_tuple() for spec in specs])
     worst_signed = float(np.abs(np.abs(signed) - measured).max())
-    worst_sat = float((sig.S + 2.0 * indeterminacy(boxes) - 1.0).min())
+    worst_sat = float(r.thm1_slack.min())
     # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
     c = np.array([c for c, _ in noisy])[:, None, None, None, None]
     mixed = c * boxes + (1.0 - c) * VERTEX_BOXES[[k for _, k in noisy]]
@@ -324,7 +326,7 @@ def _suite_single_pairs(scope):
     w = np.stack([p, 1.0 - p], axis=-1)
     table = scope_boxes(scope)
     boxes = np.concatenate([mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
-    worst_sat = np.abs(signal(boxes).S + 2.0 * indeterminacy(boxes) - 1.0).max()
+    worst_sat = np.abs(_relations(boxes, cost=1.0).thm1_slack).max()
     worst_ent = np.abs(entropic_signal(boxes) + entropic_indeterminacy(boxes) - 1.0).max()
     return float(worst_sat), float(worst_ent)
 

@@ -88,9 +88,12 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     Minimizes total one-way weight over all convex decompositions into local
     and one-way deterministic vertices.  Raises Infeasible when the box needs
     two-way communication and NumericalError if the solution fails to
-    reproduce the box within tol.
+    reproduce the box within tol.  Anything but a CorrelationBox is first
+    made into one.
     """
     check_tolerance(tol)
+    if not isinstance(box, CorrelationBox):
+        box = CorrelationBox(box)
     b_eq = np.append(box.p.ravel(), 1.0)
     x, value = solve_lp(_ONEWAY, _A_EQ, b_eq, tol=tol)
     residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())
@@ -199,7 +202,9 @@ class SignedSignals:
     """Directed marginal shifts of a 16-strategy mixture, with sign.
 
     s1, s2: shift of B's outcome-1 marginal at y = 0, 1 when x flips 0 -> 1;
-    s3, s4: shift of A's outcome-1 marginal at x = 0, 1 when y flips 0 -> 1.
+    s3, s4: shift of A's outcome-1 marginal at x = 0, 1 when y flips 0 -> 1;
+    each of the canonical-scope (0,0,0) box with the spec's weights.  On the
+    box of a scope (mu1, mu2, mu3) spec, s2, s3, s4 flip sign where mu2, mu3, mu1 ^ mu3 is 1.
     """
 
     s1: float
@@ -231,7 +236,7 @@ SIGNAL_COEFFICIENTS = _signal_coefficients()
 
 
 def signed_signals(spec):
-    """The four signed marginal shifts produced by a resource spec.
+    """The four signed marginal shifts of a resource spec, as SignedSignals defines them.
 
     Each is the exactly rounded sum of the weights with coefficient +1 minus
     that of the weights with coefficient -1 in SIGNAL_COEFFICIENTS; their

@@ -179,15 +179,15 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     return _value(np.maximum(0.0, info.max(axis=-1)))
 
 
-def two_point_mutual_information(p, shift, prior=0.5):
+def two_point_mutual_information(p, shift):
     """Information carried by a marginal sitting at p or p + shift.
 
-    Vectorized over p: the receiver sees outcome probability p with weight
-    1 - prior (remote bit 0) or p + shift with weight prior (remote bit 1).
+    Vectorized over p: the remote bit is uniform, and the receiver sees
+    outcome probability p when it is 0 and p + shift when it is 1.
     """
     p = np.asarray(p, dtype=np.float64)
-    mixed = binary_entropy(p + prior * np.asarray(shift))
-    return mixed - (1.0 - prior) * binary_entropy(p) - prior * binary_entropy(p + shift)
+    mixed = binary_entropy(p + 0.5 * np.asarray(shift))
+    return mixed - 0.5 * binary_entropy(p) - 0.5 * binary_entropy(p + shift)
 
 
 def entropic_signal_lower_bound(s):

@@ -89,6 +89,7 @@ def test_enumeration_counts_and_kinds():
     assert all(s.kind == "signal_A_to_B" for s in ab)
     assert all(s.kind == "signal_B_to_A" for s in ba)
     assert set(both) == set(ab) | set(ba)
+    assert len(bc.enumerate_deterministic("two_way")) == 144
     with pytest.raises(bc.DomainError):
         bc.enumerate_deterministic("everything")
 

@@ -62,6 +62,11 @@ def test_relaxed_bell_check():
 
 def test_complementarity_report_pr_box():
     cert = bc.complementarity_report(bc.pr_box())
+    assert bc.complementarity_report(bc.pr_box().p) == cert  # a bare array is read as its box
+    with pytest.raises(bc.BoxFormatError):
+        bc.complementarity_report(bc.pr_box().p[0])
+    with pytest.raises(bc.BoxInvariantError):
+        bc.complementarity_report(2.0 * bc.pr_box().p)
     assert cert.feasible
     assert cert.C_min == 1.0
     assert cert.S == 0.0 and cert.I == 0.5

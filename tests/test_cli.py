@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour: formats, files, and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxcomp as bc
 from boxcomp.cli import main
@@ -131,10 +135,82 @@ def test_analyze_error_codes(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     deep_p = tmp_path / "deep_p.json"
     deep_p.write_text('{"P": ' + "[" * 900 + "]" * 900 + "}")
-    for path in (tmp_path, latin1, strings, bools, deep, deep_p):
+    huge = tmp_path / "huge.json"  # an int past float range
+    data = bc.pr_box().to_json()
+    data["P"][0][0][0][0] = 10 ** 399
+    huge.write_text(json.dumps(data))
+    too_long = tmp_path / "too_long.json"  # an int past Python's 4300-digit parse limit
+    too_long.write_text('{"P": [[[[' + "1" * 5001 + "]]]]}")
+    for path in (tmp_path, latin1, strings, bools, deep, deep_p, huge, too_long):
         assert main(["analyze", "--box", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    for path in (huge, too_long):
+        assert main(["decompose", "--box", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON tokens for the leaves of a box file: numbers (cell-like ones, ints past
+# float range with up to 5,000 digits, floats with NaN and the infinities),
+# then strings, bools and null
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "0.25", "0.5", "-0.25", "-1e-13", "1e-300"]),
+    st.builds(lambda sign, digit, n: sign + digit * n, st.sampled_from(["", "-"]),
+              st.sampled_from("19"), st.sampled_from([309, 400, 4300, 4301, 5000])),
+    st.floats().map(json.dumps),
+)
+_LABELS = st.text(max_size=4).map(json.dumps)
+_LEAVES = _NUMBERS | _LABELS | st.sampled_from(["true", "false", "null"])
+# one setting's [a][b] table, normalized up to dust
+_SETTINGS = st.sampled_from(["[[0.25, 0.25], [0.25, 0.25]]", "[[0.5, 0], [0, 0.5]]",
+                             "[[0, 0.5], [0.5, 0]]", "[[1, 0], [0, 0]]", "[[0, 0], [-1e-13, 1]]"])
+
+
+@st.composite
+def _nesting(draw, depth):
+    """JSON text of nested lists, mostly of shape (2,) * depth.
+
+    A level is sometimes a leaf or has 0, 1 or 3 items; at depth 2 it is
+    mostly one setting's table, and leaves are mostly numbers.
+    """
+    roll = draw(st.integers(0, 49))
+    if depth == 0:
+        return draw(_NUMBERS if roll < 45 else _LEAVES)
+    if roll == 0:
+        return draw(_LEAVES)
+    if depth == 2 and roll < 40:
+        return draw(_SETTINGS)
+    n = draw(st.sampled_from([2] * 30 + [0, 1, 3]))
+    return "[" + ", ".join(draw(_nesting(depth - 1)) for _ in range(n)) + "]"
+
+
+@st.composite
+def _box_files(draw):
+    """JSON text of a box file: mostly an object with "P", maybe "label", and extra keys."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_nesting(2))
+    fields = {}
+    if draw(st.integers(0, 9)):
+        fields["P"] = draw(_nesting(4))
+    if draw(st.booleans()):
+        fields["label"] = draw(_LEAVES if draw(st.integers(0, 4)) == 0 else _LABELS)
+    if draw(st.integers(0, 4)) == 0:
+        fields["extra"] = draw(_LEAVES)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=_box_files())
+def test_hostile_box_files_end_in_documented_exit_codes(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("analyze", "decompose"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--box", str(path)])
+        assert code in (0, 1, 2, 3, 4)
+        assert err.getvalue().count("error:") <= 1
 
 
 def test_decompose_json(box_files, tmp_path, capsys):

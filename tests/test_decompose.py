@@ -7,9 +7,38 @@ import pytest
 from scipy.optimize import linprog
 
 import boxcomp as bc
+from boxcomp import decompose
 from _helpers import lp_matrices, pair_spec, reconstruct, tsirelson_box
 
 SQRT2 = math.sqrt(2.0)
+
+# the LP's column order ("ab" per input pair), on which Bland's rule and so every
+# reported decomposition depend
+VERTEX_TABLES = """
+    00,00,00,00 00,01,00,01 01,00,01,00 01,01,01,01 00,00,10,10 00,01,10,11
+    01,00,11,10 01,01,11,11 10,10,00,00 10,11,00,01 11,10,01,00 11,11,01,01
+    10,10,10,10 10,11,10,11 11,10,11,10 11,11,11,11 00,00,00,01 00,00,01,00
+    00,00,01,01 00,01,00,00 00,01,01,00 00,01,01,01 01,00,00,00 01,00,00,01
+    01,00,01,01 01,01,00,00 01,01,00,01 01,01,01,00 00,00,10,11 00,00,11,10
+    00,00,11,11 00,01,10,10 00,01,11,10 00,01,11,11 01,00,10,10 01,00,10,11
+    01,00,11,11 01,01,10,10 01,01,10,11 01,01,11,10 10,10,00,01 10,10,01,00
+    10,10,01,01 10,11,00,00 10,11,01,00 10,11,01,01 11,10,00,00 11,10,00,01
+    11,10,01,01 11,11,00,00 11,11,00,01 11,11,01,00 10,10,10,11 10,10,11,10
+    10,10,11,11 10,11,10,10 10,11,11,10 10,11,11,11 11,10,10,10 11,10,10,11
+    11,10,11,11 11,11,10,10 11,11,10,11 11,11,11,10 00,00,00,10 00,01,00,11
+    01,00,01,10 01,01,01,11 00,00,10,00 00,01,10,01 01,00,11,00 01,01,11,01
+    00,10,00,00 00,11,00,01 01,10,01,00 01,11,01,01 00,10,00,10 00,11,00,11
+    01,10,01,10 01,11,01,11 00,10,10,00 00,11,10,01 01,10,11,00 01,11,11,01
+    00,10,10,10 00,11,10,11 01,10,11,10 01,11,11,11 10,00,00,00 10,01,00,01
+    11,00,01,00 11,01,01,01 10,00,00,10 10,01,00,11 11,00,01,10 11,01,01,11
+    10,00,10,00 10,01,10,01 11,00,11,00 11,01,11,01 10,00,10,10 10,01,10,11
+    11,00,11,10 11,01,11,11 10,10,00,10 10,11,00,11 11,10,01,10 11,11,01,11
+    10,10,10,00 10,11,10,01 11,10,11,00 11,11,11,01
+""".split()
+
+
+def test_vertex_order_is_pinned():
+    assert [s.table_str() for s in decompose.VERTICES] == VERTEX_TABLES
 
 
 def test_local_box_costs_nothing():
@@ -22,6 +51,11 @@ def test_local_box_costs_nothing():
 def test_pr_box_costs_one_bit():
     dec = bc.min_comm_cost(bc.pr_box())
     assert abs(dec.C - 1.0) <= 1e-9
+    assert bc.min_comm_cost(bc.pr_box().p) == dec  # a bare array is read as its box
+    with pytest.raises(bc.BoxFormatError):
+        bc.min_comm_cost(bc.pr_box().p[0])
+    with pytest.raises(bc.BoxInvariantError):
+        bc.min_comm_cost(2.0 * bc.pr_box().p)
     assert all(s.kind != "two_way" for s in dec.weights)
     assert np.abs(reconstruct(dec) - bc.pr_box().p).max() <= 1e-9
     for scope in bc.all_scopes():
@@ -172,6 +206,27 @@ def test_signed_signals_match_measured_signals():
                         rep.s_B_to_A_per_x[0], rep.s_B_to_A_per_x[1])
             for signed, direct in zip(ss.as_tuple(), measured):
                 assert abs(abs(signed) - direct) <= 1e-12
+    # with sign: the shifts of the canonical-scope box with the same weights,
+    # and on the spec's own box s2, s3, s4 flip when mu2, mu3, mu1^mu3 is 1
+    for scope in bc.all_scopes():
+        flips = np.array([1, 1 - 2 * scope.mu2, 1 - 2 * scope.mu3, 1 - 2 * (scope.mu1 ^ scope.mu3)])
+        for _ in range(100):
+            spec = bc.random_resource_spec(rng, scope=scope)
+            ss = np.array(bc.signed_signals(spec).as_tuple())
+            canonical = bc.resource_box(bc.ResourceSpec(bc.PRScope(), spec.weights))
+            own = bc.resource_box(spec)
+            assert np.abs(ss - _signed_shifts(canonical)).max() <= 1e-12
+            assert np.abs(flips * ss - _signed_shifts(own)).max() <= 1e-12
+            for x, y, a, b, bound in bc.conditional_lower_bounds(spec):
+                assert own.p[x, y, a, b] >= bound - 1e-12
+
+
+def _signed_shifts(box):
+    """(s1, s2, s3, s4) of a box: B's P(b=1) at x = 1 minus x = 0 for y = 0, 1,
+    then A's P(a=1) at y = 1 minus y = 0 for x = 0, 1."""
+    m = bc.marginals(box)[..., 1]
+    return np.array([m[1, 1, 0] - m[1, 0, 0], m[1, 1, 1] - m[1, 0, 1],
+                     m[0, 0, 1] - m[0, 0, 0], m[0, 1, 1] - m[0, 1, 0]])
 
 
 def test_conditional_lower_bounds_hold_under_local_noise():
