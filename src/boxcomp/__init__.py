@@ -48,6 +48,7 @@ from .decompose import (
     Decomposition,
     ResourceSpec,
     SignedSignals,
+    comm_cost_many,
     conditional_lower_bounds,
     min_comm_cost,
     random_feasible_box,

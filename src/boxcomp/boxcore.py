@@ -95,8 +95,13 @@ class CorrelationBox:
         if "P" not in data:
             raise BoxFormatError('box JSON is missing the "P" key')
         label = data.get("label")
-        if label is not None and not isinstance(label, str):
-            raise BoxFormatError('"label" must be a string')
+        if label is not None:
+            if not isinstance(label, str):
+                raise BoxFormatError('"label" must be a string')
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which JSON's \u escapes allow
+                raise BoxFormatError('"label" is not valid Unicode text') from None
         if not _json_numbers(data["P"]):
             raise BoxFormatError('"P" entries must be JSON numbers')
         return cls(data["P"], label=label)

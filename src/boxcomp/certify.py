@@ -40,6 +40,7 @@ from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
     check_tolerance,
+    comm_cost_many,
     conditional_lower_bounds,
     min_comm_cost,
     random_feasible_box,
@@ -295,7 +296,7 @@ def _check_catalogue(strategies, scope):
 
 def _suite_feasible_boxes(rng, instances):
     boxes = [random_feasible_box(rng)[0] for _ in range(instances)]
-    cost = np.array([min_comm_cost(box).C for box in boxes])
+    cost = comm_cost_many(boxes)
     r = _relations(np.stack([box.p for box in boxes]), cost)
     return tuple(float(v.min()) for v in (r.thm1_slack, r.pironio_slack, r.relax_slack,
                                            r.cert_slack))

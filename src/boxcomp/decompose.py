@@ -5,8 +5,10 @@ convex mixture of the 16 local and 96 strictly one-way deterministic
 vertices.  `min_comm_cost` finds such a mixture minimizing the total weight
 on one-way vertices (the communication cost C) by linear programming, and
 raises Infeasible outside that polytope (e.g. for two-way deterministic
-boxes).  The vertices' boxes are one stack, VERTEX_BOXES, built once at
-import; the LP and `random_feasible_box` read it.
+boxes).  `comm_cost_many` gives the C of many boxes from one stack of LPs,
+each bit-identical to min_comm_cost's.  The vertices' boxes are one stack,
+VERTEX_BOXES, built once at import; the LP and `random_feasible_box` read
+it.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -82,6 +84,18 @@ def check_tolerance(tol):
         raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
+def _as_box(box):
+    return box if isinstance(box, CorrelationBox) else CorrelationBox(box)
+
+
+def _checked_cost(x, value, cells, tol):
+    """C from one LP answer: refused unless x reproduces the box's cells within tol, clamped to [0, 1]."""
+    residual = float(np.abs(_COLUMNS @ x - cells).max())
+    if residual > tol:
+        raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
+    return float(min(max(value, 0.0), 1.0))
+
+
 def min_comm_cost(box, tol=WEIGHT_TOL):
     """Cheapest 1-bit decomposition of a box.
 
@@ -92,15 +106,31 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     made into one.
     """
     check_tolerance(tol)
-    if not isinstance(box, CorrelationBox):
-        box = CorrelationBox(box)
-    b_eq = np.append(box.p.ravel(), 1.0)
-    x, value = solve_lp(_ONEWAY, _A_EQ, b_eq, tol=tol)
-    residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())
-    if residual > tol:
-        raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
+    box = _as_box(box)
+    x, value = solve_lp(_ONEWAY, _A_EQ, np.append(box.p.ravel(), 1.0), tol=tol)
+    cost = _checked_cost(x, value, box.p.ravel(), tol)
     weights = {VERTICES[i]: float(x[i]) for i in range(len(VERTICES)) if x[i] > SUPPORT_EPS}
-    return Decomposition(weights=weights, C=float(min(max(value, 0.0), 1.0)))
+    return Decomposition(weights=weights, C=cost)
+
+
+def comm_cost_many(boxes, tol=WEIGHT_TOL):
+    """`min_comm_cost(box).C` of each box, as one array, from one stack of LPs.
+
+    The LPs are solved in lockstep by `solve_lp`, each bit-identical to its
+    own solve, so each C equals min_comm_cost's.  Raises Infeasible or
+    NumericalError naming the first box, by index, whose LP fails; if none
+    fails, the first whose decomposition misses it by more than tol.
+    """
+    check_tolerance(tol)
+    cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
+    x, values = solve_lp(_ONEWAY, _A_EQ, np.hstack([cells, np.ones((len(cells), 1))]), tol=tol)
+    costs = np.empty(len(cells))
+    for k in range(len(cells)):
+        try:
+            costs[k] = _checked_cost(x[k], values[k], cells[k], tol)
+        except NumericalError as exc:
+            raise NumericalError(f"stack index {k}: {exc}") from None
+    return costs
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import boxcomp as bc
-from boxcomp import certify, measures
+from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
 from _helpers import pair_box, tsirelson_box
 
@@ -186,15 +186,15 @@ def test_tolerances_outside_the_unit_interval_are_refused():
         bc.min_comm_cost(two_way, tol=0.5)
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of the named measures, wherever a boxcomp module binds them.
+def _count_calls(monkeypatch, names, home=measures):
+    """Count calls of the named functions of `home`, wherever a boxcomp module binds them.
 
-    Calls from one measure to another, inside `measures`, count too.
+    Calls from one of them to another, inside `home`, count too.
     """
     calls = collections.Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "boxcomp"]
     for name in names:
-        fn = getattr(measures, name)
+        fn = getattr(home, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
@@ -224,3 +224,7 @@ def test_suite_measures_its_box_stack_once(monkeypatch):
     worst = certify._suite_feasible_boxes(np.random.default_rng(5), 20)
     assert calls == dict.fromkeys(names, 1)
     assert len(worst) == 4 and all(math.isfinite(v) for v in worst)
+    # the whole suite solves its cost LPs as one stack, never box by box
+    costs = _count_calls(monkeypatch, ("comm_cost_many", "min_comm_cost"), decompose)
+    assert bc.run_property_suite(seed=5, instances=20).passed
+    assert costs == {"comm_cost_many": 1}

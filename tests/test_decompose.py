@@ -73,6 +73,24 @@ def test_two_way_box_is_infeasible():
             bc.min_comm_cost(bc.strategy_box(s))
 
 
+def test_comm_cost_many_is_min_comm_cost_per_box():
+    rng = np.random.default_rng(47)
+    boxes = [bc.random_feasible_box(rng)[0] for _ in range(40)]
+    boxes += [bc.pr_box(scope) for scope in bc.all_scopes()] + [tsirelson_box()]
+    costs = bc.comm_cost_many(boxes)
+    assert costs.shape == (len(boxes),)
+    assert all(c == bc.min_comm_cost(box).C for c, box in zip(costs, boxes))
+    assert bc.comm_cost_many(np.stack([box.p for box in boxes])).tolist() == costs.tolist()
+    assert bc.comm_cost_many([]).shape == (0,)
+    two_way = bc.strategy_box(bc.scope_strategies()[8])
+    with pytest.raises(bc.Infeasible, match="^stack index 17: "):
+        bc.comm_cost_many(boxes[:17] + [two_way] + boxes[17:])
+    with pytest.raises(bc.DomainError):
+        bc.comm_cost_many(boxes, tol=1.0)
+    with pytest.raises(bc.BoxInvariantError):
+        bc.comm_cost_many([2.0 * bc.pr_box().p])
+
+
 def test_decomposition_structure():
     rng = np.random.default_rng(41)
     box, _ = bc.random_feasible_box(rng)
