@@ -267,10 +267,6 @@ class PRScope:
         return all(strategy.a(x, y) ^ strategy.b(x, y) == self.relation(x, y)
                    for x, y in INPUT_PAIRS)
 
-    @property
-    def label(self):
-        return f"{self.mu1}{self.mu2}{self.mu3}"
-
     @classmethod
     def from_label(cls, text):
         text = text.strip()

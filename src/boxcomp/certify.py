@@ -50,6 +50,8 @@ from .decompose import (
 from .errors import DomainError, Infeasible
 from .measures import (
     SignalReport,
+    _in_range,
+    _value,
     chsh,
     chsh_max,
     entropic_indeterminacy,
@@ -71,14 +73,9 @@ def certified_indeterminacy_bound(lam, s):
     in [0, 4] and s the observed signal strength in [0, 1].  Arrays of
     values give an array of bounds.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 4.0 + 1e-12):
-        raise DomainError(f"CHSH value outside [0,4]: {lam.min()}..{lam.max()}")
-    if s.size and not (s.min() >= 0.0 and s.max() <= 1.0 + 1e-12):
-        raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
-    bound = np.maximum(lam / 4.0 - (1.0 + s) / 2.0, 0.0)
-    return float(bound) if bound.ndim == 0 else bound
+    lam = _in_range(lam, 4, "CHSH value")
+    s = _in_range(s, 1, "signal strength")
+    return _value(np.maximum(lam / 4.0 - (1.0 + s) / 2.0, 0.0))
 
 
 def _relations(box, cost=None):
@@ -92,8 +89,7 @@ def _relations(box, cost=None):
     lam_max = chsh_max(box)
     sig = signal(box)
     per = indeterminacy_per_setting(box)
-    ind = per.max(axis=(-2, -1))
-    ind = float(ind) if ind.ndim == 0 else ind
+    ind = _value(per.max(axis=(-2, -1)))
     bound = certified_indeterminacy_bound(lam_max, sig.S)
     lhs, rhs = lam_max - 2.0, 2.0 * sig.S + 4.0 * ind
     terms = SimpleNamespace(lambda_max=lam_max, signal=sig, I_per_setting=per, I=ind,

@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 
 from .boxcore import load_box
@@ -138,7 +139,9 @@ def cmd_analyze(args):
     if args.format == "json":
         _emit(_json_dumps(dict(cert.to_json(), nonsignaling=nonsig, label=box.label)), args.out)
     else:
-        lines = [f"box          = {box.label or args.box}",
+        # a path byte that is not UTF-8 is shown as a \xNN escape, never as a lone surrogate
+        name = box.label or os.fsencode(args.box).decode("utf-8", "backslashreplace")
+        lines = [f"box          = {name}",
                  f"nonsignaling = {nonsig}",
                  cert.render_text()]
         _emit("\n".join(lines), args.out)

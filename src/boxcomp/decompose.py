@@ -191,12 +191,6 @@ class ResourceSpec:
             raise WeightError("resource spec lists no strategy weights")
         return cls.from_mapping(mapping, scope=scope)
 
-    def format(self):
-        """Compact string form; inverse of parse() for the supported weights."""
-        parts = [f"{name}:{w!r}" for name, w in zip(STRATEGY_NAMES, self.weights)
-                 if w > 0.0]
-        return f"scope={self.scope.label};" + ",".join(parts)
-
     def strategies(self):
         return scope_strategies(self.scope)
 

@@ -51,6 +51,14 @@ def _value(v):
     return float(v) if v.ndim == 0 else v
 
 
+def _in_range(v, hi, what):
+    """v as a float64 array; DomainError if any value lies outside [0, hi], NaN included."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size and not (v.min() >= 0.0 and v.max() <= hi + 1e-12):
+        raise DomainError(f"{what} outside [0,{hi}]: {v.min()}..{v.max()}")
+    return v
+
+
 def _entropy(m):
     """Shannon entropy (bits) of two-outcome distributions along the last axis."""
     log = np.zeros_like(m)
@@ -102,9 +110,7 @@ def pironio_bound(lam_max):
 
     Arrays of values give an array of bounds.
     """
-    lam = np.asarray(lam_max, dtype=np.float64)
-    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 4.0 + 1e-12):
-        raise DomainError(f"CHSH value outside [0,4]: {lam.min()}..{lam.max()}")
+    lam = _in_range(lam_max, 4, "CHSH value")
     return _value(np.maximum(lam / 2.0 - 1.0, 0.0))
 
 

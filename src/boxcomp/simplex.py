@@ -12,7 +12,9 @@ through alone (the same Bland entering column and lowest-basis-index
 tie-break, the same drive-out and dropped rows, the same row-by-row phase-2
 cost row), so its x and objective are bit-identical to the one-LP loop.  A
 dropped row stays in the stack as a row of zeros, which no ratio test picks.
-A single LP keeps the one-LP loop, which is faster than a stack of one.
+A chunk in which any LP fails is solved again LP by LP, so the one-LP loop
+alone decides which error an LP raises.  A single LP keeps the one-LP loop,
+which is faster than a stack of one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
 CHUNK = 16  # LPs per lockstep stack; bounds the stacked tableaux' memory
 
-_UNBOUNDED = "unbounded direction in a bounded polytope"
-_NO_CONVERGENCE = f"simplex did not converge in {MAX_PIVOTS} pivots"
 _NO_ROW = np.iinfo(np.intp).max  # tie-break key of the rows a ratio test cannot pick
 
 
@@ -68,13 +68,13 @@ def _run(tableau, basis, ncols):
         colvals = tableau[:-1, col]
         rows = np.nonzero(colvals > PIVOT_TOL)[0]
         if rows.size == 0:
-            raise NumericalError(_UNBOUNDED)
+            raise NumericalError("unbounded direction in a bounded polytope")
         ratios = tableau[rows, -1] / colvals[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
         row = int(min(ties, key=lambda i: basis[i]))
         _pivot(tableau, basis, row, col)
-    raise NumericalError(_NO_CONVERGENCE)
+    raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
 
 def _solve(cost, a, b, tol):
@@ -130,25 +130,23 @@ def _pivot_many(tableau, basis, rows, cols, active):
     basis[at[active], rows[active]] = cols[active]
 
 
-def _run_many(tableau, basis, ncols, active, failures):
-    """`_run` on the stacked tableaux in lockstep, one pivot per active LP per round.
+def _run_many(tableau, basis, ncols):
+    """`_run` on the stacked tableaux in lockstep, one pivot per unfinished LP per round.
 
-    An LP that fails is recorded in failures (index -> (error, message)) and
-    drops out; the others go on.
+    Returns False as soon as any LP would make `_run` raise.  A finished LP
+    has no entering column, and the others' pivots leave it as it was.
     """
     at = np.arange(len(tableau))
-    active = active.copy()
     for _ in range(MAX_PIVOTS):
         entering = tableau[:, -1, :ncols] < -PIVOT_TOL
+        active = entering.any(axis=1)
+        if not active.any():
+            return True
         cols = entering.argmax(axis=1)
         colvals = tableau[at, :-1, cols]
         eligible = colvals > PIVOT_TOL
-        going, bounded = entering.any(axis=1), eligible.any(axis=1)
-        for k in np.flatnonzero(active & going & ~bounded):
-            failures[int(k)] = (NumericalError, _UNBOUNDED)
-        active &= going & bounded
-        if not active.any():
-            return
+        if (active & ~eligible.any(axis=1)).any():
+            return False
         # rows that are not eligible divide by zero or a negative; they are masked out
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(eligible, tableau[:, :-1, -1] / colvals, np.inf)
@@ -156,31 +154,21 @@ def _run_many(tableau, basis, ncols, active, failures):
         ties = eligible & (ratios <= best[:, None] + 1e-12)
         rows = np.where(ties, basis, _NO_ROW).argmin(axis=1)
         _pivot_many(tableau, basis, rows, cols, active)
-    for k in np.flatnonzero(active):
-        failures[int(k)] = (NumericalError, _NO_CONVERGENCE)
+    return False
 
 
-def _solve_chunk(cost, a, b, tol, x, values):
-    """Solve the (k, m) stack b in lockstep into x and values; returns the failures.
-
-    Failures map a stack index to the (error, message) that `_solve` raises
-    for it; the LPs that do not fail are solved regardless.
-    """
+def _solve_chunk(cost, a, b, tol):
+    """Solve the (k, m) stack b in lockstep; returns (x, values), or None if any LP fails."""
     k, m = b.shape
     n = a.shape[1]
     tableau = _phase1(a, b)
     basis = np.tile(np.arange(n, n + m), (k, 1))
-    failures = {}
-    _run_many(tableau, basis, n, np.ones(k, dtype=bool), failures)
-    residual = -tableau[:, m, -1]
-    for j in np.flatnonzero(residual > tol):
-        failures.setdefault(int(j), (Infeasible, f"phase-1 residual {residual[j]:.3e} exceeds {tol:.1e}"))
-    live = np.ones(k, dtype=bool)
-    live[list(failures)] = False
+    if not _run_many(tableau, basis, n) or (-tableau[:, m, -1] > tol).any():
+        return None
 
     keep = np.ones((k, m), dtype=bool)
     for i in range(m):
-        artificial = live & (basis[:, i] >= n)
+        artificial = basis[:, i] >= n
         pivots = np.abs(tableau[:, i, :n]) > PIVOT_TOL
         offers = pivots.any(axis=1)
         if (artificial & offers).any():
@@ -190,18 +178,18 @@ def _solve_chunk(cost, a, b, tol, x, values):
     tableau[:, :m][~keep] = 0.0
     tableau[:, m, :n] = cost
     tableau[:, m, -1] = 0.0
-    keep &= live[:, None]
     for i in range(m):
         lps = np.flatnonzero(keep[:, i])
         tableau[lps, m] -= cost[basis[lps, i]][:, None] * tableau[lps, i]
-    _run_many(tableau, basis, n, live, failures)
+    if not _run_many(tableau, basis, n):
+        return None
 
+    x = np.zeros((k, n))
     lps, rows = np.nonzero(keep)
     rhs = tableau[lps, rows, -1]
     x[lps, basis[lps, rows]] = np.where(rhs < 0.0, 0.0, rhs)  # max(rhs, 0.0), signed zeros kept
-    for j in range(k):  # one dot per LP, as alone: a matrix product may sum in another order
-        values[j] = cost @ x[j]
-    return failures
+    # one dot per LP, as alone: a matrix product may sum in another order
+    return x, np.array([cost @ x_j for x_j in x])
 
 
 def solve_lp(c, a_eq, b_eq, tol=1e-9):
@@ -221,10 +209,14 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
     x = np.zeros((len(b), a.shape[1]))
     values = np.zeros(len(b))
     for start in range(0, len(b), CHUNK):
-        stop = start + CHUNK
-        failures = _solve_chunk(cost, a, b[start:stop], tol, x[start:stop], values[start:stop])
-        if failures:
-            j = min(failures)
-            error, message = failures[j]
-            raise error(f"stack index {start + j}: {message}")
+        stop = min(start + CHUNK, len(b))
+        solved = _solve_chunk(cost, a, b[start:stop], tol)
+        if solved is not None:
+            x[start:stop], values[start:stop] = solved
+            continue
+        for j in range(start, stop):  # some LP fails: solve LP by LP, so each raises as alone
+            try:
+                x[j], values[j] = _solve(cost, a, b[j], tol)
+            except (Infeasible, NumericalError) as error:
+                raise type(error)(f"stack index {j}: {error}") from None
     return x, values

@@ -190,7 +190,7 @@ def test_all_pr_boxes_reachable_by_relabelling():
         target = bc.pr_box(scope)
         hits = [rel for rel in bc.all_relabellings()
                 if bc.apply_relabelling(base, rel) == target]
-        assert hits, f"no relabelling reaches scope {scope.label}"
+        assert hits, f"no relabelling reaches {scope}"
         assert bc.apply_relabelling(base, bc.scope_relabelling(scope)) == target
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,22 @@ def test_analyze_text_to_stdout(box_files, capsys):
     assert "S            = 0.5" in text
     assert "I            = 0.25" in text
     assert "nonsignaling = False" in text
+
+
+def test_analyze_text_names_an_unlabelled_box_by_a_non_utf8_path(tmp_path):
+    # the byte 0xff reaches Python as the lone surrogate \udcff, which strict UTF-8 cannot encode
+    path = os.fsdecode(os.fsencode(tmp_path) + b"/box-\xff.json")
+    bc.dump_box(bc.pr_box(), path)
+    report = tmp_path / "report.txt"
+    assert main(["analyze", "--box", path, "--out", str(report)]) == 0
+    first = report.read_bytes().split(b"\n", 1)[0]
+    assert first == b"box          = " + os.fsencode(tmp_path) + b"/box-\\xff.json"
+    # a strict UTF-8 stdout, as under PYTHONIOENCODING=utf-8, gets the same bytes
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with contextlib.redirect_stdout(stdout):
+        assert main(["analyze", "--box", path]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == report.read_bytes()
 
 
 # analyze's text report on 0.75 [a=0, b=1^x^y] + 0.25 [a=xy, b=1], labelled "mixed"

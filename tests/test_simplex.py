@@ -168,3 +168,14 @@ def test_stack_names_its_infeasible_member():
         stack[k, :16] = two_way.ravel()
         with pytest.raises(bc.Infeasible, match=f"^stack index {k}: phase-1 residual"):
             solve_lp(oneway, a, stack)
+
+
+def test_stack_names_its_first_failing_member_whichever_phase_fails():
+    # x0 - x1 = b0, x2 = b1, min -x0: b = (0, 1) is feasible but unbounded (phase 2),
+    # b = (0, -1) infeasible (phase 1).  Under one A and c every feasible member is
+    # unbounded or none is, so such a stack holds no solvable member.
+    c, a = [-1.0, 0.0, 0.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(bc.NumericalError, match="^stack index 0: unbounded direction"):
+        solve_lp(c, a, [[0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(bc.Infeasible, match="^stack index 0: phase-1 residual"):
+        solve_lp(c, a, [[0.0, -1.0], [0.0, 1.0]])
