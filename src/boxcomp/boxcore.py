@@ -227,7 +227,10 @@ def check_weights(w):
         raise WeightError(f"non-finite weight in {w!r}")
     if any(v < 0.0 for v in w):
         raise WeightError(f"negative weight {min(w)}")
-    total = math.fsum(w)
+    try:
+        total = math.fsum(w)
+    except OverflowError:  # the exact sum is past float range
+        raise WeightError(f"weights sum past float range, not 1: {w!r}") from None
     if abs(total - 1.0) > NORM_TOL:
         raise WeightError(f"weights sum to {total!r}, not 1")
 

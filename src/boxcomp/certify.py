@@ -25,6 +25,12 @@ never the box.  `complementarity_report` (a stack of one, behind `analyze`)
 and the `verify` suites' stacks (random 1-bit boxes, catalogue specs and
 +/- pairs, at C = 1 for the latter two) all read it.  The per-box `Certificate`
 is `analyze`'s only record: it renders both the text and the JSON report.
+
+Both read C from `comm_cost_many`: the largest value of decompose's 344
+integer cost rows, with a box outside the 1-bit polytope when one of the
+32 facet rows is positive.  No linear program runs.  The cost rows'
+size-8 orbit holds the 8 CHSH rows, so the CHSH floor is one of the
+inequalities that define C.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .decompose import (
     check_tolerance,
     comm_cost_many,
     conditional_lower_bounds,
-    min_comm_cost,
     random_feasible_box,
     random_resource_spec,
     signed_signals,
@@ -183,7 +188,7 @@ def complementarity_report(box, tol=1e-9):
     if not isinstance(box, CorrelationBox):
         box = CorrelationBox(box)
     try:
-        c_min = min_comm_cost(box, tol=max(tol, 1e-9)).C
+        c_min = float(comm_cost_many([box], tol=max(tol, 1e-9))[0])
     except Infeasible:
         c_min = None
     r = _relations(box, c_min)

@@ -2,13 +2,27 @@
 
 A box is representable with at most one bit of communication when it is a
 convex mixture of the 16 local and 96 strictly one-way deterministic
-vertices.  `min_comm_cost` finds such a mixture minimizing the total weight
-on one-way vertices (the communication cost C) by linear programming, and
-raises Infeasible outside that polytope (e.g. for two-way deterministic
-boxes).  `comm_cost_many` gives the C of many boxes from one stack of LPs,
-each bit-identical to min_comm_cost's.  The vertices' boxes are one stack,
-VERTEX_BOXES, built once at import; the LP and `random_feasible_box` read
-it.
+vertices.  The least total weight on one-way vertices over such mixtures is
+the communication cost C.  The vertices' boxes are one stack,
+VERTEX_BOXES, built once at import.
+
+C and 1-bit feasibility are read from two integer inequality tables.  A row
+is a 4x4 integer table T over (xy, ab) and a constant k; its value on a box
+is L(p) = sum T[xy][ab] p(ab|xy) + k.  The rows are the orbits of a few
+representatives under the 128 symmetries (the 64 local relabellings, each
+with and without the A<->B swap):
+
+- COST_ROWS (8 orbits, 344 rows) are the vertices of the cost LP's dual
+  polyhedron, so C(p) is the largest of their values.  The size-8 orbit is
+  the CHSH floor C >= chsh_max/2 - 1 of Pironio (PRA 68, 062102, 2003).
+- FACET_ROWS (2 orbits, 32 rows) are the 1-bit polytope's facets besides
+  cell positivity, which CorrelationBox enforces: a box is outside the
+  polytope when one of them is positive.
+
+`comm_cost_many` reads them.  `min_comm_cost` alone keeps the linear
+program, because it reports a decomposition's weights; it raises Infeasible
+outside the polytope (e.g. for two-way deterministic boxes).  The tests
+certify the tables complete in exact integer arithmetic.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -30,6 +44,7 @@ from .boxcore import (
     CorrelationBox,
     PRScope,
     STRATEGY_NAMES,
+    all_relabellings,
     check_weights,
     enumerate_deterministic,
     mix,
@@ -38,7 +53,7 @@ from .boxcore import (
     strategy_boxes,
     strategy_name,
 )
-from .errors import DomainError, NumericalError, WeightError
+from .errors import DomainError, Infeasible, NumericalError, WeightError
 from .simplex import solve_lp
 
 SUPPORT_EPS = 1e-12
@@ -51,6 +66,66 @@ _COLUMNS = np.ascontiguousarray(VERTEX_BOXES.reshape(len(VERTICES), 16).T)
 _ONEWAY = np.array([0.0 if s.kind == "local" else 1.0 for s in VERTICES])
 _A_EQ = np.vstack([_COLUMNS, np.ones((1, len(VERTICES)))])
 _COLUMNS.flags.writeable = _ONEWAY.flags.writeable = _A_EQ.flags.writeable = False
+
+# Orbit representatives (T, k) of the two tables; T's rows run over
+# xy = 00, 01, 10, 11 and its columns over ab = 00, 01, 10, 11
+_COST_ORBITS = (
+    ([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, -1, -1, -2]], 0),
+    ([[0, 1, 1, 2], [0, 1, 0, 0], [0, -1, 1, 0], [0, -1, -1, -1]], -1),
+    ([[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, -1], [0, -1, 0, 0]], -1),
+    ([[0, 0, 1, 1], [0, 2, 0, 1], [0, 0, 1, 1], [0, -2, -1, -2]], -1),
+    ([[0, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, -1], [0, -1, 0, 0]], -1),
+    ([[0, 1, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, -1, -1, 0]], -2),  # CHSH
+    ([[0, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, -1, -1, -1]], -1),
+    ([[0, 1, 1, 2], [0, 2, 0, 1], [0, 0, 2, 1], [0, -2, -2, -2]], -2),
+)
+_FACET_ORBITS = (
+    ([[0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], -2),
+    ([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, -1, -1, -1]], -1),
+)
+
+
+def _symmetries():
+    """The 128 symmetries as cell permutations: (128, 16) indices into a box's flat cells.
+
+    Row g maps cells p to p[g]: the 64 relabellings, then each after the A<->B
+    swap p[x, y, a, b] -> p[y, x, b, a].
+    """
+    x, y, a, b = np.indices((2, 2, 2, 2)).reshape(4, 16)
+    rels = all_relabellings()
+    fx = np.array([[r.flip_x] for r in rels])
+    fy = np.array([[r.flip_y] for r in rels])
+    ao = np.array([r.a_offset for r in rels])
+    bo = np.array([r.b_offset for r in rels])
+    perms = 8 * (x ^ fx) + 4 * (y ^ fy) + 2 * (a ^ ao[:, x]) + (b ^ bo[:, y])
+    return np.concatenate([perms, perms[:, 8 * y + 4 * x + 2 * b + a]])
+
+
+SYMMETRIES = _symmetries()
+
+
+def _orbit_rows(orbits):
+    """The distinct images of the orbits' rows under SYMMETRIES, as a read-only (R, 17) int array.
+
+    A row is T's 16 cells in flat box order, then k.  Each image is shifted
+    within its settings to T[xy][00] = 0, which keeps its value on every box,
+    so that equal rows are equal arrays.
+    """
+    tables = np.array([t for t, _ in orbits]).reshape(-1, 16)[:, SYMMETRIES].reshape(-1, 4, 4)
+    k = np.repeat([k for _, k in orbits], len(SYMMETRIES)) + tables[:, :, 0].sum(axis=1)
+    images = np.column_stack([(tables - tables[:, :, :1]).reshape(-1, 16), k]).tolist()
+    rows = np.array(sorted(set(map(tuple, images))))
+    rows.flags.writeable = False
+    return rows
+
+
+COST_ROWS = _orbit_rows(_COST_ORBITS)
+FACET_ROWS = _orbit_rows(_FACET_ORBITS)
+
+
+def _values(rows, cells):
+    """(K, R) values of the rows on a (K, 16) stack of flat boxes."""
+    return cells @ rows[:, :16].T + rows[:, 16]
 
 
 @dataclass(frozen=True)
@@ -88,16 +163,8 @@ def _as_box(box):
     return box if isinstance(box, CorrelationBox) else CorrelationBox(box)
 
 
-def _checked_cost(x, value, cells, tol):
-    """C from one LP answer: refused unless x reproduces the box's cells within tol, clamped to [0, 1]."""
-    residual = float(np.abs(_COLUMNS @ x - cells).max())
-    if residual > tol:
-        raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
-    return float(min(max(value, 0.0), 1.0))
-
-
 def min_comm_cost(box, tol=WEIGHT_TOL):
-    """Cheapest 1-bit decomposition of a box.
+    """Cheapest 1-bit decomposition of a box, by linear programming.
 
     Minimizes total one-way weight over all convex decompositions into local
     and one-way deterministic vertices.  Raises Infeasible when the box needs
@@ -108,29 +175,28 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     check_tolerance(tol)
     box = _as_box(box)
     x, value = solve_lp(_ONEWAY, _A_EQ, np.append(box.p.ravel(), 1.0), tol=tol)
-    cost = _checked_cost(x, value, box.p.ravel(), tol)
+    residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())
+    if residual > tol:
+        raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
     weights = {VERTICES[i]: float(x[i]) for i in range(len(VERTICES)) if x[i] > SUPPORT_EPS}
-    return Decomposition(weights=weights, C=cost)
+    return Decomposition(weights=weights, C=float(min(max(value, 0.0), 1.0)))
 
 
 def comm_cost_many(boxes, tol=WEIGHT_TOL):
-    """`min_comm_cost(box).C` of each box, as one array, from one stack of LPs.
+    """The communication cost C of each box, as one array, read from the tables.
 
-    The LPs are solved in lockstep by `solve_lp`, each bit-identical to its
-    own solve, so each C equals min_comm_cost's.  Raises Infeasible or
-    NumericalError naming the first box, by index, whose LP fails; if none
-    fails, the first whose decomposition misses it by more than tol.
+    C is the largest COST_ROWS value, clamped to [0, 1]; it agrees with
+    min_comm_cost(box).C to rounding.  Raises Infeasible naming the first box,
+    by index, on which a FACET_ROWS value exceeds tol.
     """
     check_tolerance(tol)
     cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
-    x, values = solve_lp(_ONEWAY, _A_EQ, np.hstack([cells, np.ones((len(cells), 1))]), tol=tol)
-    costs = np.empty(len(cells))
-    for k in range(len(cells)):
-        try:
-            costs[k] = _checked_cost(x[k], values[k], cells[k], tol)
-        except NumericalError as exc:
-            raise NumericalError(f"stack index {k}: {exc}") from None
-    return costs
+    excess = _values(FACET_ROWS, cells).max(axis=1)
+    outside = np.flatnonzero(excess > tol)
+    if outside.size:
+        k = int(outside[0])
+        raise Infeasible(f"stack index {k}: facet row value {excess[k]:.3e} exceeds {tol:.1e}")
+    return np.clip(_values(COST_ROWS, cells).max(axis=1), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def test_suite_measures_its_box_stack_once(monkeypatch):
     worst = certify._suite_feasible_boxes(np.random.default_rng(5), 20)
     assert calls == dict.fromkeys(names, 1)
     assert len(worst) == 4 and all(math.isfinite(v) for v in worst)
-    # the whole suite solves its cost LPs as one stack, never box by box
+    # the whole suite reads its costs from the tables in one call, never box by box
     costs = _count_calls(monkeypatch, ("comm_cost_many", "min_comm_cost"), decompose)
     assert bc.run_property_suite(seed=5, instances=20).passed
     assert costs == {"comm_cost_many": 1}

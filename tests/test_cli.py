@@ -7,7 +7,7 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxcomp as bc
@@ -232,6 +232,66 @@ def test_hostile_box_files_end_in_documented_exit_codes(text, tmp_path_factory):
                 code = main([command, "--box", str(path)] + out_args)
             assert code in (0, 1, 2, 3, 4)
             assert err.getvalue().count("error:") <= 1
+
+
+# option values for simulate, sweep and verify, as (valid, hostile) strategies: valid
+# ones include extremes but keep trial and instance counts small, so no run is long
+_ANGLES = (["0", "1", "3.141592653589793", "-2", "1e308", "-1e308", "5e-324"],
+           ["1e400", "nan", "inf", "-inf", "abc", ""])
+_ITEMS = st.builds("{}:{}".format, st.sampled_from(["S1+", "S1-", "S5+", "S8-", "S9+", "s1+", ""]),
+                   st.sampled_from(["0.5", "1", "0", "-0.5", "1e308", "-1e308", "5e-324", "nan",
+                                    "inf", "abc", "", "1_0"]))
+_OPTIONS = {
+    "--resource": (
+        st.sampled_from(["S1+:0.5,S1-:0.5", "scope=101;S2+:1", "S5+:0.25,S5-:0.75",
+                         " S3- : 1 ,", "S1+:5e-324,S1-:1"]),
+        st.sampled_from(["S1+:1e308,S1-:1e308", "S1+:1e308,S1-:-1e308", "scope=000"])
+        | st.builds(lambda scope, items, sep: scope + sep.join(items),
+                    st.sampled_from(["", "scope=111;", "scope=2;", "scope=;", "junk;"]),
+                    st.lists(_ITEMS, max_size=4), st.sampled_from([",", ",,", ";"]))),
+    "--angle": (st.sampled_from(_ANGLES[0]), st.sampled_from(_ANGLES[1])),
+    "--angles": (st.lists(st.sampled_from(_ANGLES[0]), min_size=1, max_size=3).map(",".join),
+                 st.lists(st.sampled_from(_ANGLES[0] + _ANGLES[1]), max_size=3).map(",".join)),
+    "--angle-grid": (st.sampled_from(["1", "5"]), st.sampled_from(["0", "-1", "2.5"])),
+    "--trials": (st.sampled_from(["1", "10", "1000", "1_000"]),
+                 st.sampled_from(["0", "-1", "1e3", "x", ""])),
+    "--instances": (st.sampled_from(["1", "5"]), st.sampled_from(["0", "-3", "x"])),
+    "--seed": (st.sampled_from(["0", "7", str(2 ** 64), "9" * 40]),
+               st.sampled_from(["-1", "0.5", "x", ""])),
+    "--tol": (st.sampled_from(["1e-9", "0.5", "0.999", "1e-300", "5e-324"]),
+              st.sampled_from(["0", "1", "-1e-9", "1e400", "nan", "inf", "x", ""])),
+}
+
+
+@st.composite
+def _run_args(draw):
+    """argv for one simulate, sweep or verify run with up to two hostile option values."""
+    command = draw(st.sampled_from(["simulate", "sweep", "verify"]))
+    if command == "verify":
+        flags = ["--instances", "--tol"]
+    else:
+        flags = ["--resource", "--trials",
+                 "--angle" if command == "simulate" else draw(st.sampled_from(["--angles",
+                                                                               "--angle-grid"]))]
+    flags.append("--seed")
+    hostile = draw(st.sets(st.sampled_from(flags), max_size=2))
+    options = [(flag, draw(_OPTIONS[flag][flag in hostile])) for flag in flags]
+    # "--opt=value" hands any value to its parser; "--opt value" reads "-inf" as an option
+    joined = draw(st.booleans())
+    return [command] + [arg for flag, value in options
+                        for arg in ([f"{flag}={value}"] if joined else [flag, value])]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(argv=["simulate", "--resource", "S1+:1e308,S1-:1e308", "--angle", "1", "--trials", "10"])
+@given(argv=_run_args())
+def test_hostile_run_arguments_end_in_documented_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert err.getvalue().count("error:") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_decompose_json(box_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Minimum-communication decompositions, resource specs, and signed signals."""
 
+import collections
 import math
 
 import numpy as np
@@ -73,15 +74,50 @@ def test_two_way_box_is_infeasible():
             bc.min_comm_cost(bc.strategy_box(s))
 
 
+def _mixture(rng, pool):
+    """A Dirichlet mixture of 2-13 distinct boxes of a stack."""
+    k = int(rng.integers(2, 14))
+    return bc.CorrelationBox(bc.mixtures(rng.dirichlet(np.ones(k)),
+                                         pool[rng.choice(len(pool), size=k, replace=False)]))
+
+
+def _cost_or_none(cost, box):
+    """cost(box), or None when it raises Infeasible."""
+    try:
+        return cost(box)
+    except bc.Infeasible:
+        return None
+
+
 def test_comm_cost_many_is_min_comm_cost_per_box():
+    # within 1e-12, not bit for bit: the tables' sums do not replay the LP's pivots
     rng = np.random.default_rng(47)
-    boxes = [bc.random_feasible_box(rng)[0] for _ in range(40)]
-    boxes += [bc.pr_box(scope) for scope in bc.all_scopes()] + [tsirelson_box()]
+    boxes = [bc.random_feasible_box(rng)[0] for _ in range(400)] + [tsirelson_box()]
+    boxes += [_mixture(rng, decompose.VERTEX_BOXES) for _ in range(600)]
     costs = bc.comm_cost_many(boxes)
     assert costs.shape == (len(boxes),)
-    assert all(c == bc.min_comm_cost(box).C for c, box in zip(costs, boxes))
+    assert max(abs(c - bc.min_comm_cost(box).C) for c, box in zip(costs, boxes)) <= 1e-12
     assert bc.comm_cost_many(np.stack([box.p for box in boxes])).tolist() == costs.tolist()
     assert bc.comm_cost_many([]).shape == (0,)
+
+    # feasibility is the LP's, also on mixtures that include two-way strategies
+    every = bc.strategy_boxes([s for kind in ("local", "all_one_bit", "two_way")
+                               for s in bc.enumerate_deterministic(kind)])
+    verdicts = collections.Counter()
+    for box in (_mixture(rng, every) for _ in range(300)):
+        lp = _cost_or_none(lambda b: bc.min_comm_cost(b).C, box)
+        table = _cost_or_none(lambda b: bc.comm_cost_many([b])[0], box)
+        assert (lp is None) == (table is None)
+        assert lp is None or abs(lp - table) <= 1e-12
+        verdicts[lp is None] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+    # exact on the PR boxes, the one-way catalogue strategies and the local vertices
+    pr = [bc.pr_box(scope) for scope in bc.all_scopes()]
+    one_way = [box for scope in bc.all_scopes() for box in bc.scope_boxes(scope)[:8]]
+    assert bc.comm_cost_many(pr + one_way).tolist() == [1.0] * 72
+    assert bc.comm_cost_many(decompose.VERTEX_BOXES[:16]).tolist() == [0.0] * 16
+
     two_way = bc.strategy_box(bc.scope_strategies()[8])
     with pytest.raises(bc.Infeasible, match="^stack index 17: "):
         bc.comm_cost_many(boxes[:17] + [two_way] + boxes[17:])
@@ -175,6 +211,8 @@ def test_resource_spec_validation():
     # a sum that mixing could not turn into a box is refused when the spec is made
     with pytest.raises(bc.WeightError):
         bc.ResourceSpec.parse("S1+:0.5,S1-:0.5000000001")
+    with pytest.raises(bc.WeightError):  # a sum past float range
+        bc.ResourceSpec.parse("S1+:1e308,S1-:1e308")
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(bc.WeightError):
             bc.ResourceSpec.from_mapping({"S1+": bad, "S1-": 1.0})
