@@ -22,9 +22,9 @@ nonnegative exactly when the relation holds.  It measures a box, or a
 (..., 2, 2, 2, 2) stack, once: `chsh_max`, `signal` and
 `indeterminacy_per_setting`.  The bounds then read those measured values,
 never the box.  `complementarity_report` (a stack of one, behind `analyze`)
-and the `verify` suites' stacks (random 1-bit boxes, catalogue specs and
-+/- pairs, at C = 1 for the latter two) all read it.  The per-box `Certificate`
-is `analyze`'s only record: it renders both the text and the JSON report.
+and the `verify` suites read it; the suites run over stacks of random 1-bit
+boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
+these two) and entropic-floor grids.  `Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -47,8 +47,8 @@ from .decompose import (
     VERTEX_BOXES,
     check_tolerance,
     comm_cost_many,
-    conditional_lower_bounds,
-    random_feasible_box,
+    _conditional_bounds,
+    _random_feasible_boxes,
     random_resource_spec,
     signed_signals,
 )
@@ -296,7 +296,7 @@ def _check_catalogue(strategies, scope):
 
 
 def _suite_feasible_boxes(rng, instances):
-    boxes = [random_feasible_box(rng)[0] for _ in range(instances)]
+    boxes, _ = _random_feasible_boxes(rng, instances)
     cost = comm_cost_many(boxes)
     r = _relations(np.stack([box.p for box in boxes]), cost)
     return tuple(float(v.min()) for v in (r.thm1_slack, r.pironio_slack, r.relax_slack,
@@ -317,10 +317,9 @@ def _suite_specs(rng, instances, strategies, scope):
     # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
     c = np.array([c for c, _ in noisy])[:, None, None, None, None]
     mixed = c * boxes + (1.0 - c) * VERTEX_BOXES[[k for _, k in noisy]]
-    worst_cond = min(mixed[i, x, y, a, b] - bound
-                     for i, (spec, (c_i, _)) in enumerate(zip(specs, noisy))
-                     for x, y, a, b, bound in conditional_lower_bounds(spec, nonlocal_weight=c_i))
-    return worst_signed, float(worst_cond), worst_sat
+    bounds, cells = _conditional_bounds(signed, c.ravel(), scope)
+    worst_cond = float((mixed[(slice(None), *np.transpose(cells))] - bounds).min())
+    return worst_signed, worst_cond, worst_sat
 
 
 def _suite_single_pairs(scope):
@@ -334,16 +333,16 @@ def _suite_single_pairs(scope):
 
 
 def _suite_entropic_floor():
+    s = np.arange(101) / 100.0
+    bound = entropic_signal_lower_bound(s)
+    worst_eq = float(np.abs(two_point_mutual_information((1.0 - s) / 2.0, s) - bound).max())
     worst_slack = math.inf
-    worst_eq = 0.0
-    for k in range(101):
-        s = k / 100.0
-        bound = entropic_signal_lower_bound(s)
-        p = np.arange(0.0, 1.0 - s + 1e-12, 1e-3)
-        info = two_point_mutual_information(p, s)
-        worst_slack = min(worst_slack, float((info - bound).min()))
-        opt = two_point_mutual_information((1.0 - s) / 2.0, s)
-        worst_eq = max(worst_eq, abs(float(opt) - bound))
+    # the p grids of 8 signal strengths at a time: a grid of all 101 peaks at 5.4 MiB, not 0.9
+    for lo in range(0, 101, 8):
+        grids = [np.arange(0.0, 1.0 - v + 1e-12, 1e-3) for v in s[lo:lo + 8]]
+        sizes = [len(g) for g in grids]
+        info = two_point_mutual_information(np.concatenate(grids), np.repeat(s[lo:lo + 8], sizes))
+        worst_slack = min(worst_slack, float((info - np.repeat(bound[lo:lo + 8], sizes)).min()))
     return worst_slack, worst_eq
 
 

@@ -75,13 +75,15 @@ def build_parser():
 
     p_an = sub.add_parser("analyze", help="report all measures of a box JSON file")
     p_an.add_argument("--box", required=True, help="path to a box JSON file")
-    p_an.add_argument("--tol", type=float, default=1e-9)
+    p_an.add_argument("--tol", type=float, default=1e-9,
+                      help="largest facet-row value a 1-bit box may have, and the flags' slack")
     p_an.add_argument("--out", help="write the report here instead of stdout")
     p_an.add_argument("--format", choices=("text", "json"), default="text")
 
     p_de = sub.add_parser("decompose", help="minimum-communication 1-bit decomposition")
     p_de.add_argument("--box", required=True)
-    p_de.add_argument("--tol", type=float, default=1e-9)
+    p_de.add_argument("--tol", type=float, default=1e-9,
+                      help="largest LP phase-1 residual and reconstruction error allowed")
     p_de.add_argument("--out")
     p_de.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -110,7 +112,8 @@ def build_parser():
     p_ve = sub.add_parser("verify", help="run the randomized property suites")
     p_ve.add_argument("--seed", type=_nonnegative_int, default=0)
     p_ve.add_argument("--instances", type=_positive_int, default=200)
-    p_ve.add_argument("--tol", type=float, default=1e-9)
+    p_ve.add_argument("--tol", type=float, default=1e-9,
+                      help="slack allowed to each check")
     p_ve.add_argument("--out")
     p_ve.add_argument("--format", choices=("text", "json"), default="text")
     p_ve.add_argument("--corrupt-table", action="store_true", help=argparse.SUPPRESS)

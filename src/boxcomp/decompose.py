@@ -276,15 +276,21 @@ def random_resource_spec(rng, scope=PRScope()):
     return ResourceSpec(scope=scope, weights=tuple(rng.dirichlet(np.ones(16))))
 
 
+def _random_feasible_boxes(rng, n):
+    """n random mixtures of the 112 vertices from one Dirichlet draw, and their (n, 112) weights."""
+    w = rng.dirichlet(np.ones(len(VERTICES)), size=n)
+    # one product per box: a batched w @ _COLUMNS.T differs in the last bit
+    return [CorrelationBox((_COLUMNS @ row).reshape(2, 2, 2, 2)) for row in w], w
+
+
 def random_feasible_box(rng):
     """Random mixture of the 112 local + one-way vertices.
 
     Returns (box, one-way weight of the generating mixture); the latter upper
     bounds the box's min_comm_cost.
     """
-    w = rng.dirichlet(np.ones(len(VERTICES)))
-    box = CorrelationBox((_COLUMNS @ w).reshape(2, 2, 2, 2))
-    return box, float(_ONEWAY @ w)
+    (box,), w = _random_feasible_boxes(rng, 1)
+    return box, float(_ONEWAY @ w[0])
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,11 @@ def _signal_coefficients():
 
 
 SIGNAL_COEFFICIENTS = _signal_coefficients()
+# per signal, the catalogue indices with coefficient +1 and with -1
+_SIGNAL_TERMS = tuple((tuple(np.flatnonzero(row > 0.0).tolist()),
+                       tuple(np.flatnonzero(row < 0.0).tolist())) for row in SIGNAL_COEFFICIENTS)
+# per setting in INPUT_PAIRS order, the sign of s1..s4 in its alternating sum T
+_T_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, 1, 1, -1]], dtype=np.float64)
 
 
 def signed_signals(spec):
@@ -333,9 +344,27 @@ def signed_signals(spec):
     absolute values match the per-setting directed signals of the mixed box.
     """
     w = spec.weights
-    return SignedSignals(*(math.fsum(w[k] for k in np.flatnonzero(row > 0.0))
-                           - math.fsum(w[k] for k in np.flatnonzero(row < 0.0))
-                           for row in SIGNAL_COEFFICIENTS))
+    return SignedSignals(*(math.fsum(w[k] for k in plus) - math.fsum(w[k] for k in minus)
+                           for plus, minus in _SIGNAL_TERMS))
+
+
+def _conditional_bounds(signed, nonlocal_weight, scope):
+    """The rule of `conditional_lower_bounds` over a stack of K specs of one scope.
+
+    Takes (K, 4) signed signals and (K,) nonlocal weights; returns the (K, 8)
+    bounds and the 8 (x, y, a, b) cells they bound, fixed by the scope's anchor.
+    """
+    c = np.asarray(nonlocal_weight, dtype=np.float64)[:, None]
+    if not (c.min() >= 0.0 and c.max() <= 1.0 + SUPPORT_EPS):
+        raise DomainError(f"nonlocal weight outside [0,1]: {c.min()}..{c.max()}")
+    v = signed[:, None, :] * _T_SIGNS  # sign flips are exact; T sums s1..s4 left to right
+    t = c * (((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3])
+    anchor = scope_strategies(scope)[0]  # the catalogue's first strategy fixes the cell pairing
+    cells = []
+    for x, y in INPUT_PAIRS:
+        a0, b0 = anchor.a(x, y), anchor.b(x, y)
+        cells += [(x, y, a0, b0), (x, y, 1 ^ a0, 1 ^ b0)]
+    return np.stack([(c + t) / 2.0, (c - t) / 2.0], axis=-1).reshape(-1, 8), tuple(cells)
 
 
 def conditional_lower_bounds(spec, nonlocal_weight=1.0):
@@ -347,21 +376,6 @@ def conditional_lower_bounds(spec, nonlocal_weight=1.0):
     guaranteed at least (nonlocal_weight +/- T)/2 where T is the setting's
     alternating sum of signed signals scaled by nonlocal_weight.
     """
-    c = float(nonlocal_weight)
-    if not 0.0 <= c <= 1.0 + SUPPORT_EPS:
-        raise DomainError(f"nonlocal weight outside [0,1]: {nonlocal_weight!r}")
-    s = signed_signals(spec)
-    t_by_setting = {
-        (0, 0): s.s1 + s.s2 + s.s3 + s.s4,
-        (0, 1): s.s1 + s.s2 - s.s3 + s.s4,
-        (1, 0): -s.s1 + s.s2 + s.s3 + s.s4,
-        (1, 1): -s.s1 + s.s2 + s.s3 - s.s4,
-    }
-    anchor = spec.strategies()[0]  # the catalogue's first strategy fixes the cell pairing
-    rows = []
-    for x, y in INPUT_PAIRS:
-        a0, b0 = anchor.a(x, y), anchor.b(x, y)
-        t = c * t_by_setting[(x, y)]
-        rows.append((x, y, a0, b0, (c + t) / 2.0))
-        rows.append((x, y, 1 ^ a0, 1 ^ b0, (c - t) / 2.0))
-    return rows
+    bounds, cells = _conditional_bounds(np.array([signed_signals(spec).as_tuple()]),
+                                        [float(nonlocal_weight)], spec.scope)
+    return [(*cell, bound) for cell, bound in zip(cells, bounds[0].tolist())]

@@ -22,10 +22,10 @@ Every marginal-based measure reads `marginals`, which forms the outcome
 marginals as cell sums (never as 1 - x); this keeps every measure exact on
 exactly-normalized dyadic tables.
 
-Measures read boxes; bounds read measured values.  `pironio_bound` takes a
-sign-maximized CHSH value and `entropic_signal_lower_bound` a signal
-strength, like `certify.certified_indeterminacy_bound`, and each raises
-DomainError on a value outside its range, NaN included.  `analyze` and
+Measures read boxes; bounds read measured values.  `pironio_bound` takes
+sign-maximized CHSH values and `entropic_signal_lower_bound` signal
+strengths, elementwise like `certify.certified_indeterminacy_bound`; each
+raises DomainError on a value outside its range, NaN included.  `analyze` and
 `verify` measure through one relation core in `certify`, which evaluates
 `chsh_max`, `signal` and `indeterminacy_per_setting` once per box or stack.
 """
@@ -197,9 +197,8 @@ def two_point_mutual_information(p, shift):
 
 
 def entropic_signal_lower_bound(s):
-    """Least H_S compatible with signal strength s: 1 - H((1 - s)/2)."""
-    s = float(s)
-    if not -_ENTROPY_SLACK <= s <= 1.0 + _ENTROPY_SLACK:
-        raise DomainError(f"signal strength outside [0,1]: {s!r}")
-    s = min(max(s, 0.0), 1.0)
-    return 1.0 - binary_entropy((1.0 - s) / 2.0)
+    """Least H_S compatible with signal strength s: 1 - H((1 - s)/2), elementwise."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.size and not (s.min() >= -_ENTROPY_SLACK and s.max() <= 1.0 + _ENTROPY_SLACK):
+        raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
+    return 1.0 - binary_entropy((1.0 - np.clip(s, 0.0, 1.0)) / 2.0)

@@ -228,3 +228,11 @@ def test_suite_measures_its_box_stack_once(monkeypatch):
     costs = _count_calls(monkeypatch, ("comm_cost_many", "min_comm_cost"), decompose)
     assert bc.run_property_suite(seed=5, instances=20).passed
     assert costs == {"comm_cost_many": 1}
+
+
+def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
+    names = ("signed_signals", "conditional_lower_bounds", "random_feasible_box")
+    calls = _count_calls(monkeypatch, names, decompose)
+    assert bc.run_property_suite(seed=5, instances=20).passed
+    # one signed-signal sum per spec; the bounds and the boxes are drawn as stacks
+    assert calls == {"signed_signals": 20}

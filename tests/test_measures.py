@@ -152,6 +152,17 @@ def test_entropic_signal_lower_bound():
         bc.entropic_signal_lower_bound(math.nan)
 
 
+def test_entropic_signal_lower_bound_is_elementwise():
+    s = np.arange(101) / 100.0
+    bounds = bc.entropic_signal_lower_bound(s)
+    assert bounds.shape == s.shape and type(bc.entropic_signal_lower_bound(0.5)) is float
+    assert [v.hex() for v in bounds.tolist()] == [bc.entropic_signal_lower_bound(v).hex()
+                                                  for v in s.tolist()]
+    for bad in (math.nan, -0.1, 1.1):
+        with pytest.raises(bc.DomainError):
+            bc.entropic_signal_lower_bound(np.array([0.0, 0.5, bad, 1.0]))
+
+
 def test_entropic_signal_meets_floor_on_random_and_pair_boxes():
     rng = np.random.default_rng(22)
     for _ in range(300):

@@ -8,6 +8,11 @@ On random, sparse and catalogue boxes in all 8 scopes, the stacked code
 must give exactly their results.  The one exception is log2-derived values:
 np.log2 and math.log2 may differ in the last bit, so those are compared
 within 4 ulp.
+
+The property suite is held to its loop forms too: per-box feasible draws,
+per-spec conditional bounds with each setting's sum spelled out, and one p
+grid per signal strength.  Its worst values must equal theirs exactly, which
+the CLI contract test's 1e-12 tolerance could not see.
 """
 
 import math
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 import boxcomp as bc
-from boxcomp import decompose
+from boxcomp import certify, decompose
 from boxcomp.boxcore import INPUT_PAIRS
 
 # 4 ulp of the values compared; a mutual information is a difference of
@@ -110,6 +115,71 @@ def ref_signed_signals(spec):
                  for plus, minus in SIGNED_TERMS)
 
 
+def ref_conditional_lower_bounds(spec, nonlocal_weight=1.0):
+    c = float(nonlocal_weight)
+    s = decompose.SignedSignals(*ref_signed_signals(spec))
+    t_by_setting = {
+        (0, 0): s.s1 + s.s2 + s.s3 + s.s4,
+        (0, 1): s.s1 + s.s2 - s.s3 + s.s4,
+        (1, 0): -s.s1 + s.s2 + s.s3 + s.s4,
+        (1, 1): -s.s1 + s.s2 + s.s3 - s.s4,
+    }
+    anchor = spec.strategies()[0]
+    rows = []
+    for x, y in INPUT_PAIRS:
+        a0, b0 = anchor.a(x, y), anchor.b(x, y)
+        t = c * t_by_setting[(x, y)]
+        rows.append((x, y, a0, b0, (c + t) / 2.0))
+        rows.append((x, y, 1 ^ a0, 1 ^ b0, (c - t) / 2.0))
+    return rows
+
+
+def ref_entropic_floor():
+    worst_slack = math.inf
+    worst_eq = 0.0
+    for k in range(101):
+        s = k / 100.0
+        bound = 1.0 - bc.binary_entropy((1.0 - s) / 2.0)
+        p = np.arange(0.0, 1.0 - s + 1e-12, 1e-3)
+        info = bc.two_point_mutual_information(p, s)
+        worst_slack = min(worst_slack, float((info - bound).min()))
+        opt = bc.two_point_mutual_information((1.0 - s) / 2.0, s)
+        worst_eq = max(worst_eq, abs(float(opt) - bound))
+    return worst_slack, worst_eq
+
+
+def ref_suite_worsts(seed, instances):
+    """The worst values of the suite's stacked checks, by name, from their loop forms."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    boxes = []
+    for _ in range(instances):
+        w = rng.dirichlet(np.ones(len(decompose.VERTICES)))
+        boxes.append(bc.CorrelationBox((decompose._COLUMNS @ w).reshape(2, 2, 2, 2)))
+    r = certify._relations(np.stack([box.p for box in boxes]), bc.comm_cost_many(boxes))
+    worst = {"cost-complementarity": r.thm1_slack, "pironio-floor": r.pironio_slack,
+             "relaxed-bell": r.relax_slack, "certified-indeterminacy": r.cert_slack}
+    worst = {name: float(v.min()) for name, v in worst.items()}
+    scope = bc.PRScope()
+    specs, noisy = [], []
+    for _ in range(instances):
+        specs.append(bc.random_resource_spec(rng, scope))
+        noisy.append((float(rng.uniform(0.2, 1.0)), int(rng.integers(16))))
+    mixed = bc.mixtures([spec.weights for spec in specs], bc.scope_boxes(scope))
+    r = certify._relations(mixed, cost=1.0)
+    measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
+    signed = np.array([ref_signed_signals(spec) for spec in specs])
+    worst["signed-signal-consistency"] = float(np.abs(np.abs(signed) - measured).max())
+    worst["spec-complementarity"] = float(r.thm1_slack.min())
+    worst_cond = math.inf
+    for p, spec, (c, k) in zip(mixed, specs, noisy):
+        noisy_box = c * p + (1.0 - c) * decompose.VERTEX_BOXES[k]
+        for x, y, a, b, bound in ref_conditional_lower_bounds(spec, c):
+            worst_cond = min(worst_cond, float(noisy_box[x, y, a, b] - bound))
+    worst["conditional-bounds"] = worst_cond
+    worst["entropic-signal-floor"], worst["entropic-floor-equality"] = ref_entropic_floor()
+    return worst
+
+
 def ref_mix(weights, stack):
     acc = np.zeros((2, 2, 2, 2))
     for w, p in zip(weights, stack):
@@ -199,6 +269,29 @@ def test_signed_signals_match_hand_written_index_sets():
     for name in bc.STRATEGY_NAMES:
         spec = bc.ResourceSpec.from_mapping({name: 1.0})
         assert bc.signed_signals(spec).as_tuple() == ref_signed_signals(spec)
+
+
+def test_conditional_lower_bounds_match_the_spelled_out_rule():
+    rng = np.random.default_rng(2027)
+    for scope in bc.all_scopes():
+        for _ in range(150):
+            spec = bc.random_resource_spec(rng, scope)
+            c = float(rng.uniform(0.0, 1.0))
+            rows = bc.conditional_lower_bounds(spec, nonlocal_weight=c)
+            assert rows == ref_conditional_lower_bounds(spec, c)
+            assert all(type(v) is int for row in rows for v in row[:4])
+            assert all(type(row[4]) is float for row in rows)
+        assert bc.conditional_lower_bounds(spec) == ref_conditional_lower_bounds(spec)
+
+
+def test_property_suite_worst_values_equal_their_loop_forms():
+    for seed in (0, 7):
+        report = bc.run_property_suite(seed=seed, instances=200)
+        worst = {check.name: check.worst for check in report.checks}
+        ref = ref_suite_worsts(seed, 200)
+        assert len(ref) == 9
+        for name, value in ref.items():
+            assert worst[name] == value, name
 
 
 def test_mixtures_sum_in_vertex_order():
