@@ -19,8 +19,11 @@ two-way.  The sixteen strategies whose outputs satisfy the PR-type relation
 
 for a fixed scope (mu1,mu2,mu3) are catalogued by `scope_strategies`; their
 uniform mixture is the PR box of that scope.  Local reversible relabellings
-(input flips plus input-conditioned output flips) form a group of 64
-elements acting on boxes and strategies.
+(input flips plus input-conditioned output flips) form a group of 64.  Each
+permutes a box's 16 cells, an action written once as index arithmetic, and
+`SYMMETRIES` holds the 64 cell maps and each after the A<->B swap.
+`apply_relabelling` and `relabel_strategy` are one gather by such a map, and
+each scope's catalogue is one gather of the canonical stack.
 """
 
 from __future__ import annotations
@@ -135,6 +138,7 @@ def load_box(path):
 
 
 def dump_box(box, path):
+    """Write a box to a JSON file in the form `load_box` reads, with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(box.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -279,6 +283,7 @@ class PRScope:
 
 
 def all_scopes():
+    """The 8 PR-type scopes, mu1 mu2 mu3 counting up in binary from (0,0,0)."""
     return [PRScope(m1, m2, m3) for m1, m2, m3 in itertools.product((0, 1), repeat=3)]
 
 
@@ -316,29 +321,44 @@ class Relabelling:
 
 def all_relabellings():
     """The full group of 64 local reversible relabellings."""
-    out = []
-    for fx, fy in itertools.product((0, 1), repeat=2):
-        for ao in itertools.product((0, 1), repeat=2):
-            for bo in itertools.product((0, 1), repeat=2):
-                out.append(Relabelling(fx, fy, ao, bo))
-    return out
+    bits = list(itertools.product((0, 1), repeat=2))
+    return [Relabelling(fx, fy, ao, bo) for fx, fy in bits for ao in bits for bo in bits]
+
+
+def _cell_maps(rels):
+    """The relabellings' action as (n, 16) maps of flat cells: row i carries cells p to p[row].
+
+    Flat cell 8*x + 4*y + 2*a + b holds P(a,b|x,y), and the image is
+    Q(a,b|x,y) = P(a ^ a_offset[x], b ^ b_offset[y] | x ^ flip_x, y ^ flip_y).
+    """
+    x, y, a, b = np.indices((2, 2, 2, 2)).reshape(4, 16)
+    fx = np.array([[r.flip_x] for r in rels])
+    fy = np.array([[r.flip_y] for r in rels])
+    ao = np.array([r.a_offset for r in rels])
+    bo = np.array([r.b_offset for r in rels])
+    return 8 * (x ^ fx) + 4 * (y ^ fy) + 2 * (a ^ ao[:, x]) + (b ^ bo[:, y])
+
+
+_RELABEL_MAPS = _cell_maps(all_relabellings()).reshape(64, 2, 2, 2, 2)
+# the 64 relabellings in all_relabellings order, then each after the swap p[x,y,a,b] -> p[y,x,b,a]
+SYMMETRIES = np.concatenate([_RELABEL_MAPS, _RELABEL_MAPS.transpose(0, 2, 1, 4, 3)]).reshape(128, 16)
+SYMMETRIES.flags.writeable = False
 
 
 def apply_relabelling(box, rel, label=None):
-    p = np.empty((2, 2, 2, 2))
-    for x, y in INPUT_PAIRS:
-        for a in (0, 1):
-            for b in (0, 1):
-                p[x, y, a, b] = box.p[x ^ rel.flip_x, y ^ rel.flip_y,
-                                      a ^ rel.a_offset[x], b ^ rel.b_offset[y]]
-    return CorrelationBox(p, label=label)
+    """The box relabelled by `rel`, as Relabelling defines it: one gather of its 16 cells."""
+    return CorrelationBox(box.p.ravel()[_cell_maps([rel])[0]].reshape(2, 2, 2, 2), label=label)
+
+
+def _read_strategies(cells):
+    """Inverse of `strategy_boxes`: the strategies of deterministic boxes, flat or not."""
+    tables = marginals(cells.reshape(-1, 2, 2, 2, 2)).argmax(axis=-1).reshape(-1, 2, 4).tolist()
+    return [DeterministicStrategy(tuple(fa), tuple(fb)) for fa, fb in tables]
 
 
 def relabel_strategy(strategy, rel):
     """Strategy whose box is apply_relabelling(strategy_box(s), rel), read off its marginals."""
-    box = apply_relabelling(strategy_box(strategy), rel)
-    fa, fb = marginals(box).argmax(axis=-1).reshape(2, 4).tolist()
-    return DeterministicStrategy(tuple(fa), tuple(fb))
+    return _read_strategies(strategy_boxes([strategy]).reshape(1, 16)[:, _cell_maps([rel])[0]])[0]
 
 
 _TABLES = tuple(itertools.product((0, 1), repeat=4))
@@ -366,21 +386,13 @@ STRATEGY_NAMES = ("S1+", "S1-", "S2+", "S2-", "S3+", "S3-", "S4+", "S4-",
                   "S5+", "S5-", "S6+", "S6-", "S7+", "S7-", "S8+", "S8-")
 
 # A's outputs of the eight "+" strategies, in name order, over INPUT_PAIRS;
-# B answers a xor xy, and each "-" strategy complements both outputs of its "+"
+# B answers a xor xy, and each "-" strategy (c = 1) complements both outputs of its "+"
 _CANONICAL_A = ("0000", "0001", "0011", "0100", "0101", "0010", "0110", "0111")
-
-
-def _build_canonical_table():
-    table = []
-    for row in _CANONICAL_A:
-        fa = tuple(int(bit) for bit in row)
-        fb = tuple(a ^ PRScope().relation(x, y) for a, (x, y) in zip(fa, INPUT_PAIRS))
-        table.append(DeterministicStrategy(fa, fb))
-        table.append(DeterministicStrategy(tuple(1 - a for a in fa), tuple(1 - b for b in fb)))
-    return tuple(table)
-
-
-_CANONICAL_TABLE = _build_canonical_table()
+_CANONICAL_TABLE = tuple(
+    DeterministicStrategy(tuple(int(a) ^ c for a in row),
+                          tuple(int(a) ^ c ^ PRScope().relation(x, y)
+                                for a, (x, y) in zip(row, INPUT_PAIRS)))
+    for row in _CANONICAL_A for c in (0, 1))
 _CANONICAL_NAMES = dict(zip(_CANONICAL_TABLE, STRATEGY_NAMES))
 
 
@@ -391,9 +403,13 @@ def scope_relabelling(scope):
                        b_offset=(0, scope.mu2))
 
 
-_CATALOGUE = {scope: tuple(relabel_strategy(s, scope_relabelling(scope)) for s in _CANONICAL_TABLE)
-              for scope in all_scopes()}
-_CATALOGUE_BOXES = {scope: strategy_boxes(table) for scope, table in _CATALOGUE.items()}
+# one gather of the canonical stack's flat cells per scope, contiguous as strategy_boxes makes it
+_SCOPE_MAPS = _cell_maps([scope_relabelling(scope) for scope in all_scopes()])
+_STACKS = strategy_boxes(_CANONICAL_TABLE).reshape(16, 16)[:, _SCOPE_MAPS].swapaxes(0, 1)
+_STACKS = np.ascontiguousarray(_STACKS).reshape(8, 16, 2, 2, 2, 2)
+_STACKS.flags.writeable = False
+_CATALOGUE_BOXES = dict(zip(all_scopes(), _STACKS))
+_CATALOGUE = {scope: tuple(_read_strategies(stack)) for scope, stack in _CATALOGUE_BOXES.items()}
 
 
 def scope_strategies(scope=PRScope()):

@@ -41,10 +41,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .boxcore import CorrelationBox, PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
+from .boxcore import PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
+    _as_box,
     check_tolerance,
     comm_cost_many,
     _conditional_bounds,
@@ -185,10 +186,9 @@ def complementarity_report(box, tol=1e-9):
     a CorrelationBox is first made into one.
     """
     check_tolerance(tol)
-    if not isinstance(box, CorrelationBox):
-        box = CorrelationBox(box)
+    box = _as_box(box)
     try:
-        c_min = float(comm_cost_many([box], tol=max(tol, 1e-9))[0])
+        c_min = float(comm_cost_many([box], tol=tol)[0])
     except Infeasible:
         c_min = None
     r = _relations(box, c_min)

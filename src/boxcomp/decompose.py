@@ -9,8 +9,8 @@ VERTEX_BOXES, built once at import.
 C and 1-bit feasibility are read from two integer inequality tables.  A row
 is a 4x4 integer table T over (xy, ab) and a constant k; its value on a box
 is L(p) = sum T[xy][ab] p(ab|xy) + k.  The rows are the orbits of a few
-representatives under the 128 symmetries (the 64 local relabellings, each
-with and without the A<->B swap):
+representatives under `boxcore.SYMMETRIES`, the 128 cell permutations of
+the 64 local relabellings, each with and without the A<->B swap:
 
 - COST_ROWS (8 orbits, 344 rows) are the vertices of the cost LP's dual
   polyhedron, so C(p) is the largest of their values.  The size-8 orbit is
@@ -44,7 +44,7 @@ from .boxcore import (
     CorrelationBox,
     PRScope,
     STRATEGY_NAMES,
-    all_relabellings,
+    SYMMETRIES,
     check_weights,
     enumerate_deterministic,
     mix,
@@ -83,25 +83,6 @@ _FACET_ORBITS = (
     ([[0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], -2),
     ([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, -1, -1, -1]], -1),
 )
-
-
-def _symmetries():
-    """The 128 symmetries as cell permutations: (128, 16) indices into a box's flat cells.
-
-    Row g maps cells p to p[g]: the 64 relabellings, then each after the A<->B
-    swap p[x, y, a, b] -> p[y, x, b, a].
-    """
-    x, y, a, b = np.indices((2, 2, 2, 2)).reshape(4, 16)
-    rels = all_relabellings()
-    fx = np.array([[r.flip_x] for r in rels])
-    fy = np.array([[r.flip_y] for r in rels])
-    ao = np.array([r.a_offset for r in rels])
-    bo = np.array([r.b_offset for r in rels])
-    perms = 8 * (x ^ fx) + 4 * (y ^ fy) + 2 * (a ^ ao[:, x]) + (b ^ bo[:, y])
-    return np.concatenate([perms, perms[:, 8 * y + 4 * x + 2 * b + a]])
-
-
-SYMMETRIES = _symmetries()
 
 
 def _orbit_rows(orbits):

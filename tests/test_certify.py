@@ -103,6 +103,22 @@ def test_complementarity_report_infeasible_box():
     assert "infeasible" in cert.render_text()
 
 
+def test_tol_below_the_default_bounds_the_facet_rows(tmp_path, capsys):
+    # 5e-10 of a two-way strategy puts the box 5e-10 outside the 1-bit polytope
+    zero = bc.strategy_box(bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0)))
+    box = bc.mix((1.0 - 5e-10, 5e-10), [zero, bc.strategy_box(bc.scope_strategies()[8])])
+    excess = float(decompose._values(decompose.FACET_ROWS, box.p.reshape(1, 16)).max())
+    assert 1e-12 < excess < 1e-9
+    tight = bc.complementarity_report(box, tol=1e-12)
+    assert tight.feasible is False and tight.C_min is None
+    assert not {"cost_complementarity", "pironio"} & set(tight.flags)
+    assert bc.complementarity_report(box).feasible is True
+    path = tmp_path / "edge.json"
+    bc.dump_box(box, path)
+    assert main(["analyze", "--box", str(path), "--tol", "1e-12", "--format", "json"]) == 0
+    assert '"feasible": false' in capsys.readouterr().out
+
+
 def _entropic_pair(box):
     return bc.entropic_signal(box), bc.entropic_indeterminacy(box)
 

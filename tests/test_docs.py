@@ -1,6 +1,7 @@
 """The README and the CLI docstring agree with the code they describe."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -32,3 +33,12 @@ def test_documented_exit_codes_are_the_cli_constants():
     constants = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert _exit_codes(README) == constants
     assert _exit_codes(cli.__doc__) == constants
+
+
+def test_public_functions_and_classes_have_docstrings():
+    missing = []
+    for name in bc.__all__:
+        obj = getattr(bc, name)
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and not (obj.__doc__ or "").strip():
+            missing.append(name)
+    assert missing == []

@@ -13,6 +13,10 @@ The property suite is held to its loop forms too: per-box feasible draws,
 per-spec conditional bounds with each setting's sum spelled out, and one p
 grid per signal strength.  Its worst values must equal theirs exactly, which
 the CLI contract test's 1e-12 tolerance could not see.
+
+Relabellings are held to the per-cell loop that `apply_relabelling` once
+ran: the box gathers, the 128 cell maps in SYMMETRIES, relabelled
+strategies and every scope's catalogue must equal the loop's images.
 """
 
 import math
@@ -21,7 +25,7 @@ import numpy as np
 
 import boxcomp as bc
 from boxcomp import certify, decompose
-from boxcomp.boxcore import INPUT_PAIRS
+from boxcomp.boxcore import INPUT_PAIRS, STRATEGY_KINDS, SYMMETRIES
 
 # 4 ulp of the values compared; a mutual information is a difference of
 # entropies of at most 1 bit, so its unit in the last place is that of 1.0
@@ -180,6 +184,34 @@ def ref_suite_worsts(seed, instances):
     return worst
 
 
+def ref_apply_relabelling(p, rel):
+    """The relabelled array, cell by cell: Q(a,b|x,y) = P(a ^ ao[x], b ^ bo[y] | x ^ fx, y ^ fy)."""
+    q = np.empty_like(p)
+    for x, y in INPUT_PAIRS:
+        for a in (0, 1):
+            for b in (0, 1):
+                q[x, y, a, b] = p[x ^ rel.flip_x, y ^ rel.flip_y,
+                                  a ^ rel.a_offset[x], b ^ rel.b_offset[y]]
+    return q
+
+
+def ref_strategy_box(strategy):
+    p = np.zeros((2, 2, 2, 2))
+    for x, y in INPUT_PAIRS:
+        p[x, y, strategy.a(x, y), strategy.b(x, y)] = 1.0
+    return p
+
+
+def ref_strategy(q):
+    """The strategy of a deterministic array, read off the one full cell per setting."""
+    fa, fb = [], []
+    for x, y in INPUT_PAIRS:
+        (a, b), = [(a, b) for a in (0, 1) for b in (0, 1) if q[x, y, a, b] == 1.0]
+        fa.append(a)
+        fb.append(b)
+    return bc.DeterministicStrategy(tuple(fa), tuple(fb))
+
+
 def ref_mix(weights, stack):
     acc = np.zeros((2, 2, 2, 2))
     for w, p in zip(weights, stack):
@@ -306,3 +338,34 @@ def test_mixtures_sum_in_vertex_order():
         spec = bc.random_resource_spec(rng, scope)
         table = [bc.strategy_box(s).p for s in bc.scope_strategies(scope)]
         assert np.array_equal(bc.resource_box(spec).p, ref_mix(spec.weights, table))
+
+
+def test_apply_relabelling_is_the_per_cell_loop():
+    rels = bc.all_relabellings()
+    for p in BOXES[::11]:  # dense, sparse and catalogue boxes
+        box = bc.CorrelationBox(p)
+        for rel in rels:
+            moved = bc.apply_relabelling(box, rel)
+            assert moved.p.tobytes() == ref_apply_relabelling(p, rel).tobytes()
+
+
+def test_symmetries_are_the_loop_images_of_the_cell_indices():
+    images = [ref_apply_relabelling(np.arange(16).reshape(2, 2, 2, 2), rel)
+              for rel in bc.all_relabellings()]
+    assert SYMMETRIES.shape == (128, 16) and decompose.SYMMETRIES is SYMMETRIES
+    for g, image in enumerate(images):
+        assert SYMMETRIES[g].tolist() == image.ravel().tolist()
+        assert SYMMETRIES[64 + g].tolist() == image.transpose(1, 0, 3, 2).ravel().tolist()
+
+
+def test_relabelled_strategies_and_catalogues_are_the_loop_images():
+    rels = bc.all_relabellings()
+    for s in (s for kind in STRATEGY_KINDS for s in bc.enumerate_deterministic(kind)):
+        p = ref_strategy_box(s)
+        for rel in rels:
+            assert bc.relabel_strategy(s, rel) == ref_strategy(ref_apply_relabelling(p, rel))
+    canonical = [ref_strategy_box(s) for s in bc.scope_strategies()]
+    for scope in bc.all_scopes():
+        images = [ref_apply_relabelling(p, bc.scope_relabelling(scope)) for p in canonical]
+        assert bc.scope_strategies(scope) == [ref_strategy(q) for q in images]
+        assert bc.scope_boxes(scope).tobytes() == np.array(images).tobytes()
