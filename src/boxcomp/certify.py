@@ -238,6 +238,10 @@ def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
 
 @dataclass(frozen=True)
 class SuiteCheck:
+    """One property-suite check: its name, whether it passed, its worst value
+    over the instances (a slack held at or above -tol, or an error held at or
+    below tol, as the check states), and a one-line note."""
+
     name: str
     passed: bool
     worst: float
@@ -250,6 +254,9 @@ class SuiteCheck:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """What `run_property_suite` found: the seed, instance count and tolerance
+    it ran with, and its checks in order.  It passes when every check does."""
+
     seed: int
     instances: int
     tol: float

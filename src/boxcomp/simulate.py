@@ -38,8 +38,17 @@ draws in a fixed order: the strategy uniforms, then t1's disc candidates
 degenerate pairs.  Every top-up comes from the chunk's own generator, and
 estimates are integer counts, so results depend only on (seed, chunk index)
 and not on the order (or parallelism) in which chunks are evaluated.
-`chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`, reads the
-per-trial arrays of one per-chunk loop.
+
+One kernel, `_chunks`, allocates its arrays once per call: four rows of
+disc candidates, three rows of kept points, and the chunk's cell and bit
+rows.  Every step writes into them in place, and the sign projections
+overwrite the points they are taken from, so a chunk allocates little more
+than its kept-candidate indices.  The kernel yields each chunk's
+(cell, alpha, beta), with cell = 4k + 2x + y for strategy k and inputs
+(x, y).  `chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`,
+counts X xor Y = T[cell] xor alpha xor beta from one 64-cell table T of
+the spec's replies and scope, so the replies and announced bits of single
+trials are never formed.
 """
 
 from __future__ import annotations
@@ -87,19 +96,30 @@ class Direction:
         return float(self.v @ other.v)
 
 
-def _spec_arrays(spec):
-    """Strategy bounds, flat output tables indexed 4k + 2x + y, and the scope.
+def _strategy_bounds(spec):
+    """Bounds that pick strategy k = #{j < 15 : r >= cum_j} for a uniform r.
 
-    A uniform r picks strategy k = #{j < 15 : r >= cum_j}, the inverse CDF
-    of the weights with strategy 15 taking any rounding shortfall.  Bounds
-    of 1 or more are dropped, since r < 1 never reaches them.
+    This is the inverse CDF of the weights, with strategy 15 taking any
+    rounding shortfall.  Bounds of 1 or more are dropped, since r < 1 never
+    reaches them.
+    """
+    cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))[:15]
+    return cum[cum < 1.0]
+
+
+def _xor_table(spec):
+    """T[4k + 2x + y] with X xor Y = T xor alpha xor beta, for strategy k on inputs (x, y).
+
+    Strategy k replies (a, b), and the announced bits are
+    X = a ^ (mu1 & x) ^ mu3 ^ alpha and Y = b ^ (mu2 & y) ^ beta ^ 1, so
+    T = a ^ b ^ (mu1 & x) ^ (mu2 & y) ^ mu3 ^ 1: 64 bools.
     """
     table = spec.strategies()
-    a_t = np.array([s.fa for s in table], dtype=np.int8)
-    b_t = np.array([s.fb for s in table], dtype=np.int8)
-    cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))[:15]
-    mu = (spec.scope.mu1, spec.scope.mu2, spec.scope.mu3)
-    return cum[cum < 1.0], a_t.ravel(), b_t.ravel(), mu
+    a = np.array([s.fa for s in table]).reshape(16, 2, 2)
+    b = np.array([s.fb for s in table]).reshape(16, 2, 2)
+    x, y = np.indices((2, 2))
+    scope = spec.scope
+    return (a ^ b ^ (scope.mu1 & x) ^ (scope.mu2 & y) ^ scope.mu3 ^ 1).ravel().astype(bool)
 
 
 def _generator(seed, chunk_index):
@@ -107,111 +127,130 @@ def _generator(seed, chunk_index):
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def _disc_points(g, n):
+def _disc_points(g, n, cand=None, out=None):
     """(u, v, q): n points uniform in the open unit disc, q = u^2 + v^2.
 
     Each round draws m uniforms on [-1, 1) for u, then m for v; candidate j
     is (u_j, v_j) and is kept, in order, while q_j < 1.  About pi/4 of them
     survive, so a shortfall is topped up by another round from g.
+
+    The first round works in cand, four float rows of at least m, and takes
+    the kept points into out, three rows of at least n; either is allocated
+    when not given, and so is every top-up.  out may be (cand[3], cand[0],
+    cand[1]), since each of those rows is read before it is written.  The
+    returned arrays are views of out.
     """
-    parts = []
-    while n > 0:
-        m = int(n * _CANDIDATES_PER_POINT) + 16
-        u = g.random(m)
-        u *= 2.0
-        u -= 1.0
-        v = g.random(m)
-        v *= 2.0
-        v -= 1.0
-        q = u * u
-        q += v * v
-        kept = np.flatnonzero(q < 1.0)[:n]
-        part = (u.take(kept), v.take(kept), q.take(kept))
-        parts.append(part)
-        n -= len(part[0])
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    if out is None:
+        out = np.empty((3, n))
+    k = 0
+    while k < n:
+        m = int((n - k) * _CANDIDATES_PER_POINT) + 16
+        if k or cand is None:  # a top-up is small, and out may alias cand
+            cand = np.empty((4, m))
+        u, v, q, vv = (row[:m] for row in cand)
+        for w in (u, v):
+            g.random(out=w)
+            w *= 2.0
+            w -= 1.0
+        np.multiply(u, u, out=q)
+        q += np.multiply(v, v, out=vv)
+        kept = np.flatnonzero(q < 1.0)[:n - k]
+        for src, dst in zip((u, v, q), out):
+            np.take(src, kept, out=dst[k:k + len(kept)], mode="clip")
+        k += len(kept)
+    return tuple(row[:n] for row in out)
 
 
 def _y_projection(u, v, q, c, s):
-    """t.y_hat / 2 for the direction t that the disc point (u, v) maps to."""
-    p = c * u
-    p += s * v
-    p *= np.sqrt(1.0 - q)
-    return p
+    """t.y_hat / 2 = sqrt(1 - q) (c u + s v) for the direction t that (u, v) maps to.
 
-
-def _strategy_index(bounds, pick):
-    """int8 strategy index k = #{bounds <= pick} for each strategy uniform.
-
-    The uniforms are freed on return, before the directions are drawn, which
-    keeps a chunk's peak memory down.
+    Works in place: the result is written over q and returned, and u and v
+    are written over too.  Each product and sum rounds as in
+    (c u + s v) sqrt(1 - q), so every sign test sees the same value.
     """
-    k = np.zeros(len(pick), dtype=np.int8)
-    for bound in bounds:
-        k += pick >= bound
-    return k
-
-
-def _chunk_trials(arrays, c, s, n, g):
-    """Per-trial (x_in, y_in, a, b, alpha, beta, x_out, y_out) of one chunk.
-
-    alpha = sgn01(t1.x_hat) and beta = sgn01((t1 + t2).y_hat).
-    """
-    bounds, a_t, b_t, (mu1, mu2, mu3) = arrays
-    cell = _strategy_index(bounds, g.random(n))
-    u1, v1, q1 = _disc_points(g, n)
-    u2, v2, q2 = _disc_points(g, n)
-    # t1 - t2 = 2 (u1 r1 - u2 r2, v1 r1 - v2 r2, q2 - q1) with r = sqrt(1 - q):
-    # only pairs with |q1 - q2| < tol can lie closer than tol, so the full
-    # distance is taken on those alone
-    redo = np.flatnonzero(np.abs(q1 - q2) < DEGENERATE_TOL)
-    while redo.size:
-        r1, r2 = np.sqrt(1.0 - q1[redo]), np.sqrt(1.0 - q2[redo])
-        dist = 2.0 * np.sqrt((u1[redo] * r1 - u2[redo] * r2) ** 2
-                             + (v1[redo] * r1 - v2[redo] * r2) ** 2
-                             + (q1[redo] - q2[redo]) ** 2)
-        redo = redo[dist < DEGENERATE_TOL]
-        if redo.size:
-            u1[redo], v1[redo], q1[redo] = _disc_points(g, redo.size)
-            u2[redo], v2[redo], q2[redo] = _disc_points(g, redo.size)
-    # t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0
-    alpha = sgn01(u1)
-    x_in = alpha ^ sgn01(u2)
-    p1 = _y_projection(u1, v1, q1, c, s)
-    p2 = _y_projection(u2, v2, q2, c, s)
-    beta = sgn01(p1 + p2)
-    y_in = beta ^ sgn01(p1 - p2)
-    cell <<= 2  # output table cell 4k + 2x + y, from the strategy index k
-    cell += x_in << 1
-    cell += y_in
-    a = a_t.take(cell)
-    b = b_t.take(cell)
-    x_out = a ^ (mu1 & x_in) ^ mu3 ^ alpha
-    y_out = b ^ (mu2 & y_in) ^ beta ^ 1
-    return x_in, y_in, a, b, alpha, beta, x_out, y_out
+    u *= c
+    v *= s
+    u += v
+    np.subtract(1.0, q, out=q)
+    np.sqrt(q, out=q)
+    q *= u
+    return q
 
 
 def _chunks(spec, x_hat, y_hat, n_trials, seed):
-    """Trial arrays of each chunk, in chunk order: the loop every entry point reads."""
+    """Each chunk's (cell, alpha, beta), in chunk order: the kernel every entry point reads.
+
+    cell = 4k + 2x + y holds strategy k and the box inputs (x, y), with
+    alpha = sgn01(t1.x_hat) and beta = sgn01((t1 + t2).y_hat).  The workspace
+    is allocated once per call, so a chunk's state is a view that the next
+    chunk writes over.
+    """
     if n_trials < 1:
         raise DomainError(f"need at least one trial, got {n_trials!r}")
-    arrays = _spec_arrays(spec)
+    bounds = _strategy_bounds(spec)
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
     s = math.sqrt(1.0 - c * c)
     n_trials = int(n_trials)
+    size = min(CHUNK, n_trials)
+    cand = np.empty((4, int(size * _CANDIDATES_PER_POINT) + 16))
+    kept = np.empty((3, size))
+    cells = np.empty(size, dtype=np.int8)
+    bits = np.empty((3, size), dtype=bool)
     for i, lo in enumerate(range(0, n_trials, CHUNK)):
-        yield _chunk_trials(arrays, c, s, min(CHUNK, n_trials - lo), _generator(seed, i))
+        n = min(CHUNK, n_trials - lo)
+        g = _generator(seed, i)
+        cell, (alpha, beta, bit) = cells[:n], bits[:, :n]
+        pick = g.random(out=cand[0, :n])
+        cell.fill(0)
+        for bound in bounds:
+            cell += np.greater_equal(pick, bound, out=bit)
+        u1, v1, q1 = _disc_points(g, n, cand, kept)
+        u2, v2, q2 = _disc_points(g, n, cand, (cand[3], cand[0], cand[1]))
+        free = cand[2, :n]
+        # t1 - t2 = 2 (u1 r1 - u2 r2, v1 r1 - v2 r2, q2 - q1) with r = sqrt(1 - q):
+        # only pairs with |q1 - q2| < tol can lie closer than tol, so the full
+        # distance is taken on those alone
+        np.abs(np.subtract(q1, q2, out=free), out=free)
+        redo = np.flatnonzero(np.less(free, DEGENERATE_TOL, out=bit))
+        while redo.size:
+            r1, r2 = np.sqrt(1.0 - q1[redo]), np.sqrt(1.0 - q2[redo])
+            dist = 2.0 * np.sqrt((u1[redo] * r1 - u2[redo] * r2) ** 2
+                                 + (v1[redo] * r1 - v2[redo] * r2) ** 2
+                                 + (q1[redo] - q2[redo]) ** 2)
+            redo = redo[dist < DEGENERATE_TOL]
+            if redo.size:
+                u1[redo], v1[redo], q1[redo] = _disc_points(g, redo.size)
+                u2[redo], v2[redo], q2[redo] = _disc_points(g, redo.size)
+        # t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0
+        # x = alpha xor sgn01(t2.x_hat) and y = beta xor sgn01((t1 - t2).y_hat)
+        np.greater_equal(u1, 0.0, out=alpha)
+        cell <<= 1
+        cell |= np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=bit)
+        p1 = _y_projection(u1, v1, q1, c, s)
+        p2 = _y_projection(u2, v2, q2, c, s)
+        np.greater_equal(np.add(p1, p2, out=free), 0.0, out=beta)
+        cell <<= 1
+        cell |= np.bitwise_xor(np.greater_equal(np.subtract(p1, p2, out=free), 0.0, out=bit),
+                               beta, out=bit)
+        yield cell, alpha, beta
 
 
 def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     """Per-chunk counts of trials with X xor Y = 1; their sum / N is the estimate.
 
-    The counts are integers tied to fixed chunk indices, so any processing
-    order (or parallel schedule) reproduces the same total.
+    Each count is one lookup of the chunk's cells in the 64-cell table of
+    `_xor_table`, XORed with alpha and beta.  The counts are integers tied
+    to fixed chunk indices, so any processing order (or parallel schedule)
+    reproduces the same total.
     """
-    return [int((out[6] ^ out[7]).sum()) for out in _chunks(spec, x_hat, y_hat, n_trials, seed)]
+    table = _xor_table(spec)
+    counts = []
+    for cell, alpha, beta in _chunks(spec, x_hat, y_hat, n_trials, seed):
+        hit = table.take(cell)
+        hit ^= alpha
+        hit ^= beta
+        counts.append(int(np.count_nonzero(hit)))
+    return counts
 
 
 def simulate_singlet(spec, x_hat, y_hat, n_trials, seed):
@@ -222,6 +261,10 @@ def simulate_singlet(spec, x_hat, y_hat, n_trials, seed):
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One angle of `sweep_angles`: the angle between the axes in radians, the
+    estimate of P(X xor Y = 1), its singlet target (1 + cos angle)/2, and the
+    binomial standard error sqrt(target (1 - target) / N)."""
+
     angle: float
     estimate: float
     target: float

@@ -8,8 +8,6 @@ import numpy as np
 import boxcomp as bc
 from boxcomp import decompose, simulate
 
-TRIAL_FIELDS = ("x_in", "y_in", "a", "b", "alpha", "beta", "x_out", "y_out")
-
 
 def tsirelson_box():
     """Box with correlators (r, r, r, -r), r = 1/sqrt(2); CHSH = 2 sqrt(2)."""
@@ -37,13 +35,26 @@ def pair_box(j, p, scope=bc.PRScope()):
 
 
 def trial_records(spec, x_hat, y_hat, n_trials, seed):
-    """The chunk kernel's per-trial arrays over all chunks, by field name.
+    """The chunk kernel's trials over all chunks, as int8 arrays by field name.
 
-    These are exactly the trials that `chunk_xor_counts` counts.
+    The kernel yields each chunk's (cell, alpha, beta), cell = 4k + 2x + y;
+    the box inputs, the picked strategy's replies (a, b) and the announced
+    bits X = a ^ (mu1 & x) ^ mu3 ^ alpha and Y = b ^ (mu2 & y) ^ beta ^ 1
+    are derived here from copies of that state.  These are exactly the
+    trials that `chunk_xor_counts` counts.
     """
-    parts = list(simulate._chunks(spec, x_hat, y_hat, n_trials, seed))
-    return SimpleNamespace(**{name: np.concatenate([p[j] for p in parts])
-                              for j, name in enumerate(TRIAL_FIELDS)})
+    parts = [[arr.astype(np.int8) for arr in state]
+             for state in simulate._chunks(spec, x_hat, y_hat, n_trials, seed)]
+    cell, alpha, beta = (np.concatenate(arrs) for arrs in zip(*parts))
+    table = spec.strategies()
+    a = np.array([s.fa for s in table], dtype=np.int8).ravel()[cell]
+    b = np.array([s.fb for s in table], dtype=np.int8).ravel()[cell]
+    x_in, y_in = (cell >> 1) & 1, cell & 1
+    mu1, mu2, mu3 = spec.scope.mu1, spec.scope.mu2, spec.scope.mu3
+    x_out = a ^ (mu1 & x_in) ^ mu3 ^ alpha
+    y_out = b ^ (mu2 & y_in) ^ beta ^ 1
+    return SimpleNamespace(x_in=x_in, y_in=y_in, a=a, b=b, alpha=alpha, beta=beta,
+                           x_out=x_out, y_out=y_out)
 
 
 def reconstruct(dec):

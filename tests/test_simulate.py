@@ -1,6 +1,7 @@
 """Trial records, resource outputs, and the singlet-statistics estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ def test_direction_draw_follows_the_sphere_law():
     # a uniform direction has E[(t.x)^2] = 1/3 and Var[(t.x)^2] = 1/5 - 1/9
     assert abs(float(np.mean(t_x ** 2)) - 1.0 / 3.0) <= 4.0 * math.sqrt((1 / 5 - 1 / 9) / n)
     for theta in (math.pi / 6, math.pi / 2, 5.0 * math.pi / 6):
-        t_y = simulate._y_projection(u, v, q, math.cos(theta), math.sin(theta))
+        # the projection works in place, so it gets copies
+        t_y = simulate._y_projection(u.copy(), v.copy(), q.copy(), math.cos(theta), math.sin(theta))
         # random-hyperplane law: the signs of t.x and t.y differ with probability theta/pi
         differ = float(np.mean(bc.sgn01(t_x) != bc.sgn01(t_y)))
         p = theta / math.pi
@@ -59,8 +61,8 @@ def test_coincident_directions_are_redrawn(monkeypatch):
     real = simulate._disc_points
     drawn = []
 
-    def t2_repeats_t1(g, n):
-        points = real(g, n)
+    def t2_repeats_t1(g, n, *buffers):
+        points = real(g, n, *buffers)
         if len(drawn) == 1:  # t2 := t1, so every pair coincides
             points = tuple(arr.copy() for arr in drawn[0])
         drawn.append(points)
@@ -93,6 +95,17 @@ def test_sampler_counts_are_pinned():
     counts = bc.chunk_xor_counts(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
                                  3 * bc.CHUNK, seed=2026)
     assert counts == [50385, 50355, 50460]
+    mix = bc.ResourceSpec(scope=bc.PRScope(0, 1, 1), weights=tuple(np.arange(1, 17) / 136))
+    counts = bc.chunk_xor_counts(mix, bc.Direction.polar(0.0), bc.Direction.polar(2.5),
+                                 3 * bc.CHUNK + 1234, seed=2026)
+    assert counts == [6441, 6547, 6551, 110]
+    # antipodal axes whose dot product rounds to -1 - 2^-52, so c is clamped to -1
+    x_hat = bc.Direction(np.ones(3) / math.sqrt(3.0))
+    y_hat = bc.Direction(-x_hat.v)
+    assert x_hat.dot(y_hat) < -1.0
+    counts = bc.chunk_xor_counts(bc.ResourceSpec.parse("scope=110;S6+:0.5,S6-:0.5"),
+                                 x_hat, y_hat, 2 * bc.CHUNK, seed=2026)
+    assert counts == [0, 0]
 
 
 def test_outputs_are_the_replies_of_the_picked_strategy():
@@ -145,14 +158,78 @@ def test_simulation_is_deterministic_and_chunk_order_free():
     assert bc.simulate_singlet(PR_SPEC, x_hat, y_hat, n, seed=10) != est1
 
 
+def _sweep_like_specs():
+    """Resources shaped like the benchmark's sweep: one strategy, the PR pair,
+    an unbalanced pair, a two-way pair and a 16-way mix, over four scopes."""
+    mix = bc.random_resource_spec(np.random.default_rng(58), scope=bc.PRScope(0, 1, 1))
+    return [bc.ResourceSpec.parse(text) for text in (
+        "scope=000;S1+:1.0", "scope=000;S1+:0.5,S1-:0.5", "scope=101;S2+:0.7,S2-:0.3",
+        "scope=110;S6+:0.5,S6-:0.5")] + [mix]
+
+
+def _records_counts(td):
+    """Per-chunk counts of X ^ Y = 1 in a trial record."""
+    xor = td.x_out ^ td.y_out
+    return [int(xor[lo:lo + bc.CHUNK].sum()) for lo in range(0, len(xor), bc.CHUNK)]
+
+
 def test_trial_records_match_counting_path():
+    # chunk_xor_counts reads X ^ Y off a 64-cell table; trial_records derives
+    # it from the replies and the scope.  They agree chunk by chunk.
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(0.7)
     n = bc.CHUNK + 500
-    td = trial_records(PR_SPEC, x_hat, y_hat, n, seed=5)
-    assert len(td.x_out) == n
-    counts = bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, n, seed=5)
-    assert int((td.x_out ^ td.y_out).sum()) == sum(counts)
-    assert float((td.x_out ^ td.y_out).mean()) == sum(counts) / n
+    for spec in [PR_SPEC] + _sweep_like_specs():
+        td = trial_records(spec, x_hat, y_hat, n, seed=5)
+        assert len(td.x_out) == n
+        counts = bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=5)
+        assert counts == _records_counts(td)
+        assert int((td.x_out ^ td.y_out).sum()) == sum(counts)
+        assert float((td.x_out ^ td.y_out).mean()) == sum(counts) / n
+
+
+def test_table_counts_match_records_when_every_pair_is_redrawn(monkeypatch):
+    # t2 := t1 in the kernel's own rows, so every pair coincides and both of
+    # its directions are redrawn into those rows
+    real = simulate._disc_points
+    draws = []
+
+    def t2_repeats_t1(g, n, *buffers):
+        points = real(g, n, *buffers)
+        draws.append((buffers != (), points))
+        if buffers and sum(kernel for kernel, _ in draws) % 2 == 0:
+            t1 = [p for kernel, p in draws if kernel][-2]
+            for dst, src in zip(points, t1):
+                dst[:] = src
+        return points
+
+    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1)
+    x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
+    n = 2 * bc.CHUNK + 999
+    for spec in _sweep_like_specs():
+        draws.clear()
+        td = trial_records(spec, x_hat, y_hat, n, seed=16)
+        assert [len(p[0]) for kernel, p in draws if not kernel] == [bc.CHUNK] * 4 + [999] * 2
+        assert set(td.x_in.tolist()) == {0, 1}
+        assert bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=16) == _records_counts(td)
+
+
+def test_kernel_memory_peak_is_bounded():
+    # The kernel allocates its arrays once per call.  Its tracemalloc peak on
+    # 1M trials was 4.95 MiB, against 5.98 MiB for the per-chunk temporaries
+    # of the loop it replaced.  A 10-trial call first does the lazy imports
+    # of a first call, which would add about 0.7 MiB to either.
+    spec = bc.ResourceSpec(scope=bc.PRScope(0, 1, 1), weights=tuple(np.arange(1, 17) / 136))
+    bc.chunk_xor_counts(spec, bc.Direction.polar(0.0), bc.Direction.polar(1.0), 10, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bc.chunk_xor_counts(spec, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
+                            1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
 
 
 def test_estimator_identity_chains_through_the_box():
