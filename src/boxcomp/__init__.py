@@ -86,7 +86,6 @@ from .simulate import (
     Direction,
     SweepPoint,
     chunk_xor_counts,
-    sgn01,
     simulate_singlet,
     sweep_angles,
     write_sweep_csv,

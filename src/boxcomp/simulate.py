@@ -31,29 +31,36 @@ t.y_hat / 2 = sqrt(1-q) (c u + s v), with no normalisation or trigonometry.
 A pair with |t1 - t2| < 1e-12, the distance taken from these coordinates,
 has no well-defined inputs; both of its directions are redrawn.
 
-Trials are processed in fixed chunks of 65536; chunk i uses a counter-based
-Philox generator seeded SeedSequence(entropy=seed, spawn_key=(i,)), and
-draws in a fixed order: the strategy uniforms, then t1's disc candidates
-(a block of u's, then one of v's), then t2's, then any redraws of
-degenerate pairs.  Every top-up comes from the chunk's own generator, and
-estimates are integer counts, so results depend only on (seed, chunk index)
-and not on the order (or parallelism) in which chunks are evaluated.
+Trials are processed in fixed chunks of 65536; chunk i reads one
+counter-based Philox stream seeded SeedSequence(entropy=seed, spawn_key=(i,)),
+in a fixed order: the strategy uniforms, then t1's disc rounds (each a block
+of m u's, then m v's), then t2's, then any redraws of degenerate pairs.  A
+round's position in the stream is fixed by the rounds before it, and any
+word of the stream can be drawn from a generator positioned there, so each
+round is streamed in blocks from two positioned generators, one for its u's
+and one for its v's, and stops drawing once it has its points.  Estimates
+are integer counts tied to (seed, chunk index), so they do not depend on
+the order, or the thread, in which chunks are evaluated.
 
-One kernel, `_chunks`, allocates its arrays once per call: four rows of
-disc candidates, three rows of kept points, and the chunk's cell and bit
-rows.  Every step writes into them in place, and the sign projections
-overwrite the points they are taken from, so a chunk allocates little more
-than its kept-candidate indices.  The kernel yields each chunk's
+The kernel, `_chunk`, fills one worker's workspace: t1's kept points, five
+rows of one block of candidates, and the chunk's cell and bit rows.  t2 is
+never stored whole: each block of its points is paired with t1's as it is
+drawn, every step writes into the workspace in place, and the sign
+projections overwrite the points they are taken from.  A chunk's state is
 (cell, alpha, beta), with cell = 4k + 2x + y for strategy k and inputs
 (x, y).  `chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`,
-counts X xor Y = T[cell] xor alpha xor beta from one 64-cell table T of
-the spec's replies and scope, so the replies and announced bits of single
-trials are never formed.
+counts X xor Y = T[cell] xor alpha xor beta from one 64-cell table T of the
+spec's replies and scope, so the replies and announced bits of single trials
+are never formed.  Its chunks run on at most two workers, the caller and
+one helper thread, each with its own workspace, about 2.1 MiB for full
+chunks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +70,7 @@ from .errors import DomainError
 CHUNK = 1 << 16
 DEGENERATE_TOL = 1e-12
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
-
-
-def sgn01(z):
-    """Half-space indicator: 0 for z < 0, else 1 (so sgn01(0) = 1), as int8."""
-    return (np.asarray(z) >= 0).astype(np.int8)
+_BLOCKS = 4  # blocks in the first disc round of a full chunk
 
 
 @dataclass(frozen=True)
@@ -122,43 +125,90 @@ def _xor_table(spec):
     return (a ^ b ^ (scope.mu1 & x) ^ (scope.mu2 & y) ^ scope.mu3 ^ 1).ravel().astype(bool)
 
 
-def _generator(seed, chunk_index):
+def _chunk_key(seed, chunk_index):
+    """The Philox key of chunk i's stream, seeded SeedSequence(entropy=seed, spawn_key=(i,))."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return ss.generate_state(2, np.uint64)
 
 
-def _disc_points(g, n, cand=None, out=None):
-    """(u, v, q): n points uniform in the open unit disc, q = u^2 + v^2.
+def _positioned(key, off):
+    """A generator at word off of the stream with this key; each double drawn reads one word.
 
-    Each round draws m uniforms on [-1, 1) for u, then m for v; candidate j
-    is (u_j, v_j) and is kept, in order, while q_j < 1.  About pi/4 of them
-    survive, so a shortfall is topped up by another round from g.
-
-    The first round works in cand, four float rows of at least m, and takes
-    the kept points into out, three rows of at least n; either is allocated
-    when not given, and so is every top-up.  out may be (cand[3], cand[0],
-    cand[1]), since each of those rows is read before it is written.  The
-    returned arrays are views of out.
+    Philox4x64 makes four words per counter value, so the counter starts at
+    off // 4 and the first off % 4 words are discarded.
     """
-    if out is None:
-        out = np.empty((3, n))
+    bits = np.random.Philox(counter=off // 4, key=key)
+    bits.random_raw(off % 4)
+    return np.random.Generator(bits)
+
+
+class _Workspace:
+    """One worker's rows, sized for the call's chunks, and the values they are filled from.
+
+    t1 holds t1's kept points (u, v); rows holds five float rows of one
+    block of candidates, with keep beside them; cell and bits (alpha, beta
+    and a free row) hold a chunk's state.  bounds, c and s are resolved from
+    the spec and axes in the calling thread.
+    """
+
+    def __init__(self, n_trials, seed, bounds, c, s):
+        self.n_trials, self.seed, self.bounds, self.c, self.s = n_trials, seed, bounds, c, s
+        size = min(CHUNK, n_trials)
+        width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // _BLOCKS)
+        # one float and one bool buffer: a buffer this size, freed whole, is
+        # taken again by the next call without faulting in fresh pages
+        floats, flags = np.empty(2 * size + 5 * width), np.empty(3 * size + width, dtype=bool)
+        self.t1, self.rows = floats[:2 * size].reshape(2, size), floats[2 * size:].reshape(5, width)
+        self.bits, self.keep = flags[:3 * size].reshape(3, size), flags[3 * size:]
+        self.cell = np.empty(size, dtype=np.int8)
+
+
+def _disc_points(key, off, n, ws, out=None, sink=None):
+    """Draw n points uniform in the open unit disc, in order; return the next offset.
+
+    A round of m candidates takes u_j from word off + j of the stream and
+    v_j from word off + m + j, each uniform on [-1, 1), and keeps candidate
+    j, in order, while q_j = u_j^2 + v_j^2 < 1.  About pi/4 of them survive,
+    so a shortfall is topped up by another round at off + 2m.  A round is
+    drawn in blocks as wide as ws.rows and stops drawing once it has its
+    points.  Points k, k + 1, ... of a block go to columns k, k + 1, ... of
+    out's rows u, v and, if it has three, q; without out, they go to rows
+    of ws, which the next block writes over.  sink(k, u, v, q) is then
+    handed them.
+    """
+    width = ws.rows.shape[1]
     k = 0
     while k < n:
         m = int((n - k) * _CANDIDATES_PER_POINT) + 16
-        if k or cand is None:  # a top-up is small, and out may alias cand
-            cand = np.empty((4, m))
-        u, v, q, vv = (row[:m] for row in cand)
-        for w in (u, v):
-            g.random(out=w)
-            w *= 2.0
-            w -= 1.0
-        np.multiply(u, u, out=q)
-        q += np.multiply(v, v, out=vv)
-        kept = np.flatnonzero(q < 1.0)[:n - k]
-        for src, dst in zip((u, v, q), out):
-            np.take(src, kept, out=dst[k:k + len(kept)], mode="clip")
-        k += len(kept)
-    return tuple(row[:n] for row in out)
+        gu, gv = _positioned(key, off), _positioned(key, off + m)
+        off += 2 * m
+        for lo in range(0, m, width):
+            u, v, q, vv = ws.rows[:4, :min(width, m - lo)]
+            for g, w in ((gu, u), (gv, v)):
+                g.random(out=w)
+                w *= 2.0
+                w -= 1.0
+            np.multiply(u, u, out=q)
+            q += np.multiply(v, v, out=vv)
+            kept = np.flatnonzero(np.less(q, 1.0, out=ws.keep[:len(q)]))[:n - k]
+            if out is None:  # each row is read before it is written
+                points = ws.rows[3, :len(kept)], ws.rows[0, :len(kept)], ws.rows[1, :len(kept)]
+            else:
+                points = tuple(row[k:k + len(kept)] for row in out)
+            for src, dst in zip((u, v, q), points):
+                np.take(src, kept, out=dst, mode="clip")
+            if sink is not None:
+                sink(k, *points)
+            k += len(kept)
+            if k == n:
+                break
+    return off
+
+
+def _gathered(key, off, n, ws):
+    """(points, next offset): `_disc_points` into new rows u, v and q."""
+    points = np.empty((3, n))
+    return points, _disc_points(key, off, n, ws, out=points)
 
 
 def _y_projection(u, v, q, c, s):
@@ -177,41 +227,65 @@ def _y_projection(u, v, q, c, s):
     return q
 
 
-def _chunks(spec, x_hat, y_hat, n_trials, seed):
-    """Each chunk's (cell, alpha, beta), in chunk order: the kernel every entry point reads.
+def _pair_bits(c, s, u1, v1, q1, u2, v2, q2, cell, alpha, beta, free, bit):
+    """Shift the inputs (x, y) of pairs (t1, t2) into cell, and set alpha and beta.
 
-    cell = 4k + 2x + y holds strategy k and the box inputs (x, y), with
-    alpha = sgn01(t1.x_hat) and beta = sgn01((t1 + t2).y_hat).  The workspace
-    is allocated once per call, so a chunk's state is a view that the next
-    chunk writes over.
+    t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0,
+    so alpha = sgn(t1.x_hat), beta = sgn((t1 + t2).y_hat),
+    x = alpha xor sgn(t2.x_hat) and y = beta xor sgn((t1 - t2).y_hat),
+    each sign test written z >= 0.
+    The points are written over; free and bit are scratch rows.
     """
-    if n_trials < 1:
-        raise DomainError(f"need at least one trial, got {n_trials!r}")
-    bounds = _strategy_bounds(spec)
-    c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
-    s = math.sqrt(1.0 - c * c)
-    n_trials = int(n_trials)
-    size = min(CHUNK, n_trials)
-    cand = np.empty((4, int(size * _CANDIDATES_PER_POINT) + 16))
-    kept = np.empty((3, size))
-    cells = np.empty(size, dtype=np.int8)
-    bits = np.empty((3, size), dtype=bool)
-    for i, lo in enumerate(range(0, n_trials, CHUNK)):
-        n = min(CHUNK, n_trials - lo)
-        g = _generator(seed, i)
-        cell, (alpha, beta, bit) = cells[:n], bits[:, :n]
-        pick = g.random(out=cand[0, :n])
-        cell.fill(0)
-        for bound in bounds:
-            cell += np.greater_equal(pick, bound, out=bit)
-        u1, v1, q1 = _disc_points(g, n, cand, kept)
-        u2, v2, q2 = _disc_points(g, n, cand, (cand[3], cand[0], cand[1]))
-        free = cand[2, :n]
+    np.greater_equal(u1, 0.0, out=alpha)
+    cell <<= 1
+    cell |= np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=bit)
+    p1 = _y_projection(u1, v1, q1, c, s)
+    p2 = _y_projection(u2, v2, q2, c, s)
+    np.greater_equal(np.add(p1, p2, out=free), 0.0, out=beta)
+    cell <<= 1
+    cell |= np.bitwise_xor(np.greater_equal(np.subtract(p1, p2, out=free), 0.0, out=bit),
+                           beta, out=bit)
+
+
+def _chunk(ws, i):
+    """Chunk i's (cell, alpha, beta), as views of ws's rows.
+
+    cell = 4k + 2x + y holds strategy k and the box inputs (x, y).  The
+    chunk's stream gives the strategy uniforms, then t1's rounds, then t2's,
+    then any redraws of degenerate pairs.  t2's points are paired with t1's
+    block by block, so t2 is never stored whole.
+    """
+    n = min(CHUNK, ws.n_trials - i * CHUNK)
+    key = _chunk_key(ws.seed, i)
+    cell, (alpha, beta, bit) = ws.cell[:n], ws.bits[:, :n]
+    pick = _positioned(key, 0).random(out=ws.t1[0, :n])  # free until t1 is drawn
+    cell.fill(0)
+    for bound in ws.bounds:
+        cell += np.greater_equal(pick, bound, out=bit)
+    t1 = ws.t1[:, :n]
+    screened = []
+
+    def pair(k, u2, v2, q2):
+        j = slice(k, k + len(u2))
+        u1, v1 = t1[:, j]
+        q1, free, near = ws.rows[2, :len(u2)], ws.rows[4, :len(u2)], ws.keep[:len(u2)]
+        np.multiply(u1, u1, out=q1)
+        q1 += np.multiply(v1, v1, out=free)
         # t1 - t2 = 2 (u1 r1 - u2 r2, v1 r1 - v2 r2, q2 - q1) with r = sqrt(1 - q):
-        # only pairs with |q1 - q2| < tol can lie closer than tol, so the full
-        # distance is taken on those alone
+        # only pairs with |q1 - q2| < tol can lie closer than tol
         np.abs(np.subtract(q1, q2, out=free), out=free)
-        redo = np.flatnonzero(np.less(free, DEGENERATE_TOL, out=bit))
+        if np.less(free, DEGENERATE_TOL, out=near).any():
+            at = np.flatnonzero(near)
+            screened.append((at + k, np.array([u1[at], v1[at], q1[at], u2[at], v2[at], q2[at]])))
+        _pair_bits(ws.c, ws.s, u1, v1, q1, u2, v2, q2, cell[j], alpha[j], beta[j], free, bit[j])
+
+    off = _disc_points(key, n, n, ws, out=t1)
+    off = _disc_points(key, off, n, ws, sink=pair)
+    if screened:
+        at = np.concatenate([a for a, _ in screened])
+        points = np.concatenate([p for _, p in screened], axis=1)
+        u1, v1, q1, u2, v2, q2 = points
+        redo = np.arange(len(at))
         while redo.size:
             r1, r2 = np.sqrt(1.0 - q1[redo]), np.sqrt(1.0 - q2[redo])
             dist = 2.0 * np.sqrt((u1[redo] * r1 - u2[redo] * r2) ** 2
@@ -219,20 +293,90 @@ def _chunks(spec, x_hat, y_hat, n_trials, seed):
                                  + (q1[redo] - q2[redo]) ** 2)
             redo = redo[dist < DEGENERATE_TOL]
             if redo.size:
-                u1[redo], v1[redo], q1[redo] = _disc_points(g, redo.size)
-                u2[redo], v2[redo], q2[redo] = _disc_points(g, redo.size)
-        # t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0
-        # x = alpha xor sgn01(t2.x_hat) and y = beta xor sgn01((t1 - t2).y_hat)
-        np.greater_equal(u1, 0.0, out=alpha)
-        cell <<= 1
-        cell |= np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=bit)
-        p1 = _y_projection(u1, v1, q1, c, s)
-        p2 = _y_projection(u2, v2, q2, c, s)
-        np.greater_equal(np.add(p1, p2, out=free), 0.0, out=beta)
-        cell <<= 1
-        cell |= np.bitwise_xor(np.greater_equal(np.subtract(p1, p2, out=free), 0.0, out=bit),
-                               beta, out=bit)
-        yield cell, alpha, beta
+                points[:3, redo], off = _gathered(key, off, redo.size, ws)
+                points[3:, redo], off = _gathered(key, off, redo.size, ws)
+        redrawn = cell[at] >> 2, np.empty(len(at), dtype=bool), np.empty(len(at), dtype=bool)
+        _pair_bits(ws.c, ws.s, *points, *redrawn, np.empty(len(at)), np.empty(len(at), dtype=bool))
+        cell[at], alpha[at], beta[at] = redrawn
+    return cell, alpha, beta
+
+
+def _settings(spec, x_hat, y_hat, n_trials, seed):
+    """What each worker's `_Workspace` reads: (n_trials, seed, bounds, c, s)."""
+    if n_trials < 1:
+        raise DomainError(f"need at least one trial, got {n_trials!r}")
+    c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
+    return int(n_trials), int(seed), _strategy_bounds(spec), c, math.sqrt(1.0 - c * c)
+
+
+def _chunks(spec, x_hat, y_hat, n_trials, seed):
+    """Each chunk's (cell, alpha, beta), in chunk order: the serial map of `_chunk`.
+
+    The workspace is allocated once per call, so a chunk's state is a view
+    that the next chunk writes over.
+    """
+    ws = _Workspace(*_settings(spec, x_hat, y_hat, n_trials, seed))
+    for i in range(-(-ws.n_trials // CHUNK)):
+        yield _chunk(ws, i)
+
+
+def _workers(n_chunks):
+    """min(2, CPUs this process may run on, n_chunks): the caller and at most one helper."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus, n_chunks)
+
+
+def _share(n_chunks, work):
+    """Run work(indices) on the caller and at most one helper thread.
+
+    The workers take chunk indices one at a time from a common pool.  The
+    helper is joined before return, and an exception it raised is raised
+    again in the caller; a failure in either worker stops the other at its
+    next chunk.
+    """
+    if _workers(n_chunks) < 2:
+        work(range(n_chunks))
+        return
+    tickets, lock, failed = iter(range(n_chunks)), threading.Lock(), []
+
+    def indices():
+        while not failed:
+            with lock:
+                i = next(tickets, None)
+            if i is None:
+                return
+            yield i
+
+    def helper():
+        try:
+            work(indices())
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="boxcomp-chunks")
+    thread.start()
+    try:
+        work(indices())
+    except BaseException as exc:
+        failed.append(exc)
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _lookup(table, cell, index, out):
+    """out = table[cell], with cell cast into the intp row index a part at a time."""
+    for lo in range(0, len(cell), len(index)):
+        part = slice(lo, lo + len(index))
+        at = index[:len(out[part])]
+        np.copyto(at, cell[part])
+        np.take(table, at, out=out[part], mode="clip")
+    return out
 
 
 def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
@@ -240,16 +384,24 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
 
     Each count is one lookup of the chunk's cells in the 64-cell table of
     `_xor_table`, XORed with alpha and beta.  The counts are integers tied
-    to fixed chunk indices, so any processing order (or parallel schedule)
-    reproduces the same total.
+    to fixed chunk indices, so the chunks run on up to two threads, each
+    with its own workspace, and give the same counts in any order.
     """
+    settings = _settings(spec, x_hat, y_hat, n_trials, seed)
     table = _xor_table(spec)
-    counts = []
-    for cell, alpha, beta in _chunks(spec, x_hat, y_hat, n_trials, seed):
-        hit = table.take(cell)
-        hit ^= alpha
-        hit ^= beta
-        counts.append(int(np.count_nonzero(hit)))
+    counts = [0] * -(-settings[0] // CHUNK)
+
+    def work(indices):
+        ws = _Workspace(*settings)
+        index = ws.rows[4].view(np.intp)  # free once a chunk is drawn
+        for i in indices:
+            cell, alpha, beta = _chunk(ws, i)
+            hit = _lookup(table, cell, index, ws.bits[2, :len(cell)])
+            hit ^= alpha
+            hit ^= beta
+            counts[i] = int(np.count_nonzero(hit))
+
+    _share(len(counts), work)
     return counts
 
 

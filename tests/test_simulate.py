@@ -1,6 +1,8 @@
 """Trial records, resource outputs, and the singlet-statistics estimator."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,11 +21,25 @@ def target(theta):
     return (1.0 + math.cos(theta)) / 2.0
 
 
-def test_sgn01_convention():
-    assert bc.sgn01(-0.3) == 0
-    assert bc.sgn01(0.0) == 1
-    assert bc.sgn01(2.7) == 1
-    assert np.array_equal(bc.sgn01(np.array([-1.0, 0.0, 0.5])), [0, 1, 1])
+def chunk_stream(seed, chunk_index):
+    """Chunk i's whole stream, from its seeding: words are read from the start."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.Philox(seed=ss))
+
+
+def test_zero_projections_give_sign_bit_one():
+    # sgn(0) = 1.  On perpendicular axes (c = 0, s = 1), t = (u, v) has
+    # t.x_hat = 0 when u = 0 (of either sign), and t1 = (0, 0.5) with
+    # t2 = (0, -0.5) has (t1 + t2).y_hat = 0.  t1 = (-0.25, 0.5) is the
+    # negative control: both of its sums are below zero.
+    u1, v1, u2, v2 = np.array([[0.0, -0.0, -0.25], [0.5] * 3, [0.0] * 3, [-0.5] * 3])
+    q1, q2 = u1 * u1 + v1 * v1, u2 * u2 + v2 * v2
+    cell, (alpha, beta, bit) = np.zeros(3, dtype=np.int8), np.empty((3, 3), dtype=bool)
+    simulate._pair_bits(0.0, 1.0, u1, v1, q1, u2, v2, q2, cell, alpha, beta, np.empty(3), bit)
+    assert alpha.tolist() == [True, True, False]
+    assert beta.tolist() == [True, True, False]
+    # x = alpha ^ sgn(t2.x_hat) and y = beta ^ sgn((t1 - t2).y_hat), with both signs 1
+    assert cell.tolist() == [0, 0, 3]
 
 
 def test_direction_validation():
@@ -38,10 +54,17 @@ def test_direction_validation():
     assert bc.Direction.polar(0.0).v[2] == 1.0
 
 
+def workspace(n_trials):
+    """A kernel workspace sized for n_trials."""
+    return simulate._Workspace(*simulate._settings(PR_SPEC, bc.Direction.polar(0.0),
+                                                   bc.Direction.polar(1.0), n_trials, 0))
+
+
 def test_direction_draw_follows_the_sphere_law():
     # the kernel's own draw; (u, v) maps to t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q)
     n = 200_000
-    u, v, q = simulate._disc_points(simulate._generator(21, 0), n)
+    key = simulate._chunk_key(21, 0)
+    (u, v, q), _ = simulate._gathered(key, 0, n, workspace(bc.CHUNK))
     assert len(u) == n and q.max() < 1.0 and np.array_equal(q, u * u + v * v)
     t_x = 2.0 * u * np.sqrt(1.0 - q)
     # a uniform direction has E[(t.x)^2] = 1/3 and Var[(t.x)^2] = 1/5 - 1/9
@@ -50,28 +73,48 @@ def test_direction_draw_follows_the_sphere_law():
         # the projection works in place, so it gets copies
         t_y = simulate._y_projection(u.copy(), v.copy(), q.copy(), math.cos(theta), math.sin(theta))
         # random-hyperplane law: the signs of t.x and t.y differ with probability theta/pi
-        differ = float(np.mean(bc.sgn01(t_x) != bc.sgn01(t_y)))
+        differ = float(np.mean((t_x >= 0) != (t_y >= 0)))
         p = theta / math.pi
         assert abs(differ - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
-    again = simulate._disc_points(simulate._generator(21, 0), n)
+    # narrower blocks draw the same points
+    again, _ = simulate._gathered(key, 0, n, workspace(1000))
     assert all(np.array_equal(x, y) for x, y in zip((u, v, q), again))
 
 
+def t2_repeats_t1(real, calls):
+    """A `_disc_points` that hands t2's pairing t1's points, so every pair coincides.
+
+    t1 is a chunk's first draw and t2 the only one handed to a sink; calls
+    gets (chunk key, n) for each draw.  Safe on the pool's two threads.
+    """
+    t1 = {}
+
+    def draw(key, off, n, ws, out=None, sink=None):
+        chunk = tuple(key.tolist())
+        calls.append((chunk, n))
+        if sink is None:
+            off = real(key, off, n, ws, out)
+            if chunk not in t1:
+                u, v = (row.copy() for row in out[:2])
+                t1[chunk] = u, v, u * u + v * v
+            return off
+
+        def repeat(k, *points):
+            for dst, src in zip(points, t1[chunk]):
+                dst[:] = src[k:k + len(dst)]
+            sink(k, *points)
+
+        return real(key, off, n, ws, out, repeat)
+
+    return draw
+
+
 def test_coincident_directions_are_redrawn(monkeypatch):
-    real = simulate._disc_points
-    drawn = []
-
-    def t2_repeats_t1(g, n, *buffers):
-        points = real(g, n, *buffers)
-        if len(drawn) == 1:  # t2 := t1, so every pair coincides
-            points = tuple(arr.copy() for arr in drawn[0])
-        drawn.append(points)
-        return points
-
-    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1)
+    calls = []
+    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
     td = trial_records(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
                        1000, seed=3)
-    assert [len(points[0]) for points in drawn] == [1000] * 4  # t1, t2, redrawn t1 and t2
+    assert [n for _, n in calls] == [1000] * 4  # t1, t2, redrawn t1 and t2
     assert set(td.x_in.tolist()) == {0, 1}  # t1 = t2 would give x = 0 on every trial
 
 
@@ -116,7 +159,7 @@ def test_outputs_are_the_replies_of_the_picked_strategy():
                  bc.random_resource_spec(rng)):
         td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.8),
                            n, seed=15)
-        pick = simulate._generator(15, 0).random(n)
+        pick = chunk_stream(15, 0).random(n)
         k = np.minimum(np.searchsorted(np.cumsum(spec.weights), pick, side="right"), 15)
         table = spec.strategies()
         fa = np.array([s.fa for s in table]).reshape(16, 2, 2)
@@ -188,29 +231,97 @@ def test_trial_records_match_counting_path():
 
 
 def test_table_counts_match_records_when_every_pair_is_redrawn(monkeypatch):
-    # t2 := t1 in the kernel's own rows, so every pair coincides and both of
-    # its directions are redrawn into those rows
-    real = simulate._disc_points
-    draws = []
-
-    def t2_repeats_t1(g, n, *buffers):
-        points = real(g, n, *buffers)
-        draws.append((buffers != (), points))
-        if buffers and sum(kernel for kernel, _ in draws) % 2 == 0:
-            t1 = [p for kernel, p in draws if kernel][-2]
-            for dst, src in zip(points, t1):
-                dst[:] = src
-        return points
-
-    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1)
+    # t2 := t1 as t2's blocks reach the pairing, so every pair coincides and
+    # both of its directions are redrawn
+    calls = []
+    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
     n = 2 * bc.CHUNK + 999
     for spec in _sweep_like_specs():
-        draws.clear()
+        calls.clear()
         td = trial_records(spec, x_hat, y_hat, n, seed=16)
-        assert [len(p[0]) for kernel, p in draws if not kernel] == [bc.CHUNK] * 4 + [999] * 2
+        # per chunk: t1, t2, then t1 and t2 redrawn for every pair
+        assert [size for _, size in calls] == [bc.CHUNK] * 8 + [999] * 4
         assert set(td.x_in.tolist()) == {0, 1}
         assert bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=16) == _records_counts(td)
+
+
+def test_pooled_counts_match_one_worker_and_records(monkeypatch):
+    # chunk i's count depends on (seed, i) alone, whichever worker draws it
+    x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.2)
+    for n in (1, 17, bc.CHUNK - 1, bc.CHUNK + 1, 3 * bc.CHUNK + 1234):
+        for spec in _sweep_like_specs():
+            counts = {}
+            for workers in (1, 2):
+                monkeypatch.setattr(simulate, "_workers", lambda chunks, w=workers: min(w, chunks))
+                counts[workers] = bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=23)
+            assert counts[1] == counts[2] == _records_counts(trial_records(spec, x_hat, y_hat,
+                                                                           n, seed=23))
+            assert len(counts[1]) == -(-n // bc.CHUNK)
+
+
+def test_positioned_stream_is_the_chunk_stream_tail():
+    # every residue mod 4, at the ends of the picks and of t1's u and v blocks
+    n = 1000
+    m = int(n * 4.0 / math.pi) + 16
+    seed, chunk = 44, 3
+    key = simulate._chunk_key(seed, chunk)
+    offsets = {0, 1, 2, 3, n - 1, n, n + 1, n + 2, n + m - 1, n + m, n + m + 1, n + m + 2,
+               n + 2 * m - 1, n + 2 * m, n + 2 * m + 3, 10**6 + 1}
+    assert {off % 4 for off in offsets} == {0, 1, 2, 3}
+    stream = chunk_stream(seed, chunk).random(max(offsets) + 64)
+    for off in sorted(offsets):
+        assert np.array_equal(simulate._positioned(key, off).random(64), stream[off:off + 64])
+
+
+def test_helper_thread_exception_reaches_the_caller(monkeypatch):
+    class HelperFailure(RuntimeError):
+        pass
+
+    real = simulate._chunk
+    helpers, callers = [], []
+    helper_failed = threading.Event()
+
+    def fail_off_the_main_thread(ws, i):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            helper_failed.set()
+            raise HelperFailure(i)
+        callers.append(i)
+        # the helper fails on its first chunk and ends before this one does
+        assert helper_failed.wait(30)
+        helpers[0].join(30)
+        assert not helpers[0].is_alive()
+        return real(ws, i)
+
+    monkeypatch.setattr(simulate, "_chunk", fail_off_the_main_thread)
+    monkeypatch.setattr(simulate, "_workers", lambda chunks: min(2, chunks))
+    threads = threading.active_count()
+    with pytest.raises(HelperFailure):
+        bc.chunk_xor_counts(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
+                            4 * bc.CHUNK, seed=1)
+    # the failure stops the caller too, at its next chunk
+    assert len(helpers) == 1 and len(callers) <= 1
+    assert threading.active_count() == threads
+
+
+def test_pool_hands_out_each_chunk_once(monkeypatch):
+    # two workers share one pool of indices; a frequent thread switch would
+    # expose an index handed out twice or lost
+    monkeypatch.setattr(simulate, "_workers", lambda chunks: min(2, chunks))
+    taken = []
+
+    def work(indices):
+        for i in indices:
+            taken.append((threading.get_ident(), i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        simulate._share(5000, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(i for _, i in taken) == list(range(5000))
 
 
 def test_kernel_memory_peak_is_bounded():
