@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, files, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -426,6 +427,24 @@ def test_verify_ok_and_corrupted(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert main(["verify", "--instances", "2", "--seed", "-1"]) == 2
     assert _refused_by_the_parser(capsys.readouterr())
+
+
+# sha256 of `verify --format json` stdout, recorded before the suites read stacks;
+# the float operations behind every worst value are the same, so the bytes are too
+VERIFY_DIGESTS = {
+    (0, 200): "740ca185f9a88f2f05c05f0526019eb1ecdc07c5701df7c5735bb10c9db01056",
+    (1, 200): "06d921ff405d083be60979e23fb09e2baf2ee908424814d52e668c5d08f026db",
+    (2, 200): "73c0cd93a57f46fb17c5358c7d67024c102e02290562dd2db6fe1e4f51253849",
+    (0, 1): "8f32c27780c8b4034a8a58394a2c2dcb768c3a21f33f46a8e6fc903c655a46f1",
+}
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    for (seed, instances), digest in VERIFY_DIGESTS.items():
+        argv = ["verify", "--format", "json", "--instances", str(instances), "--seed", str(seed)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, instances)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
