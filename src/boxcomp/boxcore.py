@@ -4,7 +4,10 @@ A box is the conditional distribution P(a,b|x,y) for inputs x,y in {0,1}
 (party A receives x, party B receives y) and outputs a,b in {0,1}.  It is
 stored as a read-only float64 array of shape (2,2,2,2) indexed [x,y,a,b]
 and normalized per input pair.  Many boxes at once are a stack: an array
-of shape (..., 2, 2, 2, 2), which `measures` reads like a single box.
+of shape (..., 2, 2, 2, 2), which `measures` reads like a single box.  The
+rules of a box are written once over a stack, in `checked_boxes`, and a
+`CorrelationBox` is its stack of one; `check_weights` likewise checks one
+row of mixture weights or a stack of rows at once.
 `strategy_boxes` builds the stack of a list of deterministic strategies by
 index assignment, `scope_boxes` holds each catalogue's stack, and
 `mixtures` mixes a stack by rows of weights (`mix` is the validated
@@ -52,26 +55,7 @@ class CorrelationBox:
     __slots__ = ("p", "label")
 
     def __init__(self, p, label=None):
-        try:
-            arr = np.asarray(p, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BoxFormatError(f"box entries are not numeric: {exc}") from None
-        if arr.shape != (2, 2, 2, 2):
-            raise BoxFormatError(f"expected probabilities of shape (2,2,2,2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise BoxInvariantError("box entries must be finite")
-        lo = float(arr.min())
-        if lo < -NORM_TOL:
-            raise BoxInvariantError(f"negative probability {lo}")
-        if lo < 0.0:
-            arr = np.where(arr < 0.0, 0.0, arr)  # clear sub-tolerance float dust
-        totals = arr.sum(axis=(2, 3))
-        err = float(np.abs(totals - 1.0).max())
-        if err > NORM_TOL:
-            raise BoxInvariantError(f"per-setting normalization off by {err}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        self.p = arr
+        self.p = checked_boxes(p, single=True)
         self.label = label
 
     def __eq__(self, other):
@@ -220,23 +204,60 @@ def mixtures(weights, boxes):
     return (w[..., None, None, None, None] * boxes).sum(axis=-5)
 
 
-def check_weights(w):
-    """Raise WeightError unless the weights are finite, nonnegative and sum to 1.
+def checked_boxes(p, single=False):
+    """The rules of a box, checked once over a (..., 2, 2, 2, 2) stack; the stack, read-only.
 
-    The sum may miss 1 by at most NORM_TOL, the slack CorrelationBox allows
-    its normalization, so that `mix` and `ResourceSpec` accept the same
-    weights and every mixture they allow is a box.
+    Entries must be numeric, finite and at least -NORM_TOL; sub-tolerance
+    negative dust is cleared to 0; each setting's four cells must sum to 1
+    within NORM_TOL.  Raises BoxFormatError or BoxInvariantError, naming the
+    stack's worst value.  `CorrelationBox` is the stack of one (`single`,
+    which also refuses any leading axis).
     """
-    if not all(math.isfinite(v) for v in w):
-        raise WeightError(f"non-finite weight in {w!r}")
-    if any(v < 0.0 for v in w):
-        raise WeightError(f"negative weight {min(w)}")
     try:
-        total = math.fsum(w)
-    except OverflowError:  # the exact sum is past float range
-        raise WeightError(f"weights sum past float range, not 1: {w!r}") from None
-    if abs(total - 1.0) > NORM_TOL:
-        raise WeightError(f"weights sum to {total!r}, not 1")
+        arr = np.asarray(p, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BoxFormatError(f"box entries are not numeric: {exc}") from None
+    if arr.shape[-4:] != (2, 2, 2, 2) or (single and arr.ndim != 4):
+        raise BoxFormatError(f"expected probabilities of shape (2,2,2,2), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise BoxInvariantError("box entries must be finite")
+    lo = float(arr.min(initial=0.0))
+    if lo < -NORM_TOL:
+        raise BoxInvariantError(f"negative probability {lo}")
+    if lo < 0.0:
+        arr = np.where(arr < 0.0, 0.0, arr)  # clear sub-tolerance float dust
+    err = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max(initial=0.0))
+    if err > NORM_TOL:
+        raise BoxInvariantError(f"per-setting normalization off by {err}")
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def check_weights(w):
+    """Raise WeightError unless each row of weights is finite, nonnegative and sums to 1.
+
+    `w` is one row or a (K, n) stack of rows, each summed by one `math.fsum`.
+    A sum may miss 1 by at most NORM_TOL, the slack CorrelationBox allows its
+    normalization, so that `mix` and `ResourceSpec` accept the same weights
+    and every mixture they allow is a box.
+    """
+    arr = np.asarray(w, dtype=np.float64)
+    rows = [w] if arr.ndim == 1 else w
+    arr = arr.reshape(len(rows), -1)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise WeightError(f"non-finite weight in {rows[int(np.argmin(finite))]!r}")
+    lo = arr.min(axis=1, initial=0.0)
+    if lo.min(initial=0.0) < 0.0:
+        raise WeightError(f"negative weight {float(lo[lo < 0.0][0])}")
+    for row, values in zip(rows, arr.tolist()):
+        try:
+            total = math.fsum(values)
+        except OverflowError:  # the exact sum is past float range
+            raise WeightError(f"weights sum past float range, not 1: {row!r}") from None
+        if abs(total - 1.0) > NORM_TOL:
+            raise WeightError(f"weights sum to {total!r}, not 1")
 
 
 def mix(weights, boxes, label=None):

@@ -24,7 +24,10 @@ nonnegative exactly when the relation holds.  It measures a box, or a
 never the box.  `complementarity_report` (a stack of one, behind `analyze`)
 and the `verify` suites read it; the suites run over stacks of random 1-bit
 boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
-these two) and entropic-floor grids.  `Certificate` is `analyze`'s only record.
+these two) and entropic-floor grids.  The suites pass stacks, never box or
+spec objects: their random instances are drawn into arrays, and each stack
+is checked once by the rules a box or a spec checks itself with.  The 16
+zero-signal LPs share one phase 1.  `Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -41,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .boxcore import PRScope, mixtures, scope_boxes, scope_strategies, strategy_boxes
+from .boxcore import PRScope, check_weights, mixtures, scope_boxes, scope_strategies, strategy_boxes
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
@@ -50,8 +53,7 @@ from .decompose import (
     comm_cost_many,
     _conditional_bounds,
     _random_feasible_boxes,
-    random_resource_spec,
-    signed_signals,
+    _signed_signal_rows,
 )
 from .errors import DomainError, Infeasible
 from .measures import (
@@ -223,17 +225,15 @@ def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
     Optimizes each outcome marginal over all weight vectors with every signed
     signal pinned to zero.  The result is 0: unbiased marginals (I = 1/2) are
     forced, which is why no nonsignaling catalogue mixture can be sharper.
+    The 16 LPs (8 marginals, each minimized and maximized) share one phase 1.
     """
+    check_tolerance(tol)
     # one objective row per party and setting: each strategy's P(outcome 1)
     objectives = marginals(scope_boxes(scope))[..., 1].reshape(16, 8).T
     a_eq = np.vstack([np.ones((1, 16)), SIGNAL_COEFFICIENTS])
     b_eq = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    worst = 0.0
-    for c in objectives:
-        for sign in (1.0, -1.0):
-            _, value = solve_lp(sign * c, a_eq, b_eq, tol=tol)
-            worst = max(worst, abs(sign * value - 0.5))
-    return worst
+    _, values = solve_lp(np.concatenate([objectives, -objectives]), a_eq, b_eq, tol=tol)
+    return float(np.abs(np.repeat([1.0, -1.0], 8) * values - 0.5).max())
 
 
 @dataclass(frozen=True)
@@ -304,27 +304,34 @@ def _check_catalogue(strategies, scope):
 
 def _suite_feasible_boxes(rng, instances):
     boxes, _ = _random_feasible_boxes(rng, instances)
-    cost = comm_cost_many(boxes)
-    r = _relations(np.stack([box.p for box in boxes]), cost)
+    r = _relations(boxes, comm_cost_many(boxes))
     return tuple(float(v.min()) for v in (r.thm1_slack, r.pironio_slack, r.relax_slack,
                                            r.cert_slack))
 
 
 def _suite_specs(rng, instances, strategies, scope):
-    specs, noisy = [], []
-    for _ in range(instances):
-        specs.append(random_resource_spec(rng, scope))
-        noisy.append((float(rng.uniform(0.2, 1.0)), int(rng.integers(16))))
-    boxes = mixtures([spec.weights for spec in specs], strategy_boxes(strategies))
+    # per instance, in this order: Dirichlet catalogue weights, the weight c kept
+    # under noise and the local vertex k of the noise; the draws cannot be batched.
+    # rng.dirichlet(ones(16)) scales 16 standard exponential draws by one over their
+    # running sum, so the weights are drawn as those exponentials and scaled here
+    draws, c = np.empty((instances, 16)), np.empty(instances)
+    k = np.empty(instances, dtype=np.intp)
+    for i in range(instances):
+        draws[i] = rng.standard_exponential(16)
+        c[i] = rng.uniform(0.2, 1.0)
+        k[i] = rng.integers(16)
+    weights = draws * (1.0 / np.cumsum(draws, axis=1)[:, -1:])
+    check_weights(weights)
+    boxes = mixtures(weights, strategy_boxes(strategies))
     r = _relations(boxes, cost=1.0)
     measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
-    signed = np.array([signed_signals(spec).as_tuple() for spec in specs])
+    signed = _signed_signal_rows(weights)
     worst_signed = float(np.abs(np.abs(signed) - measured).max())
     worst_sat = float(r.thm1_slack.min())
     # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
-    c = np.array([c for c, _ in noisy])[:, None, None, None, None]
-    mixed = c * boxes + (1.0 - c) * VERTEX_BOXES[[k for _, k in noisy]]
-    bounds, cells = _conditional_bounds(signed, c.ravel(), scope)
+    kept = c[:, None, None, None, None]
+    mixed = kept * boxes + (1.0 - kept) * VERTEX_BOXES[k]
+    bounds, cells = _conditional_bounds(signed, c, scope)
     worst_cond = float((mixed[(slice(None), *np.transpose(cells))] - bounds).min())
     return worst_signed, worst_cond, worst_sat
 

@@ -19,7 +19,8 @@ the 64 local relabellings, each with and without the A<->B swap:
   cell positivity, which CorrelationBox enforces: a box is outside the
   polytope when one of them is positive.
 
-`comm_cost_many` reads them.  `min_comm_cost` alone keeps the linear
+`comm_cost_many` reads them, as float matrices made once at import, over a
+stack checked once.  `min_comm_cost` alone keeps the linear
 program, because it reports a decomposition's weights; it raises Infeasible
 outside the polytope (e.g. for two-way deterministic boxes).  The tests
 certify the tables complete in exact integer arithmetic.
@@ -28,14 +29,17 @@ certify the tables complete in exact integer arithmetic.
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
 stack.  `signed_signals` evaluates the four directed marginal shifts such a
 mixture produces, with coefficients read from the canonical catalogue's
-outputs; their alternating-sum structure yields certified per-cell lower
-bounds via `conditional_lower_bounds`.
+outputs; it is the stack of one of `_signed_signal_rows`, which the
+`verify` suite runs over all its weight rows at once.  Their alternating-sum
+structure yields certified per-cell lower bounds via
+`conditional_lower_bounds`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .boxcore import (
     STRATEGY_NAMES,
     SYMMETRIES,
     check_weights,
+    checked_boxes,
     enumerate_deterministic,
     mix,
     scope_boxes,
@@ -109,6 +114,20 @@ def _values(rows, cells):
     return cells @ rows[:, :16].T + rows[:, 16]
 
 
+# each table as the float (16, R) matrix and (R,) constants that `_values` casts it to on
+# every call; comm_cost_many's products with them are bit-equal to `_values`
+_COST_T, _COST_K, _FACET_T, _FACET_K = (np.ascontiguousarray(part, dtype=np.float64)
+                                        for rows in (COST_ROWS, FACET_ROWS)
+                                        for part in (rows[:, :16].T, rows[:, 16]))
+
+
+def _largest(cells, table, k):
+    """Each flat box's largest value of one float table's rows."""
+    values = cells @ table
+    values += k  # in place: a second (K, R) array made a 200-box call four times slower
+    return values.max(axis=1)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Convex decomposition over local + one-way vertices with cost C."""
@@ -166,18 +185,23 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
 def comm_cost_many(boxes, tol=WEIGHT_TOL):
     """The communication cost C of each box, as one array, read from the tables.
 
-    C is the largest COST_ROWS value, clamped to [0, 1]; it agrees with
-    min_comm_cost(box).C to rounding.  Raises Infeasible naming the first box,
-    by index, on which a FACET_ROWS value exceeds tol.
+    `boxes` is a (..., 2, 2, 2, 2) array, checked once as a stack by
+    `checked_boxes`, or a sequence of boxes.  C is the largest COST_ROWS
+    value, clamped to [0, 1]; it agrees with min_comm_cost(box).C to
+    rounding.  Raises Infeasible naming the first box, by index, on which a
+    FACET_ROWS value exceeds tol.
     """
     check_tolerance(tol)
-    cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
-    excess = _values(FACET_ROWS, cells).max(axis=1)
+    if isinstance(boxes, np.ndarray):
+        cells = checked_boxes(boxes).reshape(-1, 16)
+    else:
+        cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
+    excess = _largest(cells, _FACET_T, _FACET_K)
     outside = np.flatnonzero(excess > tol)
     if outside.size:
         k = int(outside[0])
         raise Infeasible(f"stack index {k}: facet row value {excess[k]:.3e} exceeds {tol:.1e}")
-    return np.clip(_values(COST_ROWS, cells).max(axis=1), 0.0, 1.0)
+    return np.clip(_largest(cells, _COST_T, _COST_K), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -258,10 +282,12 @@ def random_resource_spec(rng, scope=PRScope()):
 
 
 def _random_feasible_boxes(rng, n):
-    """n random mixtures of the 112 vertices from one Dirichlet draw, and their (n, 112) weights."""
+    """n random mixtures of the 112 vertices, as one checked stack, and their (n, 112) weights."""
     w = rng.dirichlet(np.ones(len(VERTICES)), size=n)
-    # one product per box: a batched w @ _COLUMNS.T differs in the last bit
-    return [CorrelationBox((_COLUMNS @ row).reshape(2, 2, 2, 2)) for row in w], w
+    cells = np.empty((n, 16))
+    for row, out in zip(w, cells):  # one product per box: a batched w @ _COLUMNS.T differs
+        np.matmul(_COLUMNS, row, out=out)  # in the last bit
+    return checked_boxes(cells.reshape(n, 2, 2, 2, 2)), w
 
 
 def random_feasible_box(rng):
@@ -270,8 +296,8 @@ def random_feasible_box(rng):
     Returns (box, one-way weight of the generating mixture); the latter upper
     bounds the box's min_comm_cost.
     """
-    (box,), w = _random_feasible_boxes(rng, 1)
-    return box, float(_ONEWAY @ w[0])
+    boxes, w = _random_feasible_boxes(rng, 1)
+    return CorrelationBox(boxes[0]), float(_ONEWAY @ w[0])
 
 
 @dataclass(frozen=True)
@@ -310,23 +336,32 @@ def _signal_coefficients():
 
 
 SIGNAL_COEFFICIENTS = _signal_coefficients()
-# per signal, the catalogue indices with coefficient +1 and with -1
-_SIGNAL_TERMS = tuple((tuple(np.flatnonzero(row > 0.0).tolist()),
-                       tuple(np.flatnonzero(row < 0.0).tolist())) for row in SIGNAL_COEFFICIENTS)
+# per signal, getters of a row's catalogue weights with coefficient +1 and with -1
+_SIGNAL_TERMS = tuple((itemgetter(*np.flatnonzero(row > 0.0).tolist()),
+                       itemgetter(*np.flatnonzero(row < 0.0).tolist()))
+                      for row in SIGNAL_COEFFICIENTS)
 # per setting in INPUT_PAIRS order, the sign of s1..s4 in its alternating sum T
 _T_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, 1, 1, -1]], dtype=np.float64)
+
+
+def _signed_signal_rows(weights):
+    """The four signed signals of each row of a (K, 16) weight stack, as a (K, 4) array.
+
+    Each is the exactly rounded sum of the row's weights with coefficient +1
+    in SIGNAL_COEFFICIENTS minus that of its weights with coefficient -1.
+    """
+    rows = np.asarray(weights, dtype=np.float64).reshape(-1, 16).tolist()
+    return np.array([[math.fsum(plus(w)) - math.fsum(minus(w)) for plus, minus in _SIGNAL_TERMS]
+                     for w in rows]).reshape(-1, 4)
 
 
 def signed_signals(spec):
     """The four signed marginal shifts of a resource spec, as SignedSignals defines them.
 
-    Each is the exactly rounded sum of the weights with coefficient +1 minus
-    that of the weights with coefficient -1 in SIGNAL_COEFFICIENTS; their
-    absolute values match the per-setting directed signals of the mixed box.
+    Its row of `_signed_signal_rows`; their absolute values match the
+    per-setting directed signals of the mixed box.
     """
-    w = spec.weights
-    return SignedSignals(*(math.fsum(w[k] for k in plus) - math.fsum(w[k] for k in minus)
-                           for plus, minus in _SIGNAL_TERMS))
+    return SignedSignals(*_signed_signal_rows(spec.weights)[0].tolist())
 
 
 def _conditional_bounds(signed, nonlocal_weight, scope):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import boxcomp as bc
-from boxcomp.boxcore import INPUT_PAIRS
+from boxcomp.boxcore import INPUT_PAIRS, check_weights, checked_boxes
 
 
 def test_strategy_box_cells_for_catalogue_anchor():
@@ -234,3 +234,86 @@ def test_mix_normalization_stays_tight():
     for _ in range(50):
         box, _ = bc.random_feasible_box(rng)
         assert np.abs(box.p.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
+
+
+def _hostile_tables():
+    """The hostile tables the tests give boxes, by name: NaN, the infinities, a negative
+    cell, sub-tolerance negative dust, normalization off by 1e-9, non-numeric entries and
+    wrong shapes."""
+    pr = bc.pr_box().p
+    tables = {}
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        tables[name] = pr.copy()
+        tables[name][1, 0, 1, 1] = value
+    tables["negative"] = np.full((2, 2, 2, 2), 0.25)
+    tables["negative"][0, 1, 0, 0] = -1e-6
+    tables["negative"][0, 1, 0, 1] += 1e-6
+    tables["dust"] = pr.copy()
+    tables["dust"][1, 1, 0, 0] = -1e-13
+    tables["dust"][0, 1, 0, 1] = -0.0
+    tables["off"] = pr.copy()
+    tables["off"][0, 0, 0, 0] += 1e-9
+    tables["strings"] = [["a"] * 4] * 4
+    tables["flat"] = np.full(16, 0.25)
+    tables["short"] = np.zeros((2, 2, 2))
+    return tables
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except (bc.BoxFormatError, bc.BoxInvariantError) as exc:
+        return exc
+
+
+def test_stacked_box_rule_is_the_correlation_box_rule():
+    for name, p in _hostile_tables().items():
+        box = _outcome(bc.CorrelationBox, p)
+        stack = _outcome(checked_boxes, p)
+        if isinstance(box, Exception):
+            assert type(stack) is type(box) and str(stack) == str(box), name
+        else:
+            assert stack.tobytes() == box.p.tobytes() and not stack.flags.writeable, name
+    dust = checked_boxes(_hostile_tables()["dust"])
+    assert dust[1, 1, 0, 0] == 0.0 and not np.signbit(dust[1, 1, 0, 0])
+    assert np.signbit(dust[0, 1, 0, 1])  # only cells below zero are cleared
+    # a leading axis makes a stack, which a single box refuses
+    pr = bc.pr_box().p
+    assert checked_boxes(pr[None]).tobytes() == pr.tobytes()
+    with pytest.raises(bc.BoxFormatError, match=r"got \(1, 2, 2, 2, 2\)"):
+        bc.CorrelationBox(pr[None])
+
+
+def test_a_stack_with_one_bad_box_is_refused():
+    rng = np.random.default_rng(2031)
+    good = np.array([bc.random_feasible_box(rng)[0].p for _ in range(50)])
+    assert checked_boxes(good).tobytes() == good.tobytes()
+    for name, p in _hostile_tables().items():
+        if np.shape(p) != (2, 2, 2, 2) or name == "dust":
+            continue
+        stack = good.copy()
+        stack[37] = p
+        with pytest.raises((bc.BoxFormatError, bc.BoxInvariantError)) as refused:
+            checked_boxes(stack)
+        assert type(refused.value) is type(_outcome(bc.CorrelationBox, p)), name
+    stack = good.copy()
+    stack[37] = _hostile_tables()["dust"]
+    assert checked_boxes(stack).tobytes() == np.array(
+        [bc.CorrelationBox(p).p for p in stack]).tobytes()
+    with pytest.raises(bc.BoxFormatError):
+        checked_boxes(good[:, :, :, :, :1])
+
+
+def test_weight_rows_are_checked_like_one_row():
+    rng = np.random.default_rng(2033)
+    good = [tuple(rng.dirichlet(np.ones(4))) for _ in range(20)]
+    check_weights(good)
+    check_weights(np.array(good))
+    for bad in ((0.5, float("nan"), 0.25, 0.25), (float("inf"), 0.0, 0.0, 0.0),
+                (-0.1, 0.6, 0.25, 0.25), (0.25, 0.25, 0.25, 0.2500000001),
+                (1e308, 1e308, 0.0, 0.0)):
+        with pytest.raises(bc.WeightError) as one:
+            check_weights(bad)
+        with pytest.raises(bc.WeightError) as stacked:
+            check_weights(good[:13] + [bad] + good[13:])
+        assert str(stacked.value) == str(one.value), bad

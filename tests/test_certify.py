@@ -247,8 +247,24 @@ def test_suite_measures_its_box_stack_once(monkeypatch):
 
 
 def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
-    names = ("signed_signals", "conditional_lower_bounds", "random_feasible_box")
+    names = ("signed_signals", "_signed_signal_rows", "conditional_lower_bounds",
+             "random_feasible_box")
     calls = _count_calls(monkeypatch, names, decompose)
     assert bc.run_property_suite(seed=5, instances=20).passed
-    # one signed-signal sum per spec; the bounds and the boxes are drawn as stacks
-    assert calls == {"signed_signals": 20}
+    # one call of the signed-signal core over the spec stack; the bounds and the boxes
+    # are drawn as stacks too, and no spec is built one at a time
+    assert calls == {"_signed_signal_rows": 1}
+    monkeypatch.undo()
+    # the core is signed_signals row by row, bit for bit
+    rng = np.random.default_rng(2028)
+    specs = [bc.random_resource_spec(rng, scope) for scope in bc.all_scopes() for _ in range(25)]
+    specs += [bc.ResourceSpec.from_mapping({name: 1.0}) for name in bc.STRATEGY_NAMES]
+    rows = decompose._signed_signal_rows(np.array([spec.weights for spec in specs]))
+    one_by_one = np.array([bc.signed_signals(spec).as_tuple() for spec in specs])
+    assert rows.shape == (len(specs), 4) and rows.tobytes() == one_by_one.tobytes()
+
+
+def test_zero_signal_bias_refuses_tolerances_outside_the_unit_interval():
+    for tol in (math.nan, 0.0, 2.0):
+        with pytest.raises(bc.DomainError):
+            bc.max_marginal_bias_zero_signal(tol=tol)

@@ -17,6 +17,10 @@ the CLI contract test's 1e-12 tolerance could not see.
 Relabellings are held to the per-cell loop that `apply_relabelling` once
 ran: the box gathers, the 128 cell maps in SYMMETRIES, relabelled
 strategies and every scope's catalogue must equal the loop's images.
+
+The cost tables' float matrices are held to the products of the integer
+rows, and the feasible-box stack to one product per box, on 5,000 boxes.
+CI runs this file on one and on two BLAS threads.
 """
 
 import math
@@ -369,3 +373,23 @@ def test_relabelled_strategies_and_catalogues_are_the_loop_images():
         images = [ref_apply_relabelling(p, bc.scope_relabelling(scope)) for p in canonical]
         assert bc.scope_strategies(scope) == [ref_strategy(q) for q in images]
         assert bc.scope_boxes(scope).tobytes() == np.array(images).tobytes()
+
+
+def test_float_cost_tables_and_box_stacks_are_the_int_row_products():
+    rng = np.random.default_rng(2032)
+    boxes, w = decompose._random_feasible_boxes(rng, 5000)
+    per_box = np.array([decompose._COLUMNS @ row for row in w])
+    assert boxes.tobytes() == per_box.tobytes() and not boxes.flags.writeable
+    cells = np.concatenate([per_box, BOXES.reshape(-1, 16)])
+    excess = decompose._values(decompose.FACET_ROWS, cells).max(axis=1)
+    feasible = cells[excess <= decompose.WEIGHT_TOL]
+    assert len(feasible) > 5000
+    ref = np.clip(decompose._values(decompose.COST_ROWS, feasible).max(axis=1), 0.0, 1.0)
+    assert bc.comm_cost_many(feasible.reshape(-1, 2, 2, 2, 2)).tobytes() == ref.tobytes()
+    assert bc.comm_cost_many(list(feasible.reshape(-1, 2, 2, 2, 2))).tobytes() == ref.tobytes()
+    tables = ((decompose.FACET_ROWS, decompose._FACET_T, decompose._FACET_K),
+              (decompose.COST_ROWS, decompose._COST_T, decompose._COST_K))
+    for rows, table, k in tables:  # products of every stack height give the same bits
+        for n in (1, 2, 3, 7, 200):
+            ref = decompose._values(rows, cells[:n]).max(axis=1)
+            assert decompose._largest(cells[:n], table, k).tobytes() == ref.tobytes()
