@@ -7,6 +7,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -445,6 +446,57 @@ def test_verify_json_bytes_are_pinned(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, instances)
+
+
+def _audit_corpus():
+    """About 60 named boxes: dense, sparse, catalogue, PR, two-way, -0.0 cells, marginal ties."""
+    rng = np.random.default_rng(4242)
+    vertices = bc.strategy_boxes(bc.enumerate_deterministic("local")
+                                 + bc.enumerate_deterministic("all_one_bit"))
+    boxes = [(f"dense-{i}", bc.random_feasible_box(rng)[0].p) for i in range(16)]
+    for i in range(12):
+        k = int(rng.integers(2, 5))
+        support = rng.choice(len(vertices), size=k, replace=False)
+        boxes.append((f"sparse-{i}", bc.mix(rng.dirichlet(np.ones(k)), vertices[support]).p))
+    boxes += [(f"cat-000-{i}", p) for i, p in enumerate(bc.scope_boxes())]
+    scopes = bc.all_scopes()
+    boxes += [(f"cat-{i}-0", bc.scope_boxes(scope)[0]) for i, scope in enumerate(scopes[3:])]
+    boxes += [(f"pr-{i}", bc.pr_box(scope).p) for i, scope in enumerate(scopes[::2])]
+    two_way = bc.strategy_boxes(bc.enumerate_deterministic("two_way")[::40])
+    boxes += [(f"two-way-{i}", p) for i, p in enumerate(two_way)]
+    boxes.append(("two-way-mix", bc.mix((0.75, 0.25), np.stack([vertices[0], two_way[0]])).p))
+    # zero cells written as -0.0: the A and B marginals of an absent outcome then
+    # tie at -0.0 and +0.0, so the order of every min and max shows in the sign
+    for name, p, axis in (("neg-zero-a", vertices[5], 2), ("neg-zero-b", vertices[5], 3),
+                          ("neg-zero-one-way", vertices[40], 3),
+                          ("neg-zero-pair", bc.mix((0.5, 0.5), bc.scope_boxes()[:2]).p, 3)):
+        boxes.append((name, np.where((p == 0.0) & (np.indices(p.shape)[axis] == 1), -0.0, p)))
+    boxes.append(("ties-local", bc.mix((0.75, 0.25), vertices[[0, 15]]).p))
+    boxes.append(("ties-pair", bc.mix((0.25, 0.75), bc.scope_boxes()[2:4]).p))
+    return boxes
+
+
+# sha256 of the `--format json` output of `analyze` and of `decompose` over
+# `_audit_corpus`, each box's name and exit code before its report
+AUDIT_DIGESTS = {
+    "analyze": "f183c7e43cf07f15cd5f2efbb0678620fd697c2e648f85935d9d907955dbdb15",
+    "decompose": "c507b38d360bd1c3df30db29ad2bdd8cfb183b55e9377856f6c3896ea9a24ddf",
+}
+
+
+def test_analyze_and_decompose_json_bytes_are_pinned(tmp_path, capsys):
+    corpus = _audit_corpus()
+    assert len(corpus) >= 60
+    for name, p in corpus:
+        bc.dump_box(bc.CorrelationBox(p, label=name), tmp_path / f"{name}.json")
+    for command, digest in AUDIT_DIGESTS.items():
+        stream = hashlib.sha256()
+        for name, _ in corpus:
+            rc = main([command, "--box", str(tmp_path / f"{name}.json"), "--format", "json"])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            stream.update(f"{name} {rc}\n{captured.out}".encode("utf-8"))
+        assert stream.hexdigest() == digest, command
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
