@@ -196,6 +196,11 @@ def comm_cost_many(boxes, tol=WEIGHT_TOL):
         cells = checked_boxes(boxes).reshape(-1, 16)
     else:
         cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
+    return _comm_costs(cells, tol)
+
+
+def _comm_costs(cells, tol=WEIGHT_TOL):
+    """comm_cost_many on a (K, 16) stack of flat boxes that is already checked, tol too."""
     excess = _largest(cells, _FACET_T, _FACET_K)
     outside = np.flatnonzero(excess > tol)
     if outside.size:

@@ -20,7 +20,11 @@ the largest output Shannon entropy over settings and parties.
 
 Every marginal-based measure reads `marginals`, which forms the outcome
 marginals as cell sums (never as 1 - x); this keeps every measure exact on
-exactly-normalized dyadic tables.
+exactly-normalized dyadic tables.  A max or min over a 2-long axis is an
+elementwise np.maximum/np.minimum of its two halves, which gives the bits of
+the `.max(axis=...)` reduction, sign of zero included, without its length-2
+inner loops.  `binary_entropy` lays p and 1 - p out as two contiguous halves
+of one array and takes one log2 over both, with no masked log2 for p = 0.
 
 Measures read boxes; bounds read measured values.  `pironio_bound` takes
 sign-maximized CHSH values and `entropic_signal_lower_bound` signal
@@ -39,6 +43,7 @@ import numpy as np
 from .errors import DomainError
 
 _ENTROPY_SLACK = 1e-12
+_SMALLEST = np.nextafter(0.0, 1.0)
 
 
 def _stack(box):
@@ -59,11 +64,24 @@ def _in_range(v, hi, what):
     return v
 
 
+def _max2(v):
+    """The larger entry of each pair on the last axis, bit for bit v.max(axis=-1).
+
+    Applied twice it is v.max(axis=(-2, -1)): the entries meet in the same
+    order, so +0.0/-0.0 ties end the same way.
+    """
+    return np.maximum(v[..., 0], v[..., 1])
+
+
 def _entropy(m):
-    """Shannon entropy (bits) of two-outcome distributions along the last axis."""
-    log = np.zeros_like(m)
-    np.log2(m, out=log, where=m > 0.0)
-    t = m * log
+    """Shannon entropy (bits) of two-outcome distributions along the last axis.
+
+    Each term is m log2 m, and 0 where m <= 0: log2 reads the smallest
+    subnormal in place of such an m, and the product then a zero.
+    """
+    t = np.maximum(m, _SMALLEST)
+    np.log2(t, out=t)
+    t *= np.maximum(m, 0.0)
     return (0.0 - t[..., 0]) - t[..., 1]
 
 
@@ -72,8 +90,11 @@ def binary_entropy(p):
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
         raise DomainError(f"probability outside [0,1]: {arr.min()}..{arr.max()}")
-    arr = np.clip(arr, 0.0, 1.0)
-    return _value(_entropy(np.stack([arr, 1.0 - arr], axis=-1)))
+    # p and 1 - p as two contiguous halves, read as one last axis of length 2
+    halves = np.empty((2,) + arr.shape).transpose(*range(1, arr.ndim + 1), 0)
+    np.clip(arr, 0.0, 1.0, out=halves[..., 0])
+    np.subtract(1.0, halves[..., 0], out=halves[..., 1])
+    return _value(_entropy(halves))
 
 
 def marginals(box):
@@ -83,7 +104,10 @@ def marginals(box):
     P(b|x,y) = P(0,b|x,y) + P(1,b|x,y).
     """
     p = _stack(box)
-    return np.stack([p[..., 0] + p[..., 1], p[..., 0, :] + p[..., 1, :]], axis=-4)
+    m = np.empty(p.shape[:-4] + (2, 2, 2, 2))
+    np.add(p[..., 0], p[..., 1], out=m[..., 0, :, :, :])
+    np.add(p[..., 0, :], p[..., 1, :], out=m[..., 1, :, :, :])
+    return m
 
 
 def correlators(box):
@@ -102,7 +126,7 @@ def chsh_max(box):
     """CHSH maximized over the 8 sign choices (minus-sign position and global sign)."""
     e = correlators(box)
     total = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] + e[..., 1, 1]
-    return _value(np.abs(total[..., None, None] - 2.0 * e).max(axis=(-2, -1)))
+    return _value(_max2(_max2(np.abs(total[..., None, None] - 2.0 * e))))
 
 
 def pironio_bound(lam_max):
@@ -132,10 +156,10 @@ class SignalReport:
 def signal(box):
     """Marginal-shift signal strengths in both directions."""
     m = marginals(box)
-    s_ab = np.abs(m[..., 1, 1, :, :] - m[..., 1, 0, :, :]).max(axis=-1)
-    s_ba = np.abs(m[..., 0, :, 1, :] - m[..., 0, :, 0, :]).max(axis=-1)
-    s_a_to_b = s_ab.max(axis=-1)
-    s_b_to_a = s_ba.max(axis=-1)
+    s_ab = _max2(np.abs(m[..., 1, 1, :, :] - m[..., 1, 0, :, :]))
+    s_ba = _max2(np.abs(m[..., 0, :, 1, :] - m[..., 0, :, 0, :]))
+    s_a_to_b = _max2(s_ab)
+    s_b_to_a = _max2(s_ba)
     if s_ab.ndim == 1:
         s_ab, s_ba = tuple(s_ab.tolist()), tuple(s_ba.tolist())
     return SignalReport(
@@ -149,22 +173,25 @@ def signal(box):
 
 def indeterminacy_per_setting(box):
     """Smallest outcome-marginal probability at each setting, indexed [..., x, y]."""
-    return marginals(box).min(axis=(-4, -1))
+    m = marginals(box)
+    r = np.minimum(m[..., 0], m[..., 1])  # over the outcome, then the party
+    return np.minimum(r[..., 0, :, :], r[..., 1, :, :])
 
 
 def indeterminacy(box):
     """Sup over settings of the per-setting indeterminacy; 0 deterministic, 1/2 unbiased."""
-    return _value(indeterminacy_per_setting(box).max(axis=(-2, -1)))
+    return _value(_max2(_max2(indeterminacy_per_setting(box))))
 
 
 def entropic_indeterminacy_per_setting(box):
     """Largest output Shannon entropy (bits) over the two parties, per setting."""
-    return _entropy(marginals(box)).max(axis=-3)
+    h = _entropy(marginals(box))
+    return np.maximum(h[..., 0, :, :], h[..., 1, :, :])
 
 
 def entropic_indeterminacy(box):
     """H_I: sup over settings and parties of the output Shannon entropy."""
-    return _value(entropic_indeterminacy_per_setting(box).max(axis=(-2, -1)))
+    return _value(_max2(_max2(entropic_indeterminacy_per_setting(box))))
 
 
 def entropic_signal(box, prior=(0.5, 0.5)):
@@ -177,12 +204,18 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     if not (pi0 >= 0.0 and pi1 >= 0.0 and abs(pi0 + pi1 - 1.0) <= _ENTROPY_SLACK):
         raise DomainError(f"prior must be a distribution, got {prior!r}")
     m = marginals(box)
-    # the receiver's outcome rows for remote input 0 and 1: B at y = 0, 1, then A at x = 0, 1
-    rows0 = np.concatenate([m[..., 1, 0, :, :], m[..., 0, :, 0, :]], axis=-2)
-    rows1 = np.concatenate([m[..., 1, 1, :, :], m[..., 0, :, 1, :]], axis=-2)
-    info = (_entropy(pi0 * rows0 + pi1 * rows1)
-            - pi0 * _entropy(rows0) - pi1 * _entropy(rows1))
-    return _value(np.maximum(0.0, info.max(axis=-1)))
+    # the receiver's outcome rows for remote input 0, 1 and their mixture, indexed
+    # [row, ..., direction, own setting, outcome]: B at y = 0, 1, then A at x = 0, 1
+    rows = np.empty((3,) + m.shape[:-4] + (2, 2, 2))
+    rows[0, ..., 0, :, :] = m[..., 1, 0, :, :]
+    rows[0, ..., 1, :, :] = m[..., 0, :, 0, :]
+    rows[1, ..., 0, :, :] = m[..., 1, 1, :, :]
+    rows[1, ..., 1, :, :] = m[..., 0, :, 1, :]
+    np.multiply(pi0, rows[0], out=rows[2])
+    rows[2] += pi1 * rows[1]
+    h = _entropy(rows)
+    info = (h[2] - pi0 * h[0]) - pi1 * h[1]
+    return _value(np.maximum(0.0, _max2(_max2(info))))
 
 
 def two_point_mutual_information(p, shift):

@@ -3,7 +3,8 @@
 Solves  min c.x  subject to  A x = b, x >= 0.  Sized for problems with tens
 of rows and ~100 columns; Bland's rule keeps it cycle-free, and redundant
 constraint rows (the polytope descriptions here are rank-deficient) are
-dropped after phase 1.
+dropped after phase 1.  Each pivot writes its rank-1 update into one buffer
+made per call, so a pivot allocates no tableau-sized array.
 
 Phase 1 does not read the objective, so `solve_lp` also takes a stack of
 objectives over one polytope: phase 1 and the row dropping run once, and
@@ -26,31 +27,31 @@ PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
 
 
-def _pivot(tableau, basis, row, col):
+def _pivot(tableau, basis, row, col, buf):
+    """Pivot on (row, col); the rank-1 update is written into buf, tableau's shape."""
     tableau[row] /= tableau[row, col]
     colvals = tableau[:, col].copy()
     colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
+    np.multiply(colvals[:, None], tableau[row], out=buf)
+    tableau -= buf
     basis[row] = col
 
 
-def _run(tableau, basis, ncols):
+def _run(tableau, basis, ncols, buf):
     """Bland-rule pivoting until no reduced cost is negative. Entering columns < ncols."""
     for _ in range(MAX_PIVOTS):
         reduced = tableau[-1, :ncols]
-        candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
-        if candidates.size == 0:
+        col = int((reduced < -PIVOT_TOL).argmax())  # the first such column, or 0
+        if not reduced[col] < -PIVOT_TOL:
             return
-        col = int(candidates[0])
         colvals = tableau[:-1, col]
-        rows = np.nonzero(colvals > PIVOT_TOL)[0]
+        rows = (colvals > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise NumericalError("unbounded direction in a bounded polytope")
         ratios = tableau[rows, -1] / colvals[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        row = int(min(ties, key=lambda i: basis[i]))
-        _pivot(tableau, basis, row, col)
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        row = int(ties[basis[ties].argmin()])  # Bland: the tie with the lowest basic variable
+        _pivot(tableau, basis, row, col, buf)
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
 
@@ -80,8 +81,9 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
     tableau[:m, -1] = b
     tableau[m, :n] = -rows.sum(axis=0)
     tableau[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    _run(tableau, basis, n)
+    basis = np.arange(n, n + m)
+    buf = np.empty_like(tableau)
+    _run(tableau, basis, n, buf)
     if -tableau[m, -1] > tol:
         raise Infeasible(f"phase-1 residual {-tableau[m, -1]:.3e} exceeds {tol:.1e}")
 
@@ -94,26 +96,27 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
         row = tableau[i, :n]
         pivots = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
         if pivots.size:
-            _pivot(tableau, basis, i, int(pivots[0]))
+            _pivot(tableau, basis, i, int(pivots[0]), buf)
         else:
             drop.append(i)
     if drop:
         keep = [i for i in range(m) if i not in drop]
         tableau = tableau[keep + [m]]
-        basis = [basis[i] for i in keep]
+        basis = basis[keep]
+        buf = buf[:len(tableau)]
 
     # phase 2 per objective, on the original columns of its own copy of the tableau:
     # the last row becomes the reduced costs
     stack = costs.reshape(-1, n)
     xs, values = np.zeros(stack.shape), []
     for cost, x in zip(stack, xs):
-        t, in_basis = tableau.copy(), list(basis)
+        t, in_basis = tableau.copy(), basis.copy()
         t[-1, :n] = cost
         t[-1, -1] = 0.0
-        for i, var in enumerate(in_basis):
+        for i, var in enumerate(in_basis.tolist()):
             t[-1] -= cost[var] * t[i]
-        _run(t, in_basis, n)
-        for i, var in enumerate(in_basis):
+        _run(t, in_basis, n, buf)
+        for i, var in enumerate(in_basis.tolist()):
             x[var] = max(t[i, -1], 0.0)
         values.append(float(cost @ x))
     return (xs[0], values[0]) if costs.ndim == 1 else (xs, np.array(values))

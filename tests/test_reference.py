@@ -21,6 +21,13 @@ strategies and every scope's catalogue must equal the loop's images.
 The cost tables' float matrices are held to the products of the integer
 rows, and the feasible-box stack to one product per box, on 5,000 boxes.
 CI runs this file on one and on two BLAS threads.
+
+The measures' pairwise maxima and minima over 2-long axes are held to the
+`.max(axis=...)`/`.min(axis=...)` reductions they replaced, and the
+entropies to the masked log2 over interleaved pairs, byte for byte with the
+sign of zero, on stacks whose zero cells carry both signs.  The entropic
+floor's chunks, which read H(p) from one shared grid, are held to
+`two_point_mutual_information` on each strength's own grid.
 """
 
 import math
@@ -393,3 +400,83 @@ def test_float_cost_tables_and_box_stacks_are_the_int_row_products():
         for n in (1, 2, 3, 7, 200):
             ref = decompose._values(rows, cells[:n]).max(axis=1)
             assert decompose._largest(cells[:n], table, k).tobytes() == ref.tobytes()
+
+
+def ref_entropy(m):
+    """The entropy along the last axis as the measures once wrote it: a masked log2."""
+    log = np.zeros_like(m)
+    np.log2(m, out=log, where=m > 0.0)
+    t = m * log
+    return (0.0 - t[..., 0]) - t[..., 1]
+
+
+def _same_bytes(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    return new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+
+def _signed_zero_boxes(rng):
+    """Deterministic boxes and dyadic mixtures of two, each zero cell given a random sign."""
+    vertices = bc.strategy_boxes([s for kind in STRATEGY_KINDS
+                                  for s in bc.enumerate_deterministic(kind)])
+    pairs = rng.integers(len(vertices), size=(600, 2))
+    q = rng.choice([0.25, 0.5, 0.75], size=(600, 1, 1, 1, 1))
+    p = np.concatenate([vertices, q * vertices[pairs[:, 0]] + (1.0 - q) * vertices[pairs[:, 1]]])
+    return np.where((p == 0.0) & (rng.random(p.shape) < 0.5), -0.0, p)
+
+
+def test_pairwise_maxima_and_minima_are_the_reductions_bit_for_bit():
+    rng = np.random.default_rng(2033)
+    signed = _signed_zero_boxes(rng)
+    raw = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5, 1.0], size=(2000, 2, 2, 2, 2))
+    ties = 0
+    for p in (BOXES, signed, rng.random((500, 2, 2, 2, 2)), raw):
+        m = bc.marginals(p)
+        e = bc.correlators(p)
+        total = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] + e[..., 1, 1]
+        lam = np.abs(total[..., None, None] - 2.0 * e).max(axis=(-2, -1))
+        assert _same_bytes(bc.chsh_max(p), lam)
+        sig = bc.signal(p)
+        s_ab = np.abs(m[..., 1, 1, :, :] - m[..., 1, 0, :, :]).max(axis=-1)
+        s_ba = np.abs(m[..., 0, :, 1, :] - m[..., 0, :, 0, :]).max(axis=-1)
+        assert _same_bytes(sig.s_A_to_B_per_y, s_ab) and _same_bytes(sig.s_B_to_A_per_x, s_ba)
+        assert _same_bytes(sig.S_A_to_B, s_ab.max(axis=-1))
+        assert _same_bytes(sig.S_B_to_A, s_ba.max(axis=-1))
+        assert _same_bytes(sig.S, np.maximum(s_ab.max(axis=-1), s_ba.max(axis=-1)))
+        per = m.min(axis=(-4, -1))
+        assert _same_bytes(bc.indeterminacy_per_setting(p), per)
+        assert _same_bytes(bc.indeterminacy(p), per.max(axis=(-2, -1)))
+        h_per = ref_entropy(m).max(axis=-3)
+        assert _same_bytes(bc.entropic_indeterminacy_per_setting(p), h_per)
+        assert _same_bytes(bc.entropic_indeterminacy(p), h_per.max(axis=(-2, -1)))
+        for pi0, pi1 in ((0.5, 0.5), (0.9, 0.1), (0.0, 1.0)):
+            rows0 = np.concatenate([m[..., 1, 0, :, :], m[..., 0, :, 0, :]], axis=-2)
+            rows1 = np.concatenate([m[..., 1, 1, :, :], m[..., 0, :, 1, :]], axis=-2)
+            info = (ref_entropy(pi0 * rows0 + pi1 * rows1)
+                    - pi0 * ref_entropy(rows0) - pi1 * ref_entropy(rows1))
+            assert _same_bytes(bc.entropic_signal(p, (pi0, pi1)),
+                               np.maximum(0.0, info.max(axis=-1)))
+        zeros = per[per == 0.0]
+        ties += int(np.signbit(zeros).any() and not np.signbit(zeros).all())
+    assert ties >= 2  # the signed stacks do tie +0.0 against -0.0
+    for p in (BOXES, signed):  # the relation core reads I the same way
+        ind = bc.marginals(p).min(axis=(-4, -1)).max(axis=(-2, -1))
+        assert _same_bytes(certify._relations(p).I, ind)
+    q = np.concatenate([rng.random(1000), [0.0, -0.0, 1.0, 0.5, 5e-324, -1e-13, 1.0 + 1e-13]])
+    for v in (q, q[:7].reshape(7, 1), q[1000], q[1001]):
+        arr = np.clip(v, 0.0, 1.0)
+        assert _same_bytes(bc.binary_entropy(v), ref_entropy(np.stack([arr, 1.0 - arr], axis=-1)))
+
+
+def test_entropic_floor_chunks_are_two_point_information_on_their_own_grids():
+    s = np.arange(101) / 100.0
+    bound = bc.entropic_signal_lower_bound(s)
+    seen = []
+    for strengths, info, bounds in certify._floor_chunks(s, bound):
+        grids = [np.arange(0.0, 1.0 - v + 1e-12, 1e-3) for v in strengths]
+        sizes = [len(g) for g in grids]
+        ref = bc.two_point_mutual_information(np.concatenate(grids), np.repeat(strengths, sizes))
+        assert _same_bytes(info, ref)
+        assert _same_bytes(bounds, np.repeat(bound[len(seen):len(seen) + len(strengths)], sizes))
+        seen.extend(strengths.tolist())
+    assert seen == s.tolist()
