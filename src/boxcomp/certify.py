@@ -25,10 +25,11 @@ never the box.  `complementarity_report` (a stack of one, behind `analyze`)
 and the `verify` suites read it; the suites run over stacks of random 1-bit
 boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
 these two) and entropic-floor grids.  Every floor grid is a prefix of the
-1001-point p grid, so the floor reads H(p) from one entropy of that grid.  The suites pass stacks, never box or
-spec objects: their random instances are drawn into arrays, and each stack
-is checked once by the rules a box or a spec checks itself with.  The 16
-zero-signal LPs share one phase 1.  `Certificate` is `analyze`'s only record.
+1001-point p grid, so the floor reads H(p) from one entropy of that grid.
+The suites pass stacks, never box or spec objects: their random instances
+are drawn into arrays, and each stack is checked once by the rules a box or
+a spec checks itself with.  The 16 zero-signal LPs share one phase 1.
+`Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -359,7 +360,7 @@ def _floor_chunks(s, bound):
     base = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     h_base = binary_entropy(base)
     sizes = np.ceil((1.0 - s + 1e-12) / 1e-3).astype(np.intp)  # np.arange's lengths
-    # 8 strengths at a time: a grid of all 101 peaks at 5.4 MiB, not 0.9
+    # 8 strengths at a time: all 101 at once peak at 3.9 MiB (tracemalloc), not 0.7
     for lo in range(0, len(s), 8):
         n = sizes[lo:lo + 8]
         p = np.concatenate([base[:k] for k in n])
