@@ -448,6 +448,23 @@ def test_verify_json_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, instances)
 
 
+# sha256 of `simulate` and `sweep` stdout; the counts are integers tied to
+# (seed, chunk index), so the bytes are the same on one CPU or two
+SIMULATION_DIGESTS = {
+    ("simulate", "--resource", "S1+:0.5,S1-:0.5", "--angle", "1.0", "--trials", "100000",
+     "--seed", "7"): "a114584f8af729f0ddbb6be8772197c8ef157dea5462574139c9931f22d53470",
+    ("sweep", "--resource", "S1+:0.5,S1-:0.5", "--angle-grid", "5", "--trials", "100000",
+     "--seed", "0"): "3daa5c729b5c888117aa3bd13a5547d5a93d15efe752d9c9e45ca853fa5869b8",
+}
+
+
+def test_simulate_and_sweep_bytes_are_pinned(capsys):
+    for argv, digest in SIMULATION_DIGESTS.items():
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv[0]
+
+
 def _audit_corpus():
     """About 60 named boxes: dense, sparse, catalogue, PR, two-way, -0.0 cells, marginal ties."""
     rng = np.random.default_rng(4242)
