@@ -27,7 +27,6 @@ from .boxcore import (
     mix,
     mixtures,
     pr_box,
-    relabel_strategy,
     scope_boxes,
     scope_relabelling,
     scope_strategies,
@@ -51,8 +50,6 @@ from .decompose import (
     comm_cost_many,
     conditional_lower_bounds,
     min_comm_cost,
-    random_feasible_box,
-    random_resource_spec,
     resource_box,
     signed_signals,
 )

@@ -25,8 +25,8 @@ uniform mixture is the PR box of that scope.  Local reversible relabellings
 (input flips plus input-conditioned output flips) form a group of 64.  Each
 permutes a box's 16 cells, an action written once as index arithmetic, and
 `SYMMETRIES` holds the 64 cell maps and each after the A<->B swap.
-`apply_relabelling` and `relabel_strategy` are one gather by such a map, and
-each scope's catalogue is one gather of the canonical stack.
+`apply_relabelling` is one gather by such a map, and each scope's catalogue
+is one gather of the canonical stack.
 """
 
 from __future__ import annotations
@@ -375,11 +375,6 @@ def _read_strategies(cells):
     """Inverse of `strategy_boxes`: the strategies of deterministic boxes, flat or not."""
     tables = marginals(cells.reshape(-1, 2, 2, 2, 2)).argmax(axis=-1).reshape(-1, 2, 4).tolist()
     return [DeterministicStrategy(tuple(fa), tuple(fb)) for fa, fb in tables]
-
-
-def relabel_strategy(strategy, rel):
-    """Strategy whose box is apply_relabelling(strategy_box(s), rel), read off its marginals."""
-    return _read_strategies(strategy_boxes([strategy]).reshape(1, 16)[:, _cell_maps([rel])[0]])[0]
 
 
 _TABLES = tuple(itertools.product((0, 1), repeat=4))

@@ -281,11 +281,6 @@ def resource_box(spec, label=None):
     return mix(spec.weights, scope_boxes(spec.scope), label=label)
 
 
-def random_resource_spec(rng, scope=PRScope()):
-    """Dirichlet-uniform weights over the scope's 16 strategies."""
-    return ResourceSpec(scope=scope, weights=tuple(rng.dirichlet(np.ones(16))))
-
-
 def _random_feasible_boxes(rng, n):
     """n random mixtures of the 112 vertices, as one checked stack, and their (n, 112) weights."""
     w = rng.dirichlet(np.ones(len(VERTICES)), size=n)
@@ -293,16 +288,6 @@ def _random_feasible_boxes(rng, n):
     for row, out in zip(w, cells):  # one product per box: a batched w @ _COLUMNS.T differs
         np.matmul(_COLUMNS, row, out=out)  # in the last bit
     return checked_boxes(cells.reshape(n, 2, 2, 2, 2)), w
-
-
-def random_feasible_box(rng):
-    """Random mixture of the 112 local + one-way vertices.
-
-    Returns (box, one-way weight of the generating mixture); the latter upper
-    bounds the box's min_comm_cost.
-    """
-    boxes, w = _random_feasible_boxes(rng, 1)
-    return CorrelationBox(boxes[0]), float(_ONEWAY @ w[0])
 
 
 @dataclass(frozen=True)

@@ -200,9 +200,9 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     The remote input is drawn with the given prior; the value is maximized
     over direction and the receiving party's own setting.
     """
-    pi0, pi1 = float(prior[0]), float(prior[1])
+    pi0, pi1 = (float(w) for w in prior) if len(prior) == 2 else (np.nan, np.nan)
     if not (pi0 >= 0.0 and pi1 >= 0.0 and abs(pi0 + pi1 - 1.0) <= _ENTROPY_SLACK):
-        raise DomainError(f"prior must be a distribution, got {prior!r}")
+        raise DomainError(f"prior must be a distribution over the two inputs, got {prior!r}")
     m = marginals(box)
     # the receiver's outcome rows for remote input 0, 1 and their mixture, indexed
     # [row, ..., direction, own setting, outcome]: B at y = 0, 1, then A at x = 0, 1

@@ -28,19 +28,19 @@ q = u^2 + v^2 < 1.  Marsaglia's map (Ann. Math. Stat. 43, 1972)
 
 is exactly uniform on the sphere, so sgn(t.x_hat) = sgn(u) and
 t.y_hat / 2 = sqrt(1-q) (c u + s v), with no normalisation or trigonometry.
-A pair with |t1 - t2| < 1e-12, the distance taken from these coordinates,
-has no well-defined inputs; both of its directions are redrawn.
+Every pair has well-defined inputs, a coincident pair t1 = t2 too:
+sgn(0) = 1 gives it x = 0 and y = beta xor 1.
 
 Trials are processed in fixed chunks of 65536; chunk i reads one
 counter-based Philox stream seeded SeedSequence(entropy=seed, spawn_key=(i,)),
 in a fixed order: the strategy uniforms, then t1's disc rounds (each a block
-of m u's, then m v's), then t2's, then any redraws of degenerate pairs.  A
-round's position in the stream is fixed by the rounds before it, and any
-word of the stream can be drawn from a generator positioned there, so each
-round is streamed in blocks from two positioned generators, one for its u's
-and one for its v's, and stops drawing once it has its points.  Estimates
-are integer counts tied to (seed, chunk index), so they do not depend on
-the order, or the thread, in which chunks are evaluated.
+of m u's, then m v's), then t2's, and nothing after them.  A round's
+position in the stream is fixed by the rounds before it, and any word of the
+stream can be drawn from a generator positioned there, so each round is
+streamed in blocks from two positioned generators, one for its u's and one
+for its v's, and stops drawing once it has its points.  Estimates are
+integer counts tied to (seed, chunk index), so they do not depend on the
+order, or the thread, in which chunks are evaluated.
 
 The kernel, `_chunk`, fills one worker's workspace: t1's kept points, five
 rows of one block of candidates, and the chunk's cell and bit rows.  t2 is
@@ -59,6 +59,7 @@ chunks.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -68,7 +69,6 @@ import numpy as np
 from .errors import DomainError
 
 CHUNK = 1 << 16
-DEGENERATE_TOL = 1e-12
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
 _BLOCKS = 4  # blocks in the first disc round of a full chunk
 
@@ -172,9 +172,8 @@ def _disc_points(key, off, n, ws, out=None, sink=None):
     so a shortfall is topped up by another round at off + 2m.  A round is
     drawn in blocks as wide as ws.rows and stops drawing once it has its
     points.  Points k, k + 1, ... of a block go to columns k, k + 1, ... of
-    out's rows u, v and, if it has three, q; without out, they go to rows
-    of ws, which the next block writes over.  sink(k, u, v, q) is then
-    handed them.
+    out's rows u and v; without out, they and their q go to rows of ws,
+    which the next block writes over.  sink(k, u, v, q) is then handed them.
     """
     width = ws.rows.shape[1]
     k = 0
@@ -203,12 +202,6 @@ def _disc_points(key, off, n, ws, out=None, sink=None):
             if k == n:
                 break
     return off
-
-
-def _gathered(key, off, n, ws):
-    """(points, next offset): `_disc_points` into new rows u, v and q."""
-    points = np.empty((3, n))
-    return points, _disc_points(key, off, n, ws, out=points)
 
 
 def _y_projection(u, v, q, c, s):
@@ -251,9 +244,9 @@ def _chunk(ws, i):
     """Chunk i's (cell, alpha, beta), as views of ws's rows.
 
     cell = 4k + 2x + y holds strategy k and the box inputs (x, y).  The
-    chunk's stream gives the strategy uniforms, then t1's rounds, then t2's,
-    then any redraws of degenerate pairs.  t2's points are paired with t1's
-    block by block, so t2 is never stored whole.
+    chunk's stream gives the strategy uniforms, then t1's rounds, then t2's.
+    t2's points are paired with t1's block by block, so t2 is never stored
+    whole.
     """
     n = min(CHUNK, ws.n_trials - i * CHUNK)
     key = _chunk_key(ws.seed, i)
@@ -263,50 +256,35 @@ def _chunk(ws, i):
     for bound in ws.bounds:
         cell += np.greater_equal(pick, bound, out=bit)
     t1 = ws.t1[:, :n]
-    screened = []
 
     def pair(k, u2, v2, q2):
         j = slice(k, k + len(u2))
         u1, v1 = t1[:, j]
-        q1, free, near = ws.rows[2, :len(u2)], ws.rows[4, :len(u2)], ws.keep[:len(u2)]
+        q1, free = ws.rows[2, :len(u2)], ws.rows[4, :len(u2)]
         np.multiply(u1, u1, out=q1)
         q1 += np.multiply(v1, v1, out=free)
-        # t1 - t2 = 2 (u1 r1 - u2 r2, v1 r1 - v2 r2, q2 - q1) with r = sqrt(1 - q):
-        # only pairs with |q1 - q2| < tol can lie closer than tol
-        np.abs(np.subtract(q1, q2, out=free), out=free)
-        if np.less(free, DEGENERATE_TOL, out=near).any():
-            at = np.flatnonzero(near)
-            screened.append((at + k, np.array([u1[at], v1[at], q1[at], u2[at], v2[at], q2[at]])))
         _pair_bits(ws.c, ws.s, u1, v1, q1, u2, v2, q2, cell[j], alpha[j], beta[j], free, bit[j])
 
     off = _disc_points(key, n, n, ws, out=t1)
-    off = _disc_points(key, off, n, ws, sink=pair)
-    if screened:
-        at = np.concatenate([a for a, _ in screened])
-        points = np.concatenate([p for _, p in screened], axis=1)
-        u1, v1, q1, u2, v2, q2 = points
-        redo = np.arange(len(at))
-        while redo.size:
-            r1, r2 = np.sqrt(1.0 - q1[redo]), np.sqrt(1.0 - q2[redo])
-            dist = 2.0 * np.sqrt((u1[redo] * r1 - u2[redo] * r2) ** 2
-                                 + (v1[redo] * r1 - v2[redo] * r2) ** 2
-                                 + (q1[redo] - q2[redo]) ** 2)
-            redo = redo[dist < DEGENERATE_TOL]
-            if redo.size:
-                points[:3, redo], off = _gathered(key, off, redo.size, ws)
-                points[3:, redo], off = _gathered(key, off, redo.size, ws)
-        redrawn = cell[at] >> 2, np.empty(len(at), dtype=bool), np.empty(len(at), dtype=bool)
-        _pair_bits(ws.c, ws.s, *points, *redrawn, np.empty(len(at)), np.empty(len(at), dtype=bool))
-        cell[at], alpha[at], beta[at] = redrawn
+    _disc_points(key, off, n, ws, sink=pair)
     return cell, alpha, beta
+
+
+def _trials_and_seed(n_trials, seed):
+    """(n_trials, seed) as ints; DomainError unless both are integers, n_trials >= 1, seed >= 0."""
+    try:
+        if operator.index(n_trials) >= 1 and operator.index(seed) >= 0:
+            return operator.index(n_trials), operator.index(seed)
+    except TypeError:
+        pass
+    raise DomainError(f"need an integer trial count >= 1 and seed >= 0, got {n_trials!r}, {seed!r}")
 
 
 def _settings(spec, x_hat, y_hat, n_trials, seed):
     """What each worker's `_Workspace` reads: (n_trials, seed, bounds, c, s)."""
-    if n_trials < 1:
-        raise DomainError(f"need at least one trial, got {n_trials!r}")
+    n_trials, seed = _trials_and_seed(n_trials, seed)
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
-    return int(n_trials), int(seed), _strategy_bounds(spec), c, math.sqrt(1.0 - c * c)
+    return n_trials, seed, _strategy_bounds(spec), c, math.sqrt(1.0 - c * c)
 
 
 def _chunks(spec, x_hat, y_hat, n_trials, seed):
@@ -427,17 +405,13 @@ class SweepPoint:
                 "target": self.target, "stderr": self.stderr}
 
 
-def _angle_seed(seed, index):
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0x5EED, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def sweep_angles(spec, angles, n_trials, seed):
     """Simulate a list of relative angles between the measurement axes.
 
     x_hat is fixed at the pole and y_hat rotated by each angle; each angle
     runs n_trials on its own derived stream of the master seed.
     """
+    n_trials, seed = _trials_and_seed(n_trials, seed)
     angles = [float(angle) for angle in angles]
     for angle in angles:
         if not math.isfinite(angle):
@@ -446,7 +420,8 @@ def sweep_angles(spec, angles, n_trials, seed):
     points = []
     for i, theta in enumerate(angles):
         y_hat = Direction.polar(theta)
-        est = simulate_singlet(spec, x_hat, y_hat, n_trials, _angle_seed(seed, i))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0x5EED, i))
+        est = simulate_singlet(spec, x_hat, y_hat, n_trials, ss.generate_state(1, np.uint64)[0])
         target = (1.0 + math.cos(theta)) / 2.0
         stderr = math.sqrt(max(target * (1.0 - target), 0.0) / float(n_trials))
         points.append(SweepPoint(angle=theta, estimate=est, target=target, stderr=stderr))

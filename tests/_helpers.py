@@ -23,6 +23,18 @@ def tsirelson_box():
     return bc.CorrelationBox(p, label="tsirelson")
 
 
+def random_resource_spec(rng, scope=bc.PRScope()):
+    """Dirichlet-uniform weights over the scope's 16 strategies."""
+    return bc.ResourceSpec(scope=scope, weights=tuple(rng.dirichlet(np.ones(16))))
+
+
+def random_feasible_box(rng):
+    """A random mixture of the 112 local and one-way vertices, and the mixture's
+    one-way weight, which bounds the box's min_comm_cost from above."""
+    boxes, w = decompose._random_feasible_boxes(rng, 1)
+    return bc.CorrelationBox(boxes[0]), float(decompose._ONEWAY @ w[0])
+
+
 def pair_spec(j, p, scope=bc.PRScope()):
     """Weight p on the catalogue's pair-j "+" strategy and 1-p on its "-"."""
     plus = bc.STRATEGY_NAMES[2 * (j - 1)]

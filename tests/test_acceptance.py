@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import boxcomp as bc
-from _helpers import pair_spec, tsirelson_box
+from _helpers import pair_spec, random_feasible_box, random_resource_spec, tsirelson_box
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,7 +72,7 @@ def test_criterion_3_cost_complementarity_suite():
         worst_thm1 = math.inf
         worst_pir = math.inf
         for _ in range(1000):
-            box, _ = bc.random_feasible_box(rng)
+            box, _ = random_feasible_box(rng)
             c = bc.min_comm_cost(box).C
             s = bc.signal(box).S
             ind = bc.indeterminacy(box)
@@ -93,7 +93,7 @@ def test_criterion_4_singlet_simulation_fidelity():
             "deterministic": bc.ResourceSpec.from_mapping({"S1+": 1.0}),
             "pr": bc.ResourceSpec.from_mapping({"S1+": 0.5, "S1-": 0.5}),
             "pair-0.7": pair_spec(1, 0.7),
-            "random-16": bc.random_resource_spec(rng),
+            "random-16": random_resource_spec(rng),
         }
         n = 1_000_000
         for name, spec in resources.items():
@@ -137,7 +137,7 @@ def test_criterion_7_signed_signal_consistency():
         rng = np.random.default_rng(np.random.SeedSequence(7))
         locals_ = bc.enumerate_deterministic("local")
         for _ in range(1000):
-            spec = bc.random_resource_spec(rng)
+            spec = random_resource_spec(rng)
             box = bc.resource_box(spec)
             rep = bc.signal(box)
             measured = (rep.s_A_to_B_per_y[0], rep.s_A_to_B_per_y[1],
@@ -170,7 +170,7 @@ def test_criterion_8_negative_controls():
         # and indeed no catalogue mixture beats the complementarity floor
         rng = np.random.default_rng(np.random.SeedSequence(8))
         for _ in range(300):
-            spec = bc.random_resource_spec(rng)
+            spec = random_resource_spec(rng)
             box = bc.resource_box(spec)
             assert bc.signal(box).S + 2.0 * bc.indeterminacy(box) >= 1.0 - 1e-9
 

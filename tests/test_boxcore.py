@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import boxcomp as bc
+from _helpers import random_feasible_box
+from boxcomp import boxcore
 from boxcomp.boxcore import INPUT_PAIRS, check_weights, checked_boxes
 
 
@@ -149,7 +151,7 @@ def test_relabelling_identity_and_inverse():
     assert bc.apply_relabelling(pr, bc.Relabelling()) == pr
     assert bc.Relabelling() in bc.all_relabellings()
     rng = np.random.default_rng(11)
-    box, _ = bc.random_feasible_box(rng)
+    box, _ = random_feasible_box(rng)
     # each member is undone by exactly one member
     for rel in bc.all_relabellings():
         moved = bc.apply_relabelling(box, rel)
@@ -161,7 +163,7 @@ def test_relabelling_identity_and_inverse():
 def test_relabelling_composition_matches_sequential_application():
     # two relabellings in a row act as one member of the group
     rng = np.random.default_rng(12)
-    box, _ = bc.random_feasible_box(rng)
+    box, _ = random_feasible_box(rng)
     images = _images(box)
     rels = bc.all_relabellings()
     idx = rng.integers(0, len(rels), size=(40, 2))
@@ -175,7 +177,7 @@ def test_relabelling_group_is_closed_and_order_64():
     rels = bc.all_relabellings()
     assert len(rels) == 64
     assert len(set(rels)) == 64
-    box, _ = bc.random_feasible_box(np.random.default_rng(15))
+    box, _ = random_feasible_box(np.random.default_rng(15))
     images = _images(box)
     assert len(images) == 64  # the members act on a generic box as 64 distinct maps
     for outer in rels[:8]:
@@ -194,16 +196,19 @@ def test_all_pr_boxes_reachable_by_relabelling():
         assert bc.apply_relabelling(base, bc.scope_relabelling(scope)) == target
 
 
-def test_relabel_strategy_commutes_with_box_relabelling():
+def test_box_relabelling_keeps_the_strategy_kind():
+    # a relabelled deterministic box is deterministic, and its strategy, read
+    # back off the marginals, signals the same way
     rng = np.random.default_rng(13)
     strategies = bc.enumerate_deterministic("all_one_bit")
     rels = bc.all_relabellings()
     for _ in range(60):
         s = strategies[int(rng.integers(len(strategies)))]
         rel = rels[int(rng.integers(len(rels)))]
-        moved = bc.relabel_strategy(s, rel)
-        assert moved.kind == s.kind
-        assert bc.strategy_box(moved) == bc.apply_relabelling(bc.strategy_box(s), rel)
+        moved = bc.apply_relabelling(bc.strategy_box(s), rel)
+        (read,) = boxcore._read_strategies(moved.p)
+        assert read.kind == s.kind
+        assert bc.strategy_box(read) == moved
 
 
 def test_box_json_round_trip(tmp_path):
@@ -232,7 +237,7 @@ def test_box_json_round_trip(tmp_path):
 def test_mix_normalization_stays_tight():
     rng = np.random.default_rng(14)
     for _ in range(50):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         assert np.abs(box.p.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
 
 
@@ -286,7 +291,7 @@ def test_stacked_box_rule_is_the_correlation_box_rule():
 
 def test_a_stack_with_one_bad_box_is_refused():
     rng = np.random.default_rng(2031)
-    good = np.array([bc.random_feasible_box(rng)[0].p for _ in range(50)])
+    good = np.array([random_feasible_box(rng)[0].p for _ in range(50)])
     assert checked_boxes(good).tobytes() == good.tobytes()
     for name, p in _hostile_tables().items():
         if np.shape(p) != (2, 2, 2, 2) or name == "dust":

@@ -10,7 +10,7 @@ import pytest
 import boxcomp as bc
 from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
-from _helpers import pair_box, tsirelson_box
+from _helpers import pair_box, random_feasible_box, random_resource_spec, tsirelson_box
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -38,7 +38,7 @@ def test_certified_indeterminacy_bound_values():
 def test_certified_bound_is_respected_by_boxes():
     rng = np.random.default_rng(61)
     for _ in range(300):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         bound = bc.certified_indeterminacy_bound(bc.chsh_max(box), bc.signal(box).S)
         assert bc.indeterminacy(box) >= bound - 1e-9
 
@@ -146,7 +146,7 @@ def test_entropic_complementarity_on_random_one_way_specs():
 def test_scalar_complementarity_on_random_specs():
     rng = np.random.default_rng(63)
     for _ in range(300):
-        spec = bc.random_resource_spec(rng)
+        spec = random_resource_spec(rng)
         box = bc.resource_box(spec)
         assert bc.signal(box).S + 2.0 * bc.indeterminacy(box) >= 1.0 - 1e-9
 
@@ -249,8 +249,7 @@ def test_suite_measures_its_box_stack_once(monkeypatch):
 
 
 def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
-    names = ("signed_signals", "_signed_signal_rows", "conditional_lower_bounds",
-             "random_feasible_box")
+    names = ("signed_signals", "_signed_signal_rows", "conditional_lower_bounds")
     calls = _count_calls(monkeypatch, names, decompose)
     assert bc.run_property_suite(seed=5, instances=20).passed
     # one call of the signed-signal core over the spec stack; the bounds and the boxes
@@ -259,7 +258,7 @@ def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
     monkeypatch.undo()
     # the core is signed_signals row by row, bit for bit
     rng = np.random.default_rng(2028)
-    specs = [bc.random_resource_spec(rng, scope) for scope in bc.all_scopes() for _ in range(25)]
+    specs = [random_resource_spec(rng, scope) for scope in bc.all_scopes() for _ in range(25)]
     specs += [bc.ResourceSpec.from_mapping({name: 1.0}) for name in bc.STRATEGY_NAMES]
     rows = decompose._signed_signal_rows(np.array([spec.weights for spec in specs]))
     one_by_one = np.array([bc.signed_signals(spec).as_tuple() for spec in specs])

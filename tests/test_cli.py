@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxcomp as bc
+from _helpers import random_feasible_box
 from boxcomp.cli import main
 
 
@@ -470,7 +471,7 @@ def _audit_corpus():
     rng = np.random.default_rng(4242)
     vertices = bc.strategy_boxes(bc.enumerate_deterministic("local")
                                  + bc.enumerate_deterministic("all_one_bit"))
-    boxes = [(f"dense-{i}", bc.random_feasible_box(rng)[0].p) for i in range(16)]
+    boxes = [(f"dense-{i}", random_feasible_box(rng)[0].p) for i in range(16)]
     for i in range(12):
         k = int(rng.integers(2, 5))
         support = rng.choice(len(vertices), size=k, replace=False)

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 import boxcomp as bc
+from _helpers import random_feasible_box
 from boxcomp import decompose
 
 FREE = [c for c in range(16) if c % 4] + [16]  # the 12 cells with ab != 00, then k
@@ -177,7 +178,7 @@ def test_chsh_orbit_is_the_pironio_floor():
     chsh_rows = decompose._orbit_rows([decompose._COST_ORBITS[5]])
     assert len(chsh_rows) == 8
     rng = np.random.default_rng(48)
-    boxes = [bc.random_feasible_box(rng)[0].p for _ in range(200)]
+    boxes = [random_feasible_box(rng)[0].p for _ in range(200)]
     boxes += [bc.pr_box(scope).p for scope in bc.all_scopes()]
     boxes = np.stack(boxes)
     floor = decompose._values(chsh_rows, boxes.reshape(-1, 16)).max(axis=1)

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 import boxcomp as bc
 from boxcomp import decompose
-from _helpers import lp_matrices, pair_spec, reconstruct, tsirelson_box
+from _helpers import (lp_matrices, pair_spec, random_feasible_box, random_resource_spec,
+                      reconstruct, tsirelson_box)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,7 +93,7 @@ def _cost_or_none(cost, box):
 def test_comm_cost_many_is_min_comm_cost_per_box():
     # within 1e-12, not bit for bit: the tables' sums do not replay the LP's pivots
     rng = np.random.default_rng(47)
-    boxes = [bc.random_feasible_box(rng)[0] for _ in range(400)] + [tsirelson_box()]
+    boxes = [random_feasible_box(rng)[0] for _ in range(400)] + [tsirelson_box()]
     boxes += [_mixture(rng, decompose.VERTEX_BOXES) for _ in range(600)]
     costs = bc.comm_cost_many(boxes)
     assert costs.shape == (len(boxes),)
@@ -129,7 +130,7 @@ def test_comm_cost_many_is_min_comm_cost_per_box():
 
 def test_decomposition_structure():
     rng = np.random.default_rng(41)
-    box, _ = bc.random_feasible_box(rng)
+    box, _ = random_feasible_box(rng)
     dec = bc.min_comm_cost(box)
     oneway = sum(w for s, w in dec.weights.items() if s.kind != "local")
     assert abs(oneway - dec.C) <= 1e-12
@@ -144,7 +145,7 @@ def test_decomposition_structure():
 def test_cost_never_exceeds_generating_weight():
     rng = np.random.default_rng(42)
     for _ in range(150):
-        box, generated = bc.random_feasible_box(rng)
+        box, generated = random_feasible_box(rng)
         dec = bc.min_comm_cost(box)
         assert dec.C <= generated + 1e-9
 
@@ -153,7 +154,7 @@ def test_cost_matches_scipy_oracle():
     rng = np.random.default_rng(43)
     a, oneway = lp_matrices()
     for _ in range(50):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         dec = bc.min_comm_cost(box)
         ref = linprog(oneway, A_eq=a, b_eq=np.append(box.p.ravel(), 1.0),
                       bounds=(0, None), method="highs")
@@ -175,14 +176,14 @@ def test_pironio_bound_values():
 def test_cost_dominates_pironio_bound():
     rng = np.random.default_rng(44)
     for _ in range(200):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         assert bc.min_comm_cost(box).C >= bc.pironio_bound(bc.chsh_max(box)) - 1e-9
 
 
 def test_cost_complementarity_on_random_boxes():
     rng = np.random.default_rng(45)
     for _ in range(200):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         dec = bc.min_comm_cost(box)
         slack = bc.signal(box).S + 2.0 * bc.indeterminacy(box) - dec.C
         assert slack >= -1e-9
@@ -255,7 +256,7 @@ def test_signed_signals_match_measured_signals():
     rng = np.random.default_rng(46)
     for scope in (bc.PRScope(), bc.PRScope(0, 1, 1)):
         for _ in range(150):
-            spec = bc.random_resource_spec(rng, scope=scope)
+            spec = random_resource_spec(rng, scope=scope)
             rep = bc.signal(bc.resource_box(spec))
             ss = bc.signed_signals(spec)
             measured = (rep.s_A_to_B_per_y[0], rep.s_A_to_B_per_y[1],
@@ -267,7 +268,7 @@ def test_signed_signals_match_measured_signals():
     for scope in bc.all_scopes():
         flips = np.array([1, 1 - 2 * scope.mu2, 1 - 2 * scope.mu3, 1 - 2 * (scope.mu1 ^ scope.mu3)])
         for _ in range(100):
-            spec = bc.random_resource_spec(rng, scope=scope)
+            spec = random_resource_spec(rng, scope=scope)
             ss = np.array(bc.signed_signals(spec).as_tuple())
             canonical = bc.resource_box(bc.ResourceSpec(bc.PRScope(), spec.weights))
             own = bc.resource_box(spec)
@@ -289,7 +290,7 @@ def test_conditional_lower_bounds_hold_under_local_noise():
     rng = np.random.default_rng(47)
     locals_ = bc.enumerate_deterministic("local")
     for _ in range(150):
-        spec = bc.random_resource_spec(rng)
+        spec = random_resource_spec(rng)
         c = float(rng.uniform(0.1, 1.0))
         noise = bc.strategy_box(locals_[int(rng.integers(16))])
         box = bc.mix((c, 1.0 - c), (bc.resource_box(spec), noise))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import boxcomp as bc
-from _helpers import pair_box, pair_spec, tsirelson_box
+from _helpers import pair_box, pair_spec, random_feasible_box, tsirelson_box
 from boxcomp import decompose
 
 # frozen oracle: -0.25*log2(0.25) - 0.75*log2(0.75)
@@ -100,7 +100,7 @@ def _nonsignaling(box, tol=1e-12):
 def test_signal_zero_iff_nonsignaling():
     rng = np.random.default_rng(21)
     for _ in range(200):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         assert (bc.signal(box).S <= 1e-12) == _nonsignaling(box, 1e-12)
     for s in bc.enumerate_deterministic("all_one_bit"):
         box = bc.strategy_box(s)
@@ -117,6 +117,13 @@ def test_entropic_signal_values():
         bc.entropic_signal(bc.pr_box(), prior=(0.7, 0.7))
     with pytest.raises(bc.DomainError):
         bc.entropic_signal(bc.pr_box(), prior=(math.nan, math.nan))
+
+
+def test_entropic_signal_refuses_a_prior_of_the_wrong_length():
+    for prior in ((1.0,), (0.5, 0.5, 7.0), (0.5, 0.5, 0.0), ()):
+        with pytest.raises(bc.DomainError):
+            bc.entropic_signal(bc.pr_box(), prior=prior)
+    assert bc.entropic_signal(bc.pr_box(), prior=np.array([0.25, 0.75])) == 0.0
 
 
 def test_entropic_signal_with_biased_prior():
@@ -166,7 +173,7 @@ def test_entropic_signal_lower_bound_is_elementwise():
 def test_entropic_signal_meets_floor_on_random_and_pair_boxes():
     rng = np.random.default_rng(22)
     for _ in range(300):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         s = bc.signal(box).S
         assert bc.entropic_signal(box) >= bc.entropic_signal_lower_bound(s) - 1e-9
     for k in range(0, 1001, 13):
@@ -186,7 +193,7 @@ def test_two_point_mutual_information_matches_pair_mixture():
 def test_measure_ranges_on_random_boxes():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         assert abs(bc.chsh(box)) <= 4.0 + 1e-12
         assert 0.0 <= bc.chsh_max(box) <= 4.0 + 1e-12
         assert bc.chsh_max(box) >= abs(bc.chsh(box)) - 1e-12
@@ -211,7 +218,7 @@ def test_measure_report_json_keys():
 def test_measures_invariant_under_relabellings_and_party_swap():
     rng = np.random.default_rng(24)
     vertices = decompose.VERTEX_BOXES
-    boxes = [bc.random_feasible_box(rng)[0] for _ in range(10)]
+    boxes = [random_feasible_box(rng)[0] for _ in range(10)]
     for _ in range(10):
         k = int(rng.integers(2, 5))
         support = rng.choice(len(vertices), size=k, replace=False)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import boxcomp as bc
-from _helpers import lp_matrices
+from _helpers import lp_matrices, random_feasible_box
 from boxcomp import decompose, simplex
 from boxcomp.simplex import solve_lp
 
@@ -78,7 +78,7 @@ def test_box_polytope_instances_match_scipy():
     rng = np.random.default_rng(32)
     a, oneway = lp_matrices()
     for _ in range(30):
-        box, _ = bc.random_feasible_box(rng)
+        box, _ = random_feasible_box(rng)
         b = np.append(box.p.ravel(), 1.0)
         x, value = solve_lp(oneway, a, b)
         ref = linprog(oneway, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
@@ -107,7 +107,7 @@ def test_a_stack_of_objectives_matches_separate_calls_bit_for_bit(monkeypatch):
     zero_signal = (np.array([sign * c for c in marginals for sign in (1.0, -1.0)]),
                    np.vstack([np.ones((1, 16)), decompose.SIGNAL_COEFFICIENTS]),
                    np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    box, _ = bc.random_feasible_box(rng)
+    box, _ = random_feasible_box(rng)
     dense = (rng.normal(size=(50, len(decompose.VERTICES))), decompose._A_EQ,
              np.append(box.p.ravel(), 1.0))
     for costs, a, b in (zero_signal, dense):

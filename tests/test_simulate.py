@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import chi2
 
 import boxcomp as bc
-from _helpers import trial_records
+from _helpers import random_resource_spec, trial_records
 from boxcomp import simulate
 
 PR_SPEC = bc.ResourceSpec.from_mapping({"S1+": 0.5, "S1-": 0.5})
@@ -64,8 +64,10 @@ def test_direction_draw_follows_the_sphere_law():
     # the kernel's own draw; (u, v) maps to t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q)
     n = 200_000
     key = simulate._chunk_key(21, 0)
-    (u, v, q), _ = simulate._gathered(key, 0, n, workspace(bc.CHUNK))
-    assert len(u) == n and q.max() < 1.0 and np.array_equal(q, u * u + v * v)
+    u, v = points = np.empty((2, n))
+    off = simulate._disc_points(key, 0, n, workspace(bc.CHUNK), out=points)
+    q = u * u + v * v
+    assert q.max() < 1.0
     t_x = 2.0 * u * np.sqrt(1.0 - q)
     # a uniform direction has E[(t.x)^2] = 1/3 and Var[(t.x)^2] = 1/5 - 1/9
     assert abs(float(np.mean(t_x ** 2)) - 1.0 / 3.0) <= 4.0 * math.sqrt((1 / 5 - 1 / 9) / n)
@@ -76,9 +78,10 @@ def test_direction_draw_follows_the_sphere_law():
         differ = float(np.mean((t_x >= 0) != (t_y >= 0)))
         p = theta / math.pi
         assert abs(differ - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
-    # narrower blocks draw the same points
-    again, _ = simulate._gathered(key, 0, n, workspace(1000))
-    assert all(np.array_equal(x, y) for x, y in zip((u, v, q), again))
+    # narrower blocks draw the same points and end at the same offset
+    again = np.empty((2, n))
+    assert simulate._disc_points(key, 0, n, workspace(1000), out=again) == off
+    assert np.array_equal(points, again)
 
 
 def t2_repeats_t1(real, calls):
@@ -107,15 +110,6 @@ def t2_repeats_t1(real, calls):
         return real(key, off, n, ws, out, repeat)
 
     return draw
-
-
-def test_coincident_directions_are_redrawn(monkeypatch):
-    calls = []
-    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
-    td = trial_records(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
-                       1000, seed=3)
-    assert [n for _, n in calls] == [1000] * 4  # t1, t2, redrawn t1 and t2
-    assert set(td.x_in.tolist()) == {0, 1}  # t1 = t2 would give x = 0 on every trial
 
 
 def test_per_chunk_counts_disperse_like_a_binomial():
@@ -156,7 +150,7 @@ def test_outputs_are_the_replies_of_the_picked_strategy():
     rng = np.random.default_rng(57)
     n = 5000
     for spec in (PR_SPEC, bc.ResourceSpec.parse("scope=101;S2+:0.3,S5-:0.7"),
-                 bc.random_resource_spec(rng)):
+                 random_resource_spec(rng)):
         td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.8),
                            n, seed=15)
         pick = chunk_stream(15, 0).random(n)
@@ -204,7 +198,7 @@ def test_simulation_is_deterministic_and_chunk_order_free():
 def _sweep_like_specs():
     """Resources shaped like the benchmark's sweep: one strategy, the PR pair,
     an unbalanced pair, a two-way pair and a 16-way mix, over four scopes."""
-    mix = bc.random_resource_spec(np.random.default_rng(58), scope=bc.PRScope(0, 1, 1))
+    mix = random_resource_spec(np.random.default_rng(58), scope=bc.PRScope(0, 1, 1))
     return [bc.ResourceSpec.parse(text) for text in (
         "scope=000;S1+:1.0", "scope=000;S1+:0.5,S1-:0.5", "scope=101;S2+:0.7,S2-:0.3",
         "scope=110;S6+:0.5,S6-:0.5")] + [mix]
@@ -230,9 +224,9 @@ def test_trial_records_match_counting_path():
         assert float((td.x_out ^ td.y_out).mean()) == sum(counts) / n
 
 
-def test_table_counts_match_records_when_every_pair_is_redrawn(monkeypatch):
-    # t2 := t1 as t2's blocks reach the pairing, so every pair coincides and
-    # both of its directions are redrawn
+def test_coincident_pairs_get_the_sgn_zero_inputs(monkeypatch):
+    # t2 := t1 as t2's blocks reach the pairing, so every pair coincides; with
+    # sgn(0) = 1, x = sgn(t1.x_hat) ^ sgn(t2.x_hat) = 0 and y = beta ^ sgn(0) = beta ^ 1
     calls = []
     monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
@@ -240,10 +234,13 @@ def test_table_counts_match_records_when_every_pair_is_redrawn(monkeypatch):
     for spec in _sweep_like_specs():
         calls.clear()
         td = trial_records(spec, x_hat, y_hat, n, seed=16)
-        # per chunk: t1, t2, then t1 and t2 redrawn for every pair
-        assert [size for _, size in calls] == [bc.CHUNK] * 8 + [999] * 4
-        assert set(td.x_in.tolist()) == {0, 1}
+        # per chunk: t1, then t2, and no draw after them
+        assert [size for _, size in calls] == [bc.CHUNK] * 4 + [999] * 2
+        assert not td.x_in.any()
+        assert np.array_equal(td.y_in, td.beta ^ 1)
+        calls.clear()
         assert bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=16) == _records_counts(td)
+        assert sorted(size for _, size in calls) == [999] * 2 + [bc.CHUNK] * 4
 
 
 def test_pooled_counts_match_one_worker_and_records(monkeypatch):
@@ -346,7 +343,7 @@ def test_kernel_memory_peak_is_bounded():
 def test_estimator_identity_chains_through_the_box():
     # X ^ Y = x*y ^ alpha ^ beta ^ 1 for any canonical-scope resource
     rng = np.random.default_rng(55)
-    for spec in (PR_SPEC, TB_SPEC, bc.random_resource_spec(rng)):
+    for spec in (PR_SPEC, TB_SPEC, random_resource_spec(rng)):
         td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.9),
                            4000, seed=6)
         lhs = td.x_out ^ td.y_out
@@ -358,7 +355,7 @@ def test_estimator_identity_chains_through_the_box():
 
 def test_box_inputs_respect_resource_relation_in_simulation():
     rng = np.random.default_rng(56)
-    spec = bc.random_resource_spec(rng, scope=bc.PRScope(1, 0, 1))
+    spec = random_resource_spec(rng, scope=bc.PRScope(1, 0, 1))
     td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(2.0),
                        2000, seed=7)
     rel = np.array([[spec.scope.relation(x, y) for y in (0, 1)] for x in (0, 1)])
@@ -433,6 +430,28 @@ def test_trial_count_validation():
     with pytest.raises(bc.DomainError):
         bc.simulate_singlet(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.0),
                             0, seed=1)
+
+
+# (n_trials, seed) pairs that are not an integer count >= 1 and an integer seed >= 0
+MALFORMED_RUNS = ((10, -1), (10, 1.5), (2.5, 1), (10, "1"), (10, None), (-(2 ** 70), 1))
+
+
+def test_simulate_singlet_refuses_malformed_seeds_and_trial_counts():
+    x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(1.0)
+    for n_trials, seed in MALFORMED_RUNS:
+        for run in (bc.simulate_singlet, bc.chunk_xor_counts):
+            with pytest.raises(bc.DomainError):
+                run(PR_SPEC, x_hat, y_hat, n_trials, seed)
+    # numpy integers are integers, and give the counts of the same Python ints
+    assert (bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, np.int64(17), np.uint64(3))
+            == bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, 17, 3))
+
+
+def test_sweep_angles_refuses_malformed_seeds_and_trial_counts():
+    for n_trials, seed in MALFORMED_RUNS + ((10, -3),):
+        for angles in ([0.0, 1.0], []):
+            with pytest.raises(bc.DomainError):
+                bc.sweep_angles(PR_SPEC, angles, n_trials, seed)
 
 
 def test_two_way_specs_also_simulate():
