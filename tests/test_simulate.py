@@ -238,6 +238,17 @@ def test_coincident_pairs_get_the_sgn_zero_inputs(monkeypatch):
         assert [size for _, size in calls] == [bc.CHUNK] * 4 + [999] * 2
         assert not td.x_in.any()
         assert np.array_equal(td.y_in, td.beta ^ 1)
+
+
+def test_table_counts_match_records_when_every_pair_coincides(monkeypatch):
+    # the same hook on the counting path: two draws per chunk, and the 64-cell
+    # table reads the same X ^ Y as the records, chunk by chunk
+    calls = []
+    monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
+    x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
+    n = 2 * bc.CHUNK + 999
+    for spec in _sweep_like_specs():
+        td = trial_records(spec, x_hat, y_hat, n, seed=16)
         calls.clear()
         assert bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=16) == _records_counts(td)
         assert sorted(size for _, size in calls) == [999] * 2 + [bc.CHUNK] * 4
