@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .boxcore import load_box
+from .boxcore import _write_text, load_box
 from .certify import complementarity_report, run_property_suite
 from .decompose import ResourceSpec, min_comm_cost
 from .errors import (
@@ -125,8 +125,7 @@ def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 

@@ -44,13 +44,12 @@ def _run(tableau, basis, ncols, buf):
         col = int((reduced < -PIVOT_TOL).argmax())  # the first such column, or 0
         if not reduced[col] < -PIVOT_TOL:
             return
-        colvals = tableau[:-1, col]
-        rows = (colvals > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        rhs = tableau[:-1, -1].tolist()  # the ratio test in Python floats, which round as float64
+        ratios = [(rhs[i] / v, i) for i, v in enumerate(tableau[:-1, col].tolist()) if v > PIVOT_TOL]
+        if not ratios:
             raise NumericalError("unbounded direction in a bounded polytope")
-        ratios = tableau[rows, -1] / colvals[rows]
-        ties = rows[ratios <= ratios.min() + 1e-12]
-        row = int(ties[basis[ties].argmin()])  # Bland: the tie with the lowest basic variable
+        least = min(ratios)[0] + 1e-12  # Bland: of the ties, the lowest basic variable
+        row = min((i for r, i in ratios if r <= least), key=basis.__getitem__)
         _pivot(tableau, basis, row, col, buf)
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
@@ -81,7 +80,7 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
     tableau[:m, -1] = b
     tableau[m, :n] = -rows.sum(axis=0)
     tableau[m, -1] = -b.sum()
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
     buf = np.empty_like(tableau)
     _run(tableau, basis, n, buf)
     if -tableau[m, -1] > tol:
@@ -102,7 +101,7 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
     if drop:
         keep = [i for i in range(m) if i not in drop]
         tableau = tableau[keep + [m]]
-        basis = basis[keep]
+        basis = [basis[i] for i in keep]
         buf = buf[:len(tableau)]
 
     # phase 2 per objective, on the original columns of its own copy of the tableau:
@@ -113,10 +112,10 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
         t, in_basis = tableau.copy(), basis.copy()
         t[-1, :n] = cost
         t[-1, -1] = 0.0
-        for i, var in enumerate(in_basis.tolist()):
+        for i, var in enumerate(in_basis):
             t[-1] -= cost[var] * t[i]
         _run(t, in_basis, n, buf)
-        for i, var in enumerate(in_basis.tolist()):
+        for i, var in enumerate(in_basis):
             x[var] = max(t[i, -1], 0.0)
         values.append(float(cost @ x))
     return (xs[0], values[0]) if costs.ndim == 1 else (xs, np.array(values))

@@ -69,6 +69,7 @@ import numpy as np
 from .errors import DomainError
 
 CHUNK = 1 << 16
+MAX_TRIALS = 1 << 36  # the most trials a run accepts: 2**20 chunks, an 8 MiB count list
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
 _BLOCKS = 4  # blocks in the first disc round of a full chunk
 
@@ -271,18 +272,21 @@ def _chunk(ws, i):
 
 
 def _trials_and_seed(n_trials, seed):
-    """(n_trials, seed) as ints; DomainError unless both are integers, n_trials >= 1, seed >= 0."""
+    """(n_trials, seed) as ints; DomainError unless 1 <= n_trials <= MAX_TRIALS, seed >= 0."""
     try:
-        if operator.index(n_trials) >= 1 and operator.index(seed) >= 0:
+        if 1 <= operator.index(n_trials) <= MAX_TRIALS and operator.index(seed) >= 0:
             return operator.index(n_trials), operator.index(seed)
     except TypeError:
         pass
-    raise DomainError(f"need an integer trial count >= 1 and seed >= 0, got {n_trials!r}, {seed!r}")
+    raise DomainError(f"need integer trials in [1, 2**36] and seed >= 0, got {n_trials!r}, {seed!r}")
 
 
 def _settings(spec, x_hat, y_hat, n_trials, seed):
     """What each worker's `_Workspace` reads: (n_trials, seed, bounds, c, s)."""
     n_trials, seed = _trials_and_seed(n_trials, seed)
+    if not (isinstance(x_hat, Direction) and isinstance(y_hat, Direction)):
+        raise DomainError(f"axes must be Directions, got {type(x_hat).__name__} "
+                          f"and {type(y_hat).__name__}")
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
     return n_trials, seed, _strategy_bounds(spec), c, math.sqrt(1.0 - c * c)
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import boxcomp as bc
 from _helpers import random_feasible_box
 from boxcomp.cli import main
+from boxcomp.simulate import MAX_TRIALS
 
 
 @pytest.fixture()
@@ -367,6 +369,15 @@ def test_simulate_rejects_bad_resource(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_trial_counts_above_the_maximum_are_refused(capsys):
+    for trials in (str(10 ** 30), str(MAX_TRIALS + 1)):
+        for grid in (["simulate", "--angle", "1.0"], ["sweep", "--angle-grid", "2"]):
+            assert main(grid + ["--resource", "S1+:1.0", "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_csv_files_are_byte_identical(tmp_path, capsys):
     args = ["sweep", "--resource", "scope=000;S5+:0.25,S5-:0.25,S1+:0.25,S1-:0.25",
             "--angle-grid", "4", "--trials", "65536", "--seed", "6"]
@@ -519,3 +530,67 @@ def test_analyze_and_decompose_json_bytes_are_pinned(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _stdout(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_out_overwrites_in_place_and_cuts_to_length(box_files, tmp_path, capsys):
+    """A report over a longer or a shorter one leaves exactly its own bytes, in the same inode."""
+    box = ["analyze", "--box", str(box_files["sp"])]
+    text, js = _stdout(box, capsys), _stdout(box + ["--format", "json"], capsys)
+    assert len(js) > len(text)
+    out, link = tmp_path / "report", tmp_path / "hard-link"
+    assert main(box + ["--format", "json", "--out", str(out)]) == 0
+    os.link(out, link)
+    for report, argv in ((text, box), (js, box + ["--format", "json"])):  # shorter, then longer
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == report.encode("utf-8")
+        assert os.path.samefile(out, link)
+    assert main(box + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_out_through_a_symlink_writes_the_target_and_keeps_the_link(box_files, tmp_path, capsys):
+    text = _stdout(["analyze", "--box", str(box_files["pr"])], capsys)
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("x" * (2 * len(text)))
+    link.symlink_to(target)
+    assert main(["analyze", "--box", str(box_files["pr"]), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == text.encode("utf-8")
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(box_files, tmp_path):
+    for mask in (0o022, 0o077, 0o002):
+        old = os.umask(mask)
+        try:
+            reference, out = tmp_path / f"open-{mask:o}", tmp_path / f"out-{mask:o}"
+            with open(reference, "w", encoding="utf-8"):
+                pass
+            assert main(["analyze", "--box", str(box_files["pr"]), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_out_to_a_directory_or_under_a_missing_one_fails_as_open_does(box_files, tmp_path,
+                                                                       capsys):
+    for target in (str(tmp_path), str(tmp_path / "missing" / "report.txt")):
+        with pytest.raises(OSError) as opened:
+            open(target, "w", encoding="utf-8")
+        assert main(["analyze", "--box", str(box_files["pr"]), "--out", target]) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {opened.value}\n")
+
+
+def test_dump_box_over_a_longer_file_round_trips(tmp_path):
+    box = bc.resource_box(bc.ResourceSpec.parse("S1+:0.75,S1-:0.25"), label="sp")
+    path = tmp_path / "box.json"
+    path.write_text(" " * 10_000 + "{}")
+    bc.dump_box(box, path)
+    loaded = bc.load_box(path)
+    assert loaded.label == "sp" and loaded.p.tobytes() == box.p.tobytes()
+    assert path.read_text(encoding="utf-8") == json.dumps(box.to_json(), indent=2,
+                                                          sort_keys=True) + "\n"

@@ -443,8 +443,10 @@ def test_trial_count_validation():
                             0, seed=1)
 
 
-# (n_trials, seed) pairs that are not an integer count >= 1 and an integer seed >= 0
-MALFORMED_RUNS = ((10, -1), (10, 1.5), (2.5, 1), (10, "1"), (10, None), (-(2 ** 70), 1))
+# (n_trials, seed) pairs that are not an integer count in [1, MAX_TRIALS] and an
+# integer seed >= 0; none of them starts a run
+MALFORMED_RUNS = ((10, -1), (10, 1.5), (2.5, 1), (10, "1"), (10, None), (-(2 ** 70), 1),
+                  (10 ** 30, 1), (simulate.MAX_TRIALS + 1, 1))
 
 
 def test_simulate_singlet_refuses_malformed_seeds_and_trial_counts():
@@ -456,6 +458,14 @@ def test_simulate_singlet_refuses_malformed_seeds_and_trial_counts():
     # numpy integers are integers, and give the counts of the same Python ints
     assert (bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, np.int64(17), np.uint64(3))
             == bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, 17, 3))
+
+
+def test_axes_must_be_directions():
+    pole = bc.Direction.polar(0.0)
+    for axes, kind in (((pole.v.copy(), pole), "ndarray"), ((pole, [0.0, 0.0, 1.0]), "list")):
+        for run in (bc.simulate_singlet, bc.chunk_xor_counts):
+            with pytest.raises(bc.DomainError, match=kind):
+                run(PR_SPEC, *axes, 10, 0)
 
 
 def test_sweep_angles_refuses_malformed_seeds_and_trial_counts():
