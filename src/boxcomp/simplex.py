@@ -48,7 +48,7 @@ def _run(tableau, basis, ncols, buf):
         ratios = [(rhs[i] / v, i) for i, v in enumerate(tableau[:-1, col].tolist()) if v > PIVOT_TOL]
         if not ratios:
             raise NumericalError("unbounded direction in a bounded polytope")
-        least = min(ratios)[0] + 1e-12  # Bland: of the ties, the lowest basic variable
+        least = min(ratios)[0] + 1e-12  # of the ties, Bland takes the lowest basic variable
         row = min((i for r, i in ratios if r <= least), key=basis.__getitem__)
         _pivot(tableau, basis, row, col, buf)
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
