@@ -411,6 +411,9 @@ def test_sweep_requires_exactly_one_grid_flag(capsys):
     assert main(["sweep", "--resource", "scope=000;S1+:1.0", "--angle-grid", "2",
                  "--trials", "10", "--seed", "-1"]) == 2
     assert _refused_by_the_parser(capsys.readouterr())
+    assert main(["sweep", "--resource", "scope=000;S1+:1.0", "--angles", "0,x",
+                 "--trials", "10"]) == 2
+    assert _refused_by_the_parser(capsys.readouterr())
     for angles in ("0,nan", "-inf,1"):
         assert main(["sweep", "--resource", "scope=000;S1+:1.0", f"--angles={angles}",
                      "--trials", "10"]) == 2
@@ -475,6 +478,31 @@ def test_simulate_and_sweep_bytes_are_pinned(capsys):
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv[0]
+
+
+# sha256 of `simulate` and `sweep` stdout in the text and json formats, over
+# resources of three scopes, one of them two-way
+REPORT_DIGESTS = {
+    ("simulate", "--resource", "S1+:0.5,S1-:0.5", "--angle", "1.0", "--trials", "100000",
+     "--seed", "7", "--format", "text"):
+        "0948f325b5a6b65a6318c0931d540a992857475fe1c0903657e33bec92961c1a",
+    ("simulate", "--resource", "scope=011;S5+:0.25,S5-:0.25,S2+:0.5", "--angle", "2.5",
+     "--trials", "100000", "--seed", "3", "--format", "json"):
+        "5b1220bd566e350d24e56407e2978d5c284d673b036de9bfdce5d4aa16472c7b",
+    ("sweep", "--resource", "scope=101;S2+:0.7,S2-:0.3", "--angle-grid", "5", "--trials",
+     "100000", "--seed", "0", "--format", "text"):
+        "c9a922ffef913d35179634160615c0a768cbccd002f586b72baf77597e73fd8a",
+    ("sweep", "--resource", "S1+:0.5,S1-:0.5", "--angles", "0,0.5,1.5,3.0", "--trials",
+     "100000", "--seed", "11", "--format", "json"):
+        "42b80a0a8ec7cffcd67a067e734a19cb5b67eb51e5ddf307c4124917e92ddbf2",
+}
+
+
+def test_simulate_and_sweep_text_and_json_bytes_are_pinned(capsys):
+    for argv, digest in REPORT_DIGESTS.items():
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
 def _audit_corpus():
