@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -272,10 +273,25 @@ def check_weights(w):
             raise WeightError(f"weights sum to {total!r}, not 1")
 
 
-def mix(weights, boxes, label=None):
-    """Convex mixture of boxes (a sequence of boxes or a (n, 2, 2, 2, 2) stack).
+def checked_count_and_seed(count, seed, most, what):
+    """(count, seed) as ints; DomainError unless both are integers, 1 <= count <= most, seed >= 0.
 
-    Raises WeightError on bad weights.
+    `what` names the count and its range in the message.
+    """
+    try:
+        if 1 <= operator.index(count) <= most and operator.index(seed) >= 0:
+            return operator.index(count), operator.index(seed)
+    except TypeError:
+        pass
+    raise DomainError(f"need integer {what} and seed >= 0, got {count!r}, {seed!r}")
+
+
+def mix(weights, boxes, label=None):
+    """Convex mixture of boxes: a (n, 2, 2, 2, 2) stack, or a sequence of boxes or tables.
+
+    Raises WeightError on bad weights.  The boxes are checked once, as a
+    stack, by `checked_boxes`, so an invalid box is refused even where the
+    mixture would be a valid one.
     """
     w = [float(v) for v in weights]
     if len(w) != len(boxes):
@@ -283,7 +299,10 @@ def mix(weights, boxes, label=None):
     if not w:
         raise WeightError("empty mixture")
     check_weights(w)
-    stack = boxes if isinstance(boxes, np.ndarray) else np.array([box.p for box in boxes])
+    stack = checked_boxes(boxes if isinstance(boxes, np.ndarray)
+                          else [box.p if isinstance(box, CorrelationBox) else box for box in boxes])
+    if stack.ndim != 5:
+        raise BoxFormatError(f"expected a stack of (2,2,2,2) boxes, got shape {stack.shape}")
     return CorrelationBox(mixtures(w, stack), label=label)
 
 

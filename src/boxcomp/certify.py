@@ -40,12 +40,21 @@ inequalities that define C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .boxcore import PRScope, check_weights, mixtures, scope_boxes, scope_strategies, strategy_boxes
+from .boxcore import (
+    PRScope,
+    check_weights,
+    checked_count_and_seed,
+    mixtures,
+    scope_boxes,
+    scope_strategies,
+    strategy_boxes,
+)
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
@@ -57,7 +66,7 @@ from .decompose import (
     _random_feasible_boxes,
     _signed_signal_rows,
 )
-from .errors import DomainError, Infeasible
+from .errors import Infeasible
 from .measures import (
     SignalReport,
     _in_range,
@@ -383,15 +392,15 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
 
     The suites check the canonical scope (0,0,0).  `strategies` overrides
     its catalogue (used as a corruption hook by the negative-control test
-    and CLI flag); everything is driven by `seed`.
+    and CLI flag); everything is driven by `seed`.  DomainError unless seed
+    and instances are integers with seed >= 0 and instances >= 1.
     """
-    if instances < 1:
-        raise DomainError(f"need at least one instance, got {instances!r}")
+    instances, seed = checked_count_and_seed(instances, seed, math.inf, "instances >= 1")
     check_tolerance(tol)
     scope = PRScope()
     if strategies is None:
         strategies = scope_strategies(scope)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     checks = []
 
     bad = _check_catalogue(strategies, scope)
@@ -432,5 +441,5 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
     checks.append(SuiteCheck("zero-signal-bias", bias <= tol, bias,
                              "max |marginal - 1/2| with all signed signals pinned to 0"))
 
-    return SuiteReport(seed=int(seed), instances=int(instances), tol=float(tol),
+    return SuiteReport(seed=seed, instances=instances, tol=float(tol),
                        checks=tuple(checks))

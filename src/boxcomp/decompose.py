@@ -38,6 +38,7 @@ structure yields certified per-cell lower bounds via
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -150,12 +151,12 @@ class Decomposition:
 
 
 def check_tolerance(tol):
-    """Accept a solver tolerance only in the open interval (0, 1).
+    """Accept a solver tolerance only as a real number in the open interval (0, 1).
 
     A tolerance of 1 or more lets the LP's feasibility and residual checks
-    pass any box, so it is refused like NaN and infinity.
+    pass any box, so it is refused like NaN, infinity and non-real values.
     """
-    if not 0.0 < tol < 1.0:
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
         raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
@@ -266,9 +267,6 @@ class ResourceSpec:
         if not mapping:
             raise WeightError("resource spec lists no strategy weights")
         return cls.from_mapping(mapping, scope=scope)
-
-    def strategies(self):
-        return scope_strategies(self.scope)
 
     @property
     def one_way_support(self):

@@ -6,15 +6,18 @@ The parties' box inputs are parities of half-space indicators,
     x = sgn(t1.x_hat) xor sgn(t2.x_hat)
     y = sgn((t1+t2).y_hat) xor sgn((t1-t2).y_hat)
 
-with sgn mapping to {0,1} and sgn(0) = 1.  The box replies (a, b), and the
-announced bits fold the first indicator back in:
+with sgn mapping to {0,1} and sgn(0) = 1.  Every strategy of a scope's
+catalogue replies (a, b) with a xor b = xy xor mu1 x xor mu2 y xor mu3.  The
+parties undo the scope's output relabelling and fold the first indicators
+back in, with alpha = sgn(t1.x_hat) and beta = sgn((t1+t2).y_hat):
 
-    X = a xor sgn(t1.x_hat)          Y = b xor sgn((t1+t2).y_hat) xor 1
+    X = a xor mu1 x xor mu3 xor alpha          Y = b xor mu2 y xor beta xor 1
 
-(for scopes other than (0,0,0) the parties first undo the scope's output
-relabelling, which keeps the estimator identity intact).  The fraction of
-trials with X xor Y = 1 estimates (1 + x_hat.y_hat)/2, the singlet's
-anticorrelation probability for measurement axes x_hat, y_hat.
+so X xor Y = not(x and y) xor alpha xor beta, whichever strategy the
+resource picks.  The fraction of trials with X xor Y = 1 estimates
+(1 + x_hat.y_hat)/2, the singlet's anticorrelation probability for
+measurement axes x_hat, y_hat.  Counts do not depend on the resource's
+weights or scope: no strategy is drawn, and a spec is only type-checked.
 
 Sampler (Marsaglia disc points in the (x_hat, y_hat) frame).  Only the
 projections of t1 and t2 onto span(x_hat, y_hat) matter, so the kernel never
@@ -33,39 +36,41 @@ sgn(0) = 1 gives it x = 0 and y = beta xor 1.
 
 Trials are processed in fixed chunks of 65536; chunk i reads one
 counter-based Philox stream seeded SeedSequence(entropy=seed, spawn_key=(i,)),
-in a fixed order: the strategy uniforms, then t1's disc rounds (each a block
-of m u's, then m v's), then t2's, and nothing after them.  A round's
-position in the stream is fixed by the rounds before it, and any word of the
-stream can be drawn from a generator positioned there, so each round is
-streamed in blocks from two positioned generators, one for its u's and one
-for its v's, and stops drawing once it has its points.  Estimates are
-integer counts tied to (seed, chunk index), so they do not depend on the
-order, or the thread, in which chunks are evaluated.
+in a fixed order: t1's disc rounds (each a block of m u's, then m v's), then
+t2's, and nothing after them.  The first round of an n-trial chunk starts at
+word n: words 0 to n - 1, where a sampler that picks each trial's strategy
+reads its uniform, are skipped, not drawn, which keeps that sampler's counts
+and every estimate published from them.  A round's position in the stream
+is fixed by the rounds before it, and any word of the stream can be drawn
+from a generator positioned there, so each round is streamed in blocks from
+two positioned generators, one for its u's and one for its v's, and stops
+drawing once it has its points.  Estimates are integer counts tied to
+(seed, chunk index), so they do not depend on the order, or the thread, in
+which chunks are evaluated.
 
 The kernel, `_chunk`, fills one worker's workspace: t1's kept points, five
 rows of one block of candidates, and the chunk's cell and bit rows.  t2 is
 never stored whole: each block of its points is paired with t1's as it is
 drawn, every step writes into the workspace in place, and the sign
 projections overwrite the points they are taken from.  A chunk's state is
-(cell, alpha, beta), with cell = 4k + 2x + y for strategy k and inputs
-(x, y).  `chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`,
-counts X xor Y = T[cell] xor alpha xor beta from one 64-cell table T of the
-spec's replies and scope, so the replies and announced bits of single trials
-are never formed.  Its chunks run on at most two workers, the caller and
-one helper thread, each with its own workspace, about 2.1 MiB for full
-chunks.
+(cell, alpha, beta), with cell = 2x + y.  `chunk_xor_counts`, behind
+`simulate_singlet` and `sweep_angles`, counts X xor Y = [cell != 3] xor
+alpha xor beta, so the replies and announced bits of single trials are
+never formed.  Its chunks run on at most two workers, the caller and one
+helper thread, each with its own workspace, about 2.1 MiB for full chunks.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .boxcore import checked_count_and_seed
+from .decompose import ResourceSpec
 from .errors import DomainError
 
 CHUNK = 1 << 16
@@ -100,32 +105,6 @@ class Direction:
         return float(self.v @ other.v)
 
 
-def _strategy_bounds(spec):
-    """Bounds that pick strategy k = #{j < 15 : r >= cum_j} for a uniform r.
-
-    This is the inverse CDF of the weights, with strategy 15 taking any
-    rounding shortfall.  Bounds of 1 or more are dropped, since r < 1 never
-    reaches them.
-    """
-    cum = np.cumsum(np.asarray(spec.weights, dtype=np.float64))[:15]
-    return cum[cum < 1.0]
-
-
-def _xor_table(spec):
-    """T[4k + 2x + y] with X xor Y = T xor alpha xor beta, for strategy k on inputs (x, y).
-
-    Strategy k replies (a, b), and the announced bits are
-    X = a ^ (mu1 & x) ^ mu3 ^ alpha and Y = b ^ (mu2 & y) ^ beta ^ 1, so
-    T = a ^ b ^ (mu1 & x) ^ (mu2 & y) ^ mu3 ^ 1: 64 bools.
-    """
-    table = spec.strategies()
-    a = np.array([s.fa for s in table]).reshape(16, 2, 2)
-    b = np.array([s.fb for s in table]).reshape(16, 2, 2)
-    x, y = np.indices((2, 2))
-    scope = spec.scope
-    return (a ^ b ^ (scope.mu1 & x) ^ (scope.mu2 & y) ^ scope.mu3 ^ 1).ravel().astype(bool)
-
-
 def _chunk_key(seed, chunk_index):
     """The Philox key of chunk i's stream, seeded SeedSequence(entropy=seed, spawn_key=(i,))."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
@@ -148,12 +127,12 @@ class _Workspace:
 
     t1 holds t1's kept points (u, v); rows holds five float rows of one
     block of candidates, with keep beside them; cell and bits (alpha, beta
-    and a free row) hold a chunk's state.  bounds, c and s are resolved from
-    the spec and axes in the calling thread.
+    and a free row) hold a chunk's state.  c and s are resolved from the
+    axes in the calling thread.
     """
 
-    def __init__(self, n_trials, seed, bounds, c, s):
-        self.n_trials, self.seed, self.bounds, self.c, self.s = n_trials, seed, bounds, c, s
+    def __init__(self, n_trials, seed, c, s):
+        self.n_trials, self.seed, self.c, self.s = n_trials, seed, c, s
         size = min(CHUNK, n_trials)
         width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // _BLOCKS)
         # one float and one bool buffer: a buffer this size, freed whole, is
@@ -222,7 +201,7 @@ def _y_projection(u, v, q, c, s):
 
 
 def _pair_bits(c, s, u1, v1, q1, u2, v2, q2, cell, alpha, beta, free, bit):
-    """Shift the inputs (x, y) of pairs (t1, t2) into cell, and set alpha and beta.
+    """Write the inputs (x, y) of pairs (t1, t2) into cell as 2x + y, and set alpha and beta.
 
     t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0,
     so alpha = sgn(t1.x_hat), beta = sgn((t1 + t2).y_hat),
@@ -231,8 +210,7 @@ def _pair_bits(c, s, u1, v1, q1, u2, v2, q2, cell, alpha, beta, free, bit):
     The points are written over; free and bit are scratch rows.
     """
     np.greater_equal(u1, 0.0, out=alpha)
-    cell <<= 1
-    cell |= np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=bit)
+    np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=cell)
     p1 = _y_projection(u1, v1, q1, c, s)
     p2 = _y_projection(u2, v2, q2, c, s)
     np.greater_equal(np.add(p1, p2, out=free), 0.0, out=beta)
@@ -244,18 +222,13 @@ def _pair_bits(c, s, u1, v1, q1, u2, v2, q2, cell, alpha, beta, free, bit):
 def _chunk(ws, i):
     """Chunk i's (cell, alpha, beta), as views of ws's rows.
 
-    cell = 4k + 2x + y holds strategy k and the box inputs (x, y).  The
-    chunk's stream gives the strategy uniforms, then t1's rounds, then t2's.
-    t2's points are paired with t1's block by block, so t2 is never stored
-    whole.
+    cell = 2x + y holds the box inputs (x, y).  The chunk's stream gives
+    t1's rounds, from word n on, then t2's.  t2's points are paired with
+    t1's block by block, so t2 is never stored whole.
     """
     n = min(CHUNK, ws.n_trials - i * CHUNK)
     key = _chunk_key(ws.seed, i)
     cell, (alpha, beta, bit) = ws.cell[:n], ws.bits[:, :n]
-    pick = _positioned(key, 0).random(out=ws.t1[0, :n])  # free until t1 is drawn
-    cell.fill(0)
-    for bound in ws.bounds:
-        cell += np.greater_equal(pick, bound, out=bit)
     t1 = ws.t1[:, :n]
 
     def pair(k, u2, v2, q2):
@@ -271,35 +244,26 @@ def _chunk(ws, i):
     return cell, alpha, beta
 
 
-def _trials_and_seed(n_trials, seed):
-    """(n_trials, seed) as ints; DomainError unless 1 <= n_trials <= MAX_TRIALS, seed >= 0."""
-    try:
-        if 1 <= operator.index(n_trials) <= MAX_TRIALS and operator.index(seed) >= 0:
-            return operator.index(n_trials), operator.index(seed)
-    except TypeError:
-        pass
-    raise DomainError(f"need integer trials in [1, 2**36] and seed >= 0, got {n_trials!r}, {seed!r}")
+def _checked_run(spec, n_trials, seed):
+    """(n_trials, seed) as ints; DomainError unless spec is a ResourceSpec and
+    1 <= n_trials <= MAX_TRIALS, seed >= 0 are integers.
+
+    The spec's weights and scope cannot change a count, so it is only
+    type-checked.
+    """
+    if not isinstance(spec, ResourceSpec):
+        raise DomainError(f"spec must be a ResourceSpec, got {type(spec).__name__}")
+    return checked_count_and_seed(n_trials, seed, MAX_TRIALS, "trials in [1, 2**36]")
 
 
 def _settings(spec, x_hat, y_hat, n_trials, seed):
-    """What each worker's `_Workspace` reads: (n_trials, seed, bounds, c, s)."""
-    n_trials, seed = _trials_and_seed(n_trials, seed)
+    """What each worker's `_Workspace` reads: (n_trials, seed, c, s)."""
+    n_trials, seed = _checked_run(spec, n_trials, seed)
     if not (isinstance(x_hat, Direction) and isinstance(y_hat, Direction)):
         raise DomainError(f"axes must be Directions, got {type(x_hat).__name__} "
                           f"and {type(y_hat).__name__}")
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
-    return n_trials, seed, _strategy_bounds(spec), c, math.sqrt(1.0 - c * c)
-
-
-def _chunks(spec, x_hat, y_hat, n_trials, seed):
-    """Each chunk's (cell, alpha, beta), in chunk order: the serial map of `_chunk`.
-
-    The workspace is allocated once per call, so a chunk's state is a view
-    that the next chunk writes over.
-    """
-    ws = _Workspace(*_settings(spec, x_hat, y_hat, n_trials, seed))
-    for i in range(-(-ws.n_trials // CHUNK)):
-        yield _chunk(ws, i)
+    return n_trials, seed, c, math.sqrt(1.0 - c * c)
 
 
 def _workers(n_chunks):
@@ -351,34 +315,23 @@ def _share(n_chunks, work):
         raise failed[0]
 
 
-def _lookup(table, cell, index, out):
-    """out = table[cell], with cell cast into the intp row index a part at a time."""
-    for lo in range(0, len(cell), len(index)):
-        part = slice(lo, lo + len(index))
-        at = index[:len(out[part])]
-        np.copyto(at, cell[part])
-        np.take(table, at, out=out[part], mode="clip")
-    return out
-
-
 def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     """Per-chunk counts of trials with X xor Y = 1; their sum / N is the estimate.
 
-    Each count is one lookup of the chunk's cells in the 64-cell table of
-    `_xor_table`, XORed with alpha and beta.  The counts are integers tied
-    to fixed chunk indices, so the chunks run on up to two threads, each
-    with its own workspace, and give the same counts in any order.
+    X xor Y = not(x and y) xor alpha xor beta for every catalogue strategy,
+    so the counts do not depend on the spec's weights or scope, and a spec
+    that is not a ResourceSpec raises DomainError.  The counts are integers
+    tied to fixed chunk indices, so the chunks run on up to two threads,
+    each with its own workspace, and give the same counts in any order.
     """
     settings = _settings(spec, x_hat, y_hat, n_trials, seed)
-    table = _xor_table(spec)
     counts = [0] * -(-settings[0] // CHUNK)
 
     def work(indices):
         ws = _Workspace(*settings)
-        index = ws.rows[4].view(np.intp)  # free once a chunk is drawn
         for i in indices:
             cell, alpha, beta = _chunk(ws, i)
-            hit = _lookup(table, cell, index, ws.bits[2, :len(cell)])
+            hit = np.not_equal(cell, 3, out=ws.bits[2, :len(cell)])
             hit ^= alpha
             hit ^= beta
             counts[i] = int(np.count_nonzero(hit))
@@ -388,7 +341,10 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
 
 
 def simulate_singlet(spec, x_hat, y_hat, n_trials, seed):
-    """Estimate P(X xor Y = 1), which targets (1 + x_hat.y_hat)/2."""
+    """Estimate P(X xor Y = 1), which targets (1 + x_hat.y_hat)/2.
+
+    Like the counts it sums, it does not depend on the spec's weights or scope.
+    """
     counts = chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed)
     return sum(counts) / int(n_trials)
 
@@ -415,7 +371,7 @@ def sweep_angles(spec, angles, n_trials, seed):
     x_hat is fixed at the pole and y_hat rotated by each angle; each angle
     runs n_trials on its own derived stream of the master seed.
     """
-    n_trials, seed = _trials_and_seed(n_trials, seed)
+    n_trials, seed = _checked_run(spec, n_trials, seed)
     angles = [float(angle) for angle in angles]
     for angle in angles:
         if not math.isfinite(angle):

@@ -49,24 +49,19 @@ def pair_box(j, p, scope=bc.PRScope()):
 def trial_records(spec, x_hat, y_hat, n_trials, seed):
     """The chunk kernel's trials over all chunks, as int8 arrays by field name.
 
-    The kernel yields each chunk's (cell, alpha, beta), cell = 4k + 2x + y;
-    the box inputs, the picked strategy's replies (a, b) and the announced
-    bits X = a ^ (mu1 & x) ^ mu3 ^ alpha and Y = b ^ (mu2 & y) ^ beta ^ 1
-    are derived here from copies of that state.  These are exactly the
-    trials that `chunk_xor_counts` counts.
+    The kernel yields each chunk's (cell, alpha, beta), cell = 2x + y; the box
+    inputs and the announced parity X ^ Y = (x & y) ^ alpha ^ beta ^ 1, which
+    every catalogue strategy gives, are derived here from copies of that
+    state.  These are exactly the trials that `chunk_xor_counts` counts.
     """
-    parts = [[arr.astype(np.int8) for arr in state]
-             for state in simulate._chunks(spec, x_hat, y_hat, n_trials, seed)]
+    ws = simulate._Workspace(*simulate._settings(spec, x_hat, y_hat, n_trials, seed))
+    # chunk by chunk on one workspace, which each chunk writes over
+    parts = [[arr.astype(np.int8) for arr in simulate._chunk(ws, i)]
+             for i in range(-(-ws.n_trials // bc.CHUNK))]
     cell, alpha, beta = (np.concatenate(arrs) for arrs in zip(*parts))
-    table = spec.strategies()
-    a = np.array([s.fa for s in table], dtype=np.int8).ravel()[cell]
-    b = np.array([s.fb for s in table], dtype=np.int8).ravel()[cell]
-    x_in, y_in = (cell >> 1) & 1, cell & 1
-    mu1, mu2, mu3 = spec.scope.mu1, spec.scope.mu2, spec.scope.mu3
-    x_out = a ^ (mu1 & x_in) ^ mu3 ^ alpha
-    y_out = b ^ (mu2 & y_in) ^ beta ^ 1
-    return SimpleNamespace(x_in=x_in, y_in=y_in, a=a, b=b, alpha=alpha, beta=beta,
-                           x_out=x_out, y_out=y_out)
+    x_in, y_in = cell >> 1, cell & 1
+    return SimpleNamespace(x_in=x_in, y_in=y_in, alpha=alpha, beta=beta,
+                           xor=(x_in & y_in) ^ alpha ^ beta ^ 1)
 
 
 def reconstruct(dec):

@@ -121,6 +121,21 @@ def test_mix_weight_validation():
             bc.mix((bad, 1.0), boxes)
 
 
+def test_mix_checks_its_boxes_as_one_stack():
+    pr, other = bc.pr_box(), bc.pr_box(bc.PRScope(0, 0, 1))
+    # two invalid boxes whose mixture would be the valid PR box
+    with pytest.raises(bc.BoxInvariantError):
+        bc.mix((0.5, 0.5), np.array([2.0 * pr.p, 0.0 * pr.p]))
+    # tables mix as their boxes do, as comm_cost_many reads them
+    assert (bc.mix((0.25, 0.75), [pr.p, other.p]).p.tobytes()
+            == bc.mix((0.25, 0.75), [pr, other]).p.tobytes())
+    with pytest.raises(bc.BoxInvariantError):
+        bc.mix((0.5, 0.5), [pr.p, np.full((2, 2, 2, 2), 0.5)])
+    # one box is not a stack of two
+    with pytest.raises(bc.BoxFormatError):
+        bc.mix((0.5, 0.5), pr.p)
+
+
 def test_box_validation():
     with pytest.raises(bc.BoxFormatError):
         bc.CorrelationBox(np.zeros((2, 2, 2)))

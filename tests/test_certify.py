@@ -185,13 +185,20 @@ def test_property_suite_detects_corrupted_catalogue():
 
 
 def test_property_suite_validation():
-    with pytest.raises(bc.DomainError):
-        bc.run_property_suite(instances=0)
+    # seed and instances follow the integer rule of simulate's trials and seed
+    for seed, instances in ((0, 0), (-1, 1), (1.5, 1), ("1", 1), (None, 1), (0, 1.5),
+                            (0, "3"), (0, None), (0, -(2 ** 70))):
+        with pytest.raises(bc.DomainError):
+            bc.run_property_suite(seed=seed, instances=instances)
+    # numpy integers are integers, and give the report of the same Python ints
+    report = bc.run_property_suite(seed=np.int64(3), instances=np.uint8(2))
+    assert report.to_json() == bc.run_property_suite(seed=3, instances=2).to_json()
+    assert report.seed == 3 and type(report.seed) is int
 
 
 def test_tolerances_outside_the_unit_interval_are_refused():
     two_way = bc.strategy_box(bc.scope_strategies()[8])
-    for tol in (math.inf, math.nan, 10.0, 1.0, 0.0, -1e-9):
+    for tol in (math.inf, math.nan, 10.0, 1.0, 0.0, -1e-9, "0.5", None, [0.5], 0.5j):
         with pytest.raises(bc.DomainError):
             bc.min_comm_cost(two_way, tol=tol)
         with pytest.raises(bc.DomainError):

@@ -140,7 +140,7 @@ def ref_conditional_lower_bounds(spec, nonlocal_weight=1.0):
         (1, 0): -s.s1 + s.s2 + s.s3 + s.s4,
         (1, 1): -s.s1 + s.s2 + s.s3 - s.s4,
     }
-    anchor = spec.strategies()[0]
+    anchor = bc.scope_strategies(spec.scope)[0]
     rows = []
     for x, y in INPUT_PAIRS:
         a0, b0 = anchor.a(x, y), anchor.b(x, y)

@@ -1,5 +1,6 @@
 """Trial records, resource outputs, and the singlet-statistics estimator."""
 
+import itertools
 import math
 import sys
 import threading
@@ -145,41 +146,67 @@ def test_sampler_counts_are_pinned():
     assert counts == [0, 0]
 
 
-def test_outputs_are_the_replies_of_the_picked_strategy():
-    # a chunk's first n uniforms pick each trial's strategy by inverse CDF
-    rng = np.random.default_rng(57)
-    n = 5000
-    for spec in (PR_SPEC, bc.ResourceSpec.parse("scope=101;S2+:0.3,S5-:0.7"),
-                 random_resource_spec(rng)):
-        td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.8),
-                           n, seed=15)
-        pick = chunk_stream(15, 0).random(n)
-        k = np.minimum(np.searchsorted(np.cumsum(spec.weights), pick, side="right"), 15)
-        table = spec.strategies()
-        fa = np.array([s.fa for s in table]).reshape(16, 2, 2)
-        fb = np.array([s.fb for s in table]).reshape(16, 2, 2)
-        assert np.array_equal(td.a, fa[k, td.x_in, td.y_in])
-        assert np.array_equal(td.b, fb[k, td.x_in, td.y_in])
+def test_announced_parity_is_the_same_for_every_catalogue_strategy():
+    # The parties announce X = a ^ (mu1 & x) ^ mu3 ^ alpha and
+    # Y = b ^ (mu2 & y) ^ beta ^ 1.  For all 512 cases, 8 scopes x 16
+    # catalogue strategies x 4 input pairs, X ^ Y = (x & y) ^ alpha ^ beta ^ 1,
+    # the parity that chunk_xor_counts counts.  Of the 256 deterministic
+    # strategies, exactly the scope's catalogue gives it on every input pair.
+    every = [bc.DeterministicStrategy(fa, fb) for fa in itertools.product((0, 1), repeat=4)
+             for fb in itertools.product((0, 1), repeat=4)]
+    cases = 0
+    for scope in bc.all_scopes():
+
+        def announces_the_singlet_parity(strategy):
+            return all((strategy.a(x, y) ^ (scope.mu1 & x) ^ scope.mu3 ^ alpha)
+                       ^ (strategy.b(x, y) ^ (scope.mu2 & y) ^ beta ^ 1)
+                       == (x & y) ^ alpha ^ beta ^ 1
+                       for x, y in bc.INPUT_PAIRS
+                       for alpha, beta in itertools.product((0, 1), repeat=2))
+
+        catalogue = bc.scope_strategies(scope)
+        assert len(set(catalogue)) == 16
+        for strategy in catalogue:
+            assert announces_the_singlet_parity(strategy)
+            cases += len(bc.INPUT_PAIRS)
+        assert set(filter(announces_the_singlet_parity, every)) == set(catalogue)
+    assert cases == 512
 
 
-def test_trial_records_deterministic_strategy_outputs():
-    # S1+ answers a = 0, b = x*y on every trial
-    td = trial_records(TB_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.1),
-                       4000, seed=52)
-    assert np.array_equal(td.a, np.zeros_like(td.a))
-    assert np.array_equal(td.b, td.x_in & td.y_in)
-    assert set(zip(td.x_in.tolist(), td.y_in.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+def _benchmark_shaped_specs(scope):
+    """The five resource shapes of the benchmark's sweep, in one scope."""
+    mix = random_resource_spec(np.random.default_rng(59), scope=scope)
+    return [bc.ResourceSpec.from_mapping(weights, scope=scope) for weights in (
+        {"S1+": 1.0}, {"S1+": 0.5, "S1-": 0.5}, {"S2+": 0.7, "S2-": 0.3},
+        {"S6+": 0.5, "S6-": 0.5})] + [mix]
 
 
-def test_trial_records_pr_spec_outputs_balanced():
-    td = trial_records(PR_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(0.4),
-                       20_000, seed=54)
-    at_00 = (td.x_in == 0) & (td.y_in == 0)
-    assert np.array_equal(td.a[at_00], td.b[at_00])  # relation at (0,0) forces a = b
-    n = int(at_00.sum())
-    assert n >= 2000
-    frac = float(td.a[at_00].mean())
-    assert abs(frac - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+def test_counts_do_not_depend_on_the_resource(monkeypatch):
+    # the five shapes in all 8 scopes, on one worker and on two
+    n = bc.CHUNK + 300
+    specs = [spec for scope in bc.all_scopes() for spec in _benchmark_shaped_specs(scope)]
+    assert len(specs) == 40
+    for theta, seed in ((0.3, 1), (1.9, 2), (3.0, 3)):
+        x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(theta)
+        seen = set()
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_workers", lambda chunks, w=workers: min(w, chunks))
+            seen.update(tuple(bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed))
+                        for spec in specs)
+        assert len(seen) == 1
+        (counts,) = seen
+        assert len(counts) == 2 and 0 < sum(counts) < n
+
+
+def test_a_spec_that_is_not_a_resource_spec_is_refused():
+    x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(1.0)
+    for spec in (None, "S1+:1.0", {"S1+": 1.0}, PR_SPEC.weights):
+        for run in (bc.simulate_singlet, bc.chunk_xor_counts):
+            with pytest.raises(bc.DomainError, match="ResourceSpec"):
+                run(spec, x_hat, y_hat, 10, 0)
+        for angles in ([1.0], []):
+            with pytest.raises(bc.DomainError, match="ResourceSpec"):
+                bc.sweep_angles(spec, angles, 10, 0)
 
 
 def test_simulation_is_deterministic_and_chunk_order_free():
@@ -206,22 +233,21 @@ def _sweep_like_specs():
 
 def _records_counts(td):
     """Per-chunk counts of X ^ Y = 1 in a trial record."""
-    xor = td.x_out ^ td.y_out
-    return [int(xor[lo:lo + bc.CHUNK].sum()) for lo in range(0, len(xor), bc.CHUNK)]
+    return [int(td.xor[lo:lo + bc.CHUNK].sum()) for lo in range(0, len(td.xor), bc.CHUNK)]
 
 
 def test_trial_records_match_counting_path():
-    # chunk_xor_counts reads X ^ Y off a 64-cell table; trial_records derives
-    # it from the replies and the scope.  They agree chunk by chunk.
+    # chunk_xor_counts counts X ^ Y on the pooled path; trial_records derives
+    # it from the serial map's (x, y, alpha, beta).  They agree chunk by chunk.
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(0.7)
     n = bc.CHUNK + 500
     for spec in [PR_SPEC] + _sweep_like_specs():
         td = trial_records(spec, x_hat, y_hat, n, seed=5)
-        assert len(td.x_out) == n
+        assert len(td.xor) == n
         counts = bc.chunk_xor_counts(spec, x_hat, y_hat, n, seed=5)
         assert counts == _records_counts(td)
-        assert int((td.x_out ^ td.y_out).sum()) == sum(counts)
-        assert float((td.x_out ^ td.y_out).mean()) == sum(counts) / n
+        assert int(td.xor.sum()) == sum(counts)
+        assert float(td.xor.mean()) == sum(counts) / n
 
 
 def test_coincident_pairs_get_the_sgn_zero_inputs(monkeypatch):
@@ -241,8 +267,8 @@ def test_coincident_pairs_get_the_sgn_zero_inputs(monkeypatch):
 
 
 def test_table_counts_match_records_when_every_pair_coincides(monkeypatch):
-    # the same hook on the counting path: two draws per chunk, and the 64-cell
-    # table reads the same X ^ Y as the records, chunk by chunk
+    # the same hook on the counting path: two draws per chunk, and the counts
+    # read the same X ^ Y as the records, chunk by chunk
     calls = []
     monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
@@ -269,7 +295,7 @@ def test_pooled_counts_match_one_worker_and_records(monkeypatch):
 
 
 def test_positioned_stream_is_the_chunk_stream_tail():
-    # every residue mod 4, at the ends of the picks and of t1's u and v blocks
+    # every residue mod 4, at the ends of the skipped words and of t1's u and v blocks
     n = 1000
     m = int(n * 4.0 / math.pi) + 16
     seed, chunk = 44, 3
@@ -349,28 +375,6 @@ def test_kernel_memory_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 2**20
-
-
-def test_estimator_identity_chains_through_the_box():
-    # X ^ Y = x*y ^ alpha ^ beta ^ 1 for any canonical-scope resource
-    rng = np.random.default_rng(55)
-    for spec in (PR_SPEC, TB_SPEC, random_resource_spec(rng)):
-        td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.9),
-                           4000, seed=6)
-        lhs = td.x_out ^ td.y_out
-        rhs = (td.x_in & td.y_in) ^ td.alpha ^ td.beta ^ 1
-        assert np.array_equal(lhs, rhs)
-        assert np.array_equal(td.x_out, td.a ^ td.alpha)
-        assert np.array_equal(td.y_out, td.b ^ td.beta ^ 1)
-
-
-def test_box_inputs_respect_resource_relation_in_simulation():
-    rng = np.random.default_rng(56)
-    spec = random_resource_spec(rng, scope=bc.PRScope(1, 0, 1))
-    td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(2.0),
-                       2000, seed=7)
-    rel = np.array([[spec.scope.relation(x, y) for y in (0, 1)] for x in (0, 1)])
-    assert np.array_equal(td.a ^ td.b, rel[td.x_in, td.y_in])
 
 
 def test_aligned_axes_give_certain_anticorrelation():
