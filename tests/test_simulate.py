@@ -1,4 +1,4 @@
-"""Trial records, resource outputs, and the singlet-statistics estimator."""
+"""Trial records, the announced-parity identity, and the singlet-statistics estimator."""
 
 import itertools
 import math
