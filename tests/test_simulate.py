@@ -173,6 +173,59 @@ def test_announced_parity_is_the_same_for_every_catalogue_strategy():
     assert cases == 512
 
 
+def _announced(strategy, scope, td):
+    """A strategy's replies (a, b) on the recorded box inputs, and the bits
+    X = a ^ (mu1 & x) ^ mu3 ^ alpha and Y = b ^ (mu2 & y) ^ beta ^ 1."""
+    cell = 2 * td.x_in + td.y_in
+    a = np.array(strategy.fa, dtype=np.int8)[cell]
+    b = np.array(strategy.fb, dtype=np.int8)[cell]
+    x_out = a ^ (scope.mu1 & td.x_in) ^ scope.mu3 ^ td.alpha
+    y_out = b ^ (scope.mu2 & td.y_in) ^ td.beta ^ 1
+    return a, b, x_out, y_out
+
+
+def test_trial_records_deterministic_strategy_outputs():
+    # S1+ answers a = 0, b = x*y on every sampled trial, and its announced
+    # parity is the one the records carry
+    td = trial_records(TB_SPEC, bc.Direction.polar(0.0), bc.Direction.polar(1.1),
+                       4000, seed=52)
+    (s1_plus,) = [s for s, w in zip(bc.scope_strategies(TB_SPEC.scope), TB_SPEC.weights) if w]
+    a, b, x_out, y_out = _announced(s1_plus, TB_SPEC.scope, td)
+    assert np.array_equal(a, np.zeros_like(a))
+    assert np.array_equal(b, td.x_in & td.y_in)
+    assert np.array_equal(x_out ^ y_out, td.xor)
+    assert set(zip(td.x_in.tolist(), td.y_in.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_estimator_identity_chains_through_the_box():
+    # X ^ Y = x*y ^ alpha ^ beta ^ 1 on the sampled trials, for each strategy
+    # in a resource's support
+    rng = np.random.default_rng(55)
+    for spec in (PR_SPEC, TB_SPEC, random_resource_spec(rng)):
+        td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(0.9),
+                           4000, seed=6)
+        rhs = (td.x_in & td.y_in) ^ td.alpha ^ td.beta ^ 1
+        assert np.array_equal(td.xor, rhs)
+        for strategy, w in zip(bc.scope_strategies(spec.scope), spec.weights):
+            if w:
+                _, _, x_out, y_out = _announced(strategy, spec.scope, td)
+                assert np.array_equal(x_out ^ y_out, rhs)
+
+
+def test_box_inputs_respect_resource_relation_in_simulation():
+    # every strategy of the resource's scope answers a ^ b = relation(x, y)
+    # on the sampled box inputs, and announces the recorded parity
+    rng = np.random.default_rng(56)
+    spec = random_resource_spec(rng, scope=bc.PRScope(1, 0, 1))
+    td = trial_records(spec, bc.Direction.polar(0.0), bc.Direction.polar(2.0),
+                       2000, seed=7)
+    rel = np.array([[spec.scope.relation(x, y) for y in (0, 1)] for x in (0, 1)])
+    for strategy in bc.scope_strategies(spec.scope):
+        a, b, x_out, y_out = _announced(strategy, spec.scope, td)
+        assert np.array_equal(a ^ b, rel[td.x_in, td.y_in])
+        assert np.array_equal(x_out ^ y_out, td.xor)
+
+
 def _benchmark_shaped_specs(scope):
     """The five resource shapes of the benchmark's sweep, in one scope."""
     mix = random_resource_spec(np.random.default_rng(59), scope=scope)
