@@ -215,12 +215,15 @@ class ResourceSpec:
     """Weights over the 16 catalogued strategies of one scope.
 
     `weights` aligns with STRATEGY_NAMES order for the scope's catalogue.
+    A scope that is not a PRScope raises DomainError.
     """
 
     scope: PRScope
     weights: tuple
 
     def __post_init__(self):
+        if not isinstance(self.scope, PRScope):
+            raise DomainError(f"scope must be a PRScope, got {self.scope!r}")
         w = tuple(float(v) for v in self.weights)
         if len(w) != 16:
             raise WeightError(f"expected 16 weights, got {len(w)}")

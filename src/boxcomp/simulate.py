@@ -40,24 +40,33 @@ in a fixed order: t1's disc rounds (each a block of m u's, then m v's), then
 t2's, and nothing after them.  The first round of an n-trial chunk starts at
 word n: words 0 to n - 1, where a sampler that picks each trial's strategy
 reads its uniform, are skipped, not drawn, which keeps that sampler's counts
-and every estimate published from them.  A round's position in the stream
-is fixed by the rounds before it, and any word of the stream can be drawn
-from a generator positioned there, so each round is streamed in blocks from
-two positioned generators, one for its u's and one for its v's, and stops
-drawing once it has its points.  Estimates are integer counts tied to
-(seed, chunk index), so they do not depend on the order, or the thread, in
-which chunks are evaluated.
+and every estimate published from them.  Each round is streamed in blocks
+from two generators re-keyed to its place in the stream, one for its u's and
+one for its v's, and stops drawing once it has its points.  Estimates are
+integer counts tied to (seed, chunk index), so they do not depend on the
+order, or the thread, in which chunks are evaluated.
 
-The kernel, `_chunk`, fills one worker's workspace: t1's kept points, five
-rows of one block of candidates, and the chunk's cell and bit rows.  t2 is
-never stored whole: each block of its points is paired with t1's as it is
-drawn, every step writes into the workspace in place, and the sign
-projections overwrite the points they are taken from.  A chunk's state is
-(cell, alpha, beta), with cell = 2x + y.  `chunk_xor_counts`, behind
-`simulate_singlet` and `sweep_angles`, counts X xor Y = [cell != 3] xor
-alpha xor beta, so the replies and announced bits of single trials are
-never formed.  Its chunks run on at most two workers, the caller and one
-helper thread, each with its own workspace, about 2.1 MiB for full chunks.
+The kernel draws at half scale, and every sign it tests is that of the
+formulas above to the last bit.  A candidate u/2 = r - 1/2, r a uniform
+double (a multiple of 2^-53), is exact.  Nonzero u/2 and v/2 are at least
+2^-53 in size, so their squares and sum stay normal and q/4 is exactly a
+quarter of q: q/4 < 1/4 keeps the same points.  A point's projection is
+p = [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)].  Its products are the
+reals c u and s v, so they round alike even below the normal range, and
+1/4 - q/4 >= 2^-55 and its root are normal, so the doubled root is
+sqrt(1 - q) rounded: p is the formula's value for any axes that Direction
+accepts.  sgn((t1 - t2).y_hat) is tested as p1 >= p2, which is exact: with
+gradual underflow a rounded difference has the sign of the exact one.
+
+`_chunk_count` counts a chunk in one worker's workspace, which holds t1's
+sign bits alpha and projections p1 and one block of candidates.  t2 is
+never stored: each block of its L points is projected as it is drawn and
+paired with the same columns of t1, and L - count(((alpha xor a2) and
+(beta xor d)) xor alpha xor beta) is added to the chunk's count, with
+a2 = sgn(t2.x_hat), beta = [p1 + p2 >= 0] and d = [p1 >= p2].
+`chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`, runs the
+chunks on at most two workers, the caller and one helper thread, each with
+its own workspace of about 2 MiB and its own two Philox generators.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,7 +86,7 @@ from .errors import DomainError
 CHUNK = 1 << 16
 MAX_TRIALS = 1 << 36  # the most trials a run accepts: 2**20 chunks, an 8 MiB count list
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
-_BLOCKS = 4  # blocks in the first disc round of a full chunk
+_BLOCKS = 2  # blocks in the first disc round of a full chunk
 
 
 @dataclass(frozen=True)
@@ -111,137 +121,124 @@ def _chunk_key(seed, chunk_index):
     return ss.generate_state(2, np.uint64)
 
 
-def _positioned(key, off):
-    """A generator at word off of the stream with this key; each double drawn reads one word.
+def _positioned(g, key, off):
+    """Re-key generator g to word off of the stream with this key.
 
-    Philox4x64 makes four words per counter value, so the counter starts at
-    off // 4 and the first off % 4 words are discarded.
+    Each double drawn reads one word.  Philox4x64 makes four words per
+    counter value, so the counter is set to off // 4 with an empty buffer
+    and the first off % 4 words are discarded.
     """
-    bits = np.random.Philox(counter=off // 4, key=key)
-    bits.random_raw(off % 4)
-    return np.random.Generator(bits)
+    g.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                             "state": {"counter": [off // 4, 0, 0, 0], "key": key},
+                             "has_uint32": 0, "uinteger": 0}
+    g.bit_generator.random_raw(off % 4)
 
 
 class _Workspace:
-    """One worker's rows, sized for the call's chunks, and the values they are filled from.
+    """One worker's rows and generators, sized for the call's chunks.
 
-    t1 holds t1's kept points (u, v); rows holds five float rows of one
-    block of candidates, with keep beside them; cell and bits (alpha, beta
-    and a free row) hold a chunk's state.  c and s are resolved from the
-    axes in the calling thread.
+    alpha and p1 hold t1's sign bits and projections; rows and flags are
+    four float and three flag rows of one block of candidates.  c2 = 2c and
+    s2 = 2s are resolved from the axes in the calling thread.
     """
 
     def __init__(self, n_trials, seed, c, s):
-        self.n_trials, self.seed, self.c, self.s = n_trials, seed, c, s
+        self.n_trials, self.seed, self.c2, self.s2 = n_trials, seed, 2.0 * c, 2.0 * s
         size = min(CHUNK, n_trials)
         width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // _BLOCKS)
         # one float and one bool buffer: a buffer this size, freed whole, is
         # taken again by the next call without faulting in fresh pages
-        floats, flags = np.empty(2 * size + 5 * width), np.empty(3 * size + width, dtype=bool)
-        self.t1, self.rows = floats[:2 * size].reshape(2, size), floats[2 * size:].reshape(5, width)
-        self.bits, self.keep = flags[:3 * size].reshape(3, size), flags[3 * size:]
-        self.cell = np.empty(size, dtype=np.int8)
+        floats, flags = np.empty(size + 4 * width), np.empty(size + 3 * width, dtype=bool)
+        self.p1, self.rows = floats[:size], floats[size:].reshape(4, width)
+        self.alpha, self.flags = flags[:size], flags[size:].reshape(3, width)
+        self.gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
 
 
-def _disc_points(key, off, n, ws, out=None, sink=None):
+def _disc_points(key, off, n, ws, sink):
     """Draw n points uniform in the open unit disc, in order; return the next offset.
 
-    A round of m candidates takes u_j from word off + j of the stream and
-    v_j from word off + m + j, each uniform on [-1, 1), and keeps candidate
-    j, in order, while q_j = u_j^2 + v_j^2 < 1.  About pi/4 of them survive,
+    A round of m candidates takes u_j/2 = r - 1/2 from word off + j of the
+    stream and v_j/2 from word off + m + j, r uniform on [0, 1), and keeps
+    candidate j, in order, while q_j/4 < 1/4.  About pi/4 of them survive,
     so a shortfall is topped up by another round at off + 2m.  A round is
     drawn in blocks as wide as ws.rows and stops drawing once it has its
-    points.  Points k, k + 1, ... of a block go to columns k, k + 1, ... of
-    out's rows u and v; without out, they and their q go to rows of ws,
-    which the next block writes over.  sink(k, u, v, q) is then handed them.
+    points.  Each block's points k, k + 1, ... are handed, as (u/2, v/2,
+    q/4) in rows that the next block writes over, to sink(k, u, v, q).
     """
-    width = ws.rows.shape[1]
-    k = 0
+    width, (gu, gv), k = ws.rows.shape[1], ws.gens, 0
     while k < n:
         m = int((n - k) * _CANDIDATES_PER_POINT) + 16
-        gu, gv = _positioned(key, off), _positioned(key, off + m)
+        _positioned(gu, key, off), _positioned(gv, key, off + m)
         off += 2 * m
         for lo in range(0, m, width):
-            u, v, q, vv = ws.rows[:4, :min(width, m - lo)]
+            u, v, q, vv = ws.rows[:, :min(width, m - lo)]
             for g, w in ((gu, u), (gv, v)):
-                g.random(out=w)
-                w *= 2.0
-                w -= 1.0
+                np.subtract(g.random(out=w), 0.5, out=w)
             np.multiply(u, u, out=q)
             q += np.multiply(v, v, out=vv)
-            kept = np.flatnonzero(np.less(q, 1.0, out=ws.keep[:len(q)]))[:n - k]
-            if out is None:  # each row is read before it is written
-                points = ws.rows[3, :len(kept)], ws.rows[0, :len(kept)], ws.rows[1, :len(kept)]
-            else:
-                points = tuple(row[k:k + len(kept)] for row in out)
+            kept = np.flatnonzero(np.less(q, 0.25, out=ws.flags[0, :len(q)]))[:n - k]
+            # each row is read before it is written
+            points = ws.rows[3, :len(kept)], ws.rows[0, :len(kept)], ws.rows[1, :len(kept)]
             for src, dst in zip((u, v, q), points):
                 np.take(src, kept, out=dst, mode="clip")
-            if sink is not None:
-                sink(k, *points)
+            sink(k, *points)
             k += len(kept)
             if k == n:
                 break
     return off
 
 
-def _y_projection(u, v, q, c, s):
-    """t.y_hat / 2 = sqrt(1 - q) (c u + s v) for the direction t that (u, v) maps to.
+def _project(ws, u, v, q, out):
+    """p = t.y_hat / 2 = sqrt(1 - q) (c u + s v) of half-scale points, written into out.
 
-    Works in place: the result is written over q and returned, and u and v
-    are written over too.  Each product and sum rounds as in
-    (c u + s v) sqrt(1 - q), so every sign test sees the same value.
+    Computed as [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)], which rounds
+    alike (see the module docstring); u, v and q are written over.
     """
-    u *= c
-    v *= s
+    u *= ws.c2
+    v *= ws.s2
     u += v
-    np.subtract(1.0, q, out=q)
+    np.subtract(0.25, q, out=q)
     np.sqrt(q, out=q)
-    q *= u
-    return q
+    q += q
+    return np.multiply(q, u, out=out)
 
 
-def _pair_bits(c, s, u1, v1, q1, u2, v2, q2, cell, alpha, beta, free, bit):
-    """Write the inputs (x, y) of pairs (t1, t2) into cell as 2x + y, and set alpha and beta.
+def _keep(ws, k, u, v, q):
+    """Store t1's half-scale points k, k + 1, ... as sign bits alpha = sgn(t.x_hat) and projections p1."""
+    np.greater_equal(u, 0.0, out=ws.alpha[k:k + len(u)])
+    _project(ws, u, v, q, ws.p1[k:k + len(u)])
 
-    t.x_hat = 2 u r and t.y_hat = 2 r (c u + s v), with r = sqrt(1 - q) > 0,
-    so alpha = sgn(t1.x_hat), beta = sgn((t1 + t2).y_hat),
-    x = alpha xor sgn(t2.x_hat) and y = beta xor sgn((t1 - t2).y_hat),
-    each sign test written z >= 0.
-    The points are written over; free and bit are scratch rows.
+
+def _pair_count(ws, k, u, v, q):
+    """The number of pairs with X xor Y = 1 among t2's half-scale points k, k + 1, ... and t1's.
+
+    With a2 = sgn(t2.x_hat), beta = [p1 + p2 >= 0] and d = [p1 >= p2], the
+    inputs are x = alpha xor a2 and y = beta xor d, and X xor Y = not(x and
+    y) xor alpha xor beta.  t2's points are written over.
     """
-    np.greater_equal(u1, 0.0, out=alpha)
-    np.bitwise_xor(np.greater_equal(u2, 0.0, out=bit), alpha, out=cell)
-    p1 = _y_projection(u1, v1, q1, c, s)
-    p2 = _y_projection(u2, v2, q2, c, s)
-    np.greater_equal(np.add(p1, p2, out=free), 0.0, out=beta)
-    cell <<= 1
-    cell |= np.bitwise_xor(np.greater_equal(np.subtract(p1, p2, out=free), 0.0, out=bit),
-                           beta, out=bit)
+    alpha, p1 = ws.alpha[k:k + len(u)], ws.p1[k:k + len(u)]
+    x, beta, y = ws.flags[:, :len(u)]
+    np.bitwise_xor(np.greater_equal(u, 0.0, out=x), alpha, out=x)
+    p2 = _project(ws, u, v, q, q)
+    np.greater_equal(np.add(p1, p2, out=v), 0.0, out=beta)
+    np.bitwise_xor(np.greater_equal(p1, p2, out=y), beta, out=y)
+    x &= y
+    x ^= alpha
+    x ^= beta
+    return len(u) - int(np.count_nonzero(x))
 
 
-def _chunk(ws, i):
-    """Chunk i's (cell, alpha, beta), as views of ws's rows.
+def _chunk_count(ws, i):
+    """The number of chunk i's trials with X xor Y = 1.
 
-    cell = 2x + y holds the box inputs (x, y).  The chunk's stream gives
-    t1's rounds, from word n on, then t2's.  t2's points are paired with
-    t1's block by block, so t2 is never stored whole.
+    The chunk's stream gives t1's rounds, from word n on, which `_keep`
+    stores, then t2's, whose blocks `_pair_count` counts as they are drawn.
     """
     n = min(CHUNK, ws.n_trials - i * CHUNK)
-    key = _chunk_key(ws.seed, i)
-    cell, (alpha, beta, bit) = ws.cell[:n], ws.bits[:, :n]
-    t1 = ws.t1[:, :n]
-
-    def pair(k, u2, v2, q2):
-        j = slice(k, k + len(u2))
-        u1, v1 = t1[:, j]
-        q1, free = ws.rows[2, :len(u2)], ws.rows[4, :len(u2)]
-        np.multiply(u1, u1, out=q1)
-        q1 += np.multiply(v1, v1, out=free)
-        _pair_bits(ws.c, ws.s, u1, v1, q1, u2, v2, q2, cell[j], alpha[j], beta[j], free, bit[j])
-
-    off = _disc_points(key, n, n, ws, out=t1)
-    _disc_points(key, off, n, ws, sink=pair)
-    return cell, alpha, beta
+    key, counts = _chunk_key(ws.seed, i), []
+    off = _disc_points(key, n, n, ws, partial(_keep, ws))
+    _disc_points(key, off, n, ws, lambda *block: counts.append(_pair_count(ws, *block)))
+    return sum(counts)
 
 
 def _checked_run(spec, n_trials, seed):
@@ -330,11 +327,7 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     def work(indices):
         ws = _Workspace(*settings)
         for i in indices:
-            cell, alpha, beta = _chunk(ws, i)
-            hit = np.not_equal(cell, 3, out=ws.bits[2, :len(cell)])
-            hit ^= alpha
-            hit ^= beta
-            counts[i] = int(np.count_nonzero(hit))
+            counts[i] = _chunk_count(ws, i)
 
     _share(len(counts), work)
     return counts
@@ -372,10 +365,17 @@ def sweep_angles(spec, angles, n_trials, seed):
     runs n_trials on its own derived stream of the master seed.
     """
     n_trials, seed = _checked_run(spec, n_trials, seed)
-    angles = [float(angle) for angle in angles]
-    for angle in angles:
-        if not math.isfinite(angle):
-            raise DomainError(f"angle must be finite, got {angle!r}")
+    try:
+        angles = list(angles)
+    except TypeError:
+        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}") from None
+    for i, angle in enumerate(angles):
+        try:
+            angles[i] = float(angle)
+        except (TypeError, ValueError):
+            angles[i] = math.nan
+        if not math.isfinite(angles[i]):
+            raise DomainError(f"angle must be a finite number, got {angle!r}")
     x_hat = Direction.polar(0.0)
     points = []
     for i, theta in enumerate(angles):

@@ -46,22 +46,61 @@ def pair_box(j, p, scope=bc.PRScope()):
     return bc.resource_box(pair_spec(j, p, scope))
 
 
-def trial_records(spec, x_hat, y_hat, n_trials, seed):
-    """The chunk kernel's trials over all chunks, as int8 arrays by field name.
+def disc_draws(n_trials, seed):
+    """Each chunk's (t1, t2) points, drawn by the kernel's `_disc_points`.
 
-    The kernel yields each chunk's (cell, alpha, beta), cell = 2x + y; the box
-    inputs and the announced parity X ^ Y = (x & y) ^ alpha ^ beta ^ 1, which
-    every catalogue strategy gives, are derived here from copies of that
-    state.  These are exactly the trials that `chunk_xor_counts` counts.
+    Yields one (2, 2, n) array per chunk: t1 and t2, each as rows u and v
+    on the full scale, with q = u^2 + v^2 < 1.  A recording sink copies
+    each block as it is handed over; nothing else of the kernel is read.
     """
-    ws = simulate._Workspace(*simulate._settings(spec, x_hat, y_hat, n_trials, seed))
-    # chunk by chunk on one workspace, which each chunk writes over
-    parts = [[arr.astype(np.int8) for arr in simulate._chunk(ws, i)]
-             for i in range(-(-ws.n_trials // bc.CHUNK))]
-    cell, alpha, beta = (np.concatenate(arrs) for arrs in zip(*parts))
-    x_in, y_in = cell >> 1, cell & 1
-    return SimpleNamespace(x_in=x_in, y_in=y_in, alpha=alpha, beta=beta,
-                           xor=(x_in & y_in) ^ alpha ^ beta ^ 1)
+    ws = simulate._Workspace(n_trials, seed, 0.0, 1.0)  # the draw reads no axis
+    for i in range(-(-n_trials // bc.CHUNK)):
+        n = min(bc.CHUNK, n_trials - i * bc.CHUNK)
+        key, points = simulate._chunk_key(seed, i), np.empty((2, 2, n))
+
+        def record(t):
+            def sink(k, u, v, q):
+                points[t, :, k:k + len(u)] = u, v
+            return sink
+
+        simulate._disc_points(key, simulate._disc_points(key, n, n, ws, record(0)), n, ws,
+                              record(1))
+        yield 2.0 * points  # the kernel hands over u/2 and v/2, exactly
+
+
+def _direction(u, v):
+    """(t.e1, t.e2) of Marsaglia's map t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q)."""
+    r = np.sqrt(1.0 - (u * u + v * v))
+    return 2.0 * u * r, 2.0 * v * r
+
+
+def trial_records(spec, x_hat, y_hat, n_trials, seed):
+    """Every trial of a run, as int8 arrays by field name, from a reference in plain numpy.
+
+    Only the points are the kernel's (`disc_draws`).  Each direction is
+    t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q), in the frame e1 = x_hat,
+    y_hat = c e1 + s e2; then x = sgn(t1.x_hat) ^ sgn(t2.x_hat),
+    y = sgn((t1 + t2).y_hat) ^ sgn((t1 - t2).y_hat), alpha = sgn(t1.x_hat),
+    beta = sgn((t1 + t2).y_hat), with sgn(z) = [z >= 0], and the announced
+    parity X ^ Y = not(x & y) ^ alpha ^ beta.  The spec cannot change a
+    trial, so it is not read.
+    """
+    c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
+    s = math.sqrt(1.0 - c * c)
+    fields = {name: [] for name in ("x_in", "y_in", "alpha", "beta")}
+    for (u1, v1), (u2, v2) in disc_draws(n_trials, seed):
+        (a1, b1), (a2, b2) = _direction(u1, v1), _direction(u2, v2)
+        plus = c * (a1 + a2) + s * (b1 + b2)
+        minus = c * (a1 - a2) + s * (b1 - b2)
+        alpha, beta = a1 >= 0, plus >= 0
+        fields["x_in"].append(alpha ^ (a2 >= 0))
+        fields["y_in"].append(beta ^ (minus >= 0))
+        fields["alpha"].append(alpha)
+        fields["beta"].append(beta)
+    td = SimpleNamespace(**{name: np.concatenate(rows).astype(np.int8)
+                            for name, rows in fields.items()})
+    td.xor = (td.x_in & td.y_in) ^ td.alpha ^ td.beta ^ 1
+    return td
 
 
 def reconstruct(dec):

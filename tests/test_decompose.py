@@ -219,6 +219,18 @@ def test_resource_spec_validation():
             bc.ResourceSpec.from_mapping({"S1+": bad, "S1-": 1.0})
 
 
+def test_resource_spec_refuses_a_scope_that_is_not_a_prscope():
+    # a label, a tuple of bits or None would reach resource_box as a KeyError,
+    # and chunk_xor_counts would count it; the spec refuses it when made
+    weights = (1.0 / 16.0,) * 16
+    for scope in ("000", (0, 1, 1), None, 0):
+        with pytest.raises(bc.DomainError, match="PRScope"):
+            bc.ResourceSpec(scope=scope, weights=weights)
+        with pytest.raises(bc.DomainError, match="PRScope"):
+            bc.ResourceSpec.from_mapping({"S1+": 1.0}, scope=scope)
+    assert bc.ResourceSpec(scope=bc.PRScope(0, 1, 1), weights=weights).scope == bc.PRScope(0, 1, 1)
+
+
 def test_resource_spec_parse_and_format():
     spec = bc.ResourceSpec.parse("scope=000;S1+:0.75,S1-:0.25")
     assert spec.scope == bc.PRScope()

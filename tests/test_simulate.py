@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import chi2
 
 import boxcomp as bc
-from _helpers import random_resource_spec, trial_records
+from _helpers import disc_draws, random_resource_spec, trial_records
 from boxcomp import simulate
 
 PR_SPEC = bc.ResourceSpec.from_mapping({"S1+": 0.5, "S1-": 0.5})
@@ -28,19 +28,32 @@ def chunk_stream(seed, chunk_index):
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
+def half_scale(points):
+    """Rows (u/2, v/2, q/4) of full-scale points (u, v), as the kernel hands them over."""
+    u, v = np.array(points, dtype=float).T / 2.0
+    return u, v, u * u + v * v
+
+
 def test_zero_projections_give_sign_bit_one():
-    # sgn(0) = 1.  On perpendicular axes (c = 0, s = 1), t = (u, v) has
-    # t.x_hat = 0 when u = 0 (of either sign), and t1 = (0, 0.5) with
-    # t2 = (0, -0.5) has (t1 + t2).y_hat = 0.  t1 = (-0.25, 0.5) is the
-    # negative control: both of its sums are below zero.
-    u1, v1, u2, v2 = np.array([[0.0, -0.0, -0.25], [0.5] * 3, [0.0] * 3, [-0.5] * 3])
-    q1, q2 = u1 * u1 + v1 * v1, u2 * u2 + v2 * v2
-    cell, (alpha, beta, bit) = np.zeros(3, dtype=np.int8), np.empty((3, 3), dtype=bool)
-    simulate._pair_bits(0.0, 1.0, u1, v1, q1, u2, v2, q2, cell, alpha, beta, np.empty(3), bit)
-    assert alpha.tolist() == [True, True, False]
-    assert beta.tolist() == [True, True, False]
-    # x = alpha ^ sgn(t2.x_hat) and y = beta ^ sgn((t1 - t2).y_hat), with both signs 1
-    assert cell.tolist() == [0, 0, 3]
+    # sgn(0) = 1, fed straight to the per-block counter on perpendicular axes
+    # (c = 0, s = 1), where t.x_hat has the sign of u and t.y_hat that of v.
+    # Each pair's X ^ Y = not(x & y) ^ alpha ^ beta is 1 with sgn(0) = 1 and
+    # would be 0 with sgn(0) = 0, except the coincident pair, the control.
+    pairs = [((0.0, 0.5), (-0.25, 0.25)),     # u1 = +0: alpha = 1
+             ((-0.0, 0.5), (-0.25, 0.25)),    # u1 = -0: alpha = 1
+             ((-0.25, -0.1), (0.0, 0.5)),     # u2 = +0: sgn(t2.x_hat) = 1
+             ((-0.25, -0.1), (-0.0, 0.5)),    # u2 = -0: sgn(t2.x_hat) = 1
+             ((0.25, 0.5), (0.25, -0.5)),     # (t1 + t2).y_hat = 0: beta = 1
+             ((0.25, 0.5), (-0.25, 0.5)),     # (t1 - t2).y_hat = 0: d = 1
+             ((0.3, -0.4), (0.3, -0.4))]      # t1 = t2: x = 0, y = beta ^ 1
+    ws = simulate._Workspace(len(pairs), 0, 0.0, 1.0)
+    t1, t2 = zip(*pairs)
+    simulate._keep(ws, 0, *half_scale(t1))
+    assert ws.alpha.tolist() == [True, True, False, False, True, True, True]
+    assert [simulate._pair_count(ws, k, *(row[k:k + 1] for row in half_scale(t2)))
+            for k in range(len(pairs))] == [1, 1, 1, 1, 1, 1, 0]
+    # the coincident pair: alpha = 1, p1 = p2 < 0, so beta = 0, d = 1 and X ^ Y = 0
+    assert simulate._pair_count(ws, 0, *half_scale(t2)) == 6
 
 
 def test_direction_validation():
@@ -61,54 +74,72 @@ def workspace(n_trials):
                                                    bc.Direction.polar(1.0), n_trials, 0))
 
 
+def drawn(key, n, ws):
+    """n disc points drawn from word 0 of a stream, as the half-scale rows
+    (u/2, v/2, q/4) the sink is handed, and the offset after them."""
+    points = np.empty((3, n))
+
+    def sink(k, *block):
+        points[:, k:k + len(block[0])] = block
+
+    return points, simulate._disc_points(key, 0, n, ws, sink)
+
+
 def test_direction_draw_follows_the_sphere_law():
     # the kernel's own draw; (u, v) maps to t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q)
     n = 200_000
     key = simulate._chunk_key(21, 0)
-    u, v = points = np.empty((2, n))
-    off = simulate._disc_points(key, 0, n, workspace(bc.CHUNK), out=points)
+    points, off = drawn(key, n, workspace(bc.CHUNK))
+    half_u, half_v, quarter_q = points
+    assert np.abs(points[:2]).max() <= 0.5 and quarter_q.max() < 0.25
+    assert np.array_equal(quarter_q, half_u * half_u + half_v * half_v)
+    u, v = 2.0 * half_u, 2.0 * half_v
     q = u * u + v * v
-    assert q.max() < 1.0
     t_x = 2.0 * u * np.sqrt(1.0 - q)
     # a uniform direction has E[(t.x)^2] = 1/3 and Var[(t.x)^2] = 1/5 - 1/9
     assert abs(float(np.mean(t_x ** 2)) - 1.0 / 3.0) <= 4.0 * math.sqrt((1 / 5 - 1 / 9) / n)
     for theta in (math.pi / 6, math.pi / 2, 5.0 * math.pi / 6):
-        # the projection works in place, so it gets copies
-        t_y = simulate._y_projection(u.copy(), v.copy(), q.copy(), math.cos(theta), math.sin(theta))
+        c, s = math.cos(theta), math.sin(theta)
+        ws = simulate._Workspace(n, 0, c, s)
+        # the projection works in place, so it gets copies; it is t.y_hat / 2 to the last bit
+        t_y = simulate._project(ws, *points.copy(), np.empty(n))
+        assert np.array_equal(t_y, np.sqrt(1.0 - q) * (c * u + s * v))
         # random-hyperplane law: the signs of t.x and t.y differ with probability theta/pi
         differ = float(np.mean((t_x >= 0) != (t_y >= 0)))
         p = theta / math.pi
         assert abs(differ - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
     # narrower blocks draw the same points and end at the same offset
-    again = np.empty((2, n))
-    assert simulate._disc_points(key, 0, n, workspace(1000), out=again) == off
+    again, off_again = drawn(key, n, workspace(1000))
+    assert off_again == off
     assert np.array_equal(points, again)
 
 
 def t2_repeats_t1(real, calls):
     """A `_disc_points` that hands t2's pairing t1's points, so every pair coincides.
 
-    t1 is a chunk's first draw and t2 the only one handed to a sink; calls
-    gets (chunk key, n) for each draw.  Safe on the pool's two threads.
+    t1 is a chunk's first draw, from word n on for n points; calls gets
+    (chunk key, n) for each draw.  Safe on the pool's two threads.
     """
     t1 = {}
 
-    def draw(key, off, n, ws, out=None, sink=None):
+    def draw(key, off, n, ws, sink):
         chunk = tuple(key.tolist())
         calls.append((chunk, n))
-        if sink is None:
-            off = real(key, off, n, ws, out)
-            if chunk not in t1:
-                u, v = (row.copy() for row in out[:2])
-                t1[chunk] = u, v, u * u + v * v
-            return off
+        if off == n:
+            t1[chunk] = points = np.empty((3, n))
 
-        def repeat(k, *points):
-            for dst, src in zip(points, t1[chunk]):
+            def record(k, *block):
+                points[:, k:k + len(block[0])] = block  # before the sink writes over it
+                sink(k, *block)
+
+            return real(key, off, n, ws, record)
+
+        def repeat(k, *block):
+            for dst, src in zip(block, t1[chunk]):
                 dst[:] = src[k:k + len(dst)]
-            sink(k, *points)
+            sink(k, *block)
 
-        return real(key, off, n, ws, out, repeat)
+        return real(key, off, n, ws, repeat)
 
     return draw
 
@@ -290,8 +321,9 @@ def _records_counts(td):
 
 
 def test_trial_records_match_counting_path():
-    # chunk_xor_counts counts X ^ Y on the pooled path; trial_records derives
-    # it from the serial map's (x, y, alpha, beta).  They agree chunk by chunk.
+    # chunk_xor_counts counts X ^ Y block by block on the pooled path;
+    # trial_records derives it in plain numpy from the drawn points.  They
+    # agree chunk by chunk.
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(0.7)
     n = bc.CHUNK + 500
     for spec in [PR_SPEC] + _sweep_like_specs():
@@ -321,7 +353,7 @@ def test_coincident_pairs_get_the_sgn_zero_inputs(monkeypatch):
 
 def test_table_counts_match_records_when_every_pair_coincides(monkeypatch):
     # the same hook on the counting path: two draws per chunk, and the counts
-    # read the same X ^ Y as the records, chunk by chunk
+    # give the same X ^ Y as the records, chunk by chunk
     calls = []
     monkeypatch.setattr(simulate, "_disc_points", t2_repeats_t1(simulate._disc_points, calls))
     x_hat, y_hat = bc.Direction.polar(0.0), bc.Direction.polar(2.0)
@@ -347,8 +379,23 @@ def test_pooled_counts_match_one_worker_and_records(monkeypatch):
             assert len(counts[1]) == -(-n // bc.CHUNK)
 
 
+def test_kernel_counts_match_the_reference(monkeypatch):
+    # every per-chunk count, on one worker and on two, against the plain-numpy
+    # reference, at five angles and on clamped antipodal axes (c = -1, s = 0)
+    pole, x_hat = bc.Direction.polar(0.0), bc.Direction(np.ones(3) / math.sqrt(3.0))
+    axes = [(pole, bc.Direction.polar(theta)) for theta in (0.0, 1.0, math.pi / 2, 2.5, math.pi)]
+    axes.append((x_hat, bc.Direction(-x_hat.v)))
+    for (x_hat, y_hat), seed in zip(axes, itertools.count(61)):
+        for n in (1, 17, bc.CHUNK - 1, bc.CHUNK + 1, 3 * bc.CHUNK + 1234):
+            reference = _records_counts(trial_records(PR_SPEC, x_hat, y_hat, n, seed))
+            for workers in (1, 2):
+                monkeypatch.setattr(simulate, "_workers", lambda chunks, w=workers: min(w, chunks))
+                assert bc.chunk_xor_counts(PR_SPEC, x_hat, y_hat, n, seed) == reference
+
+
 def test_positioned_stream_is_the_chunk_stream_tail():
-    # every residue mod 4, at the ends of the skipped words and of t1's u and v blocks
+    # every residue mod 4, at the ends of the skipped words and of t1's u and
+    # v blocks; one generator is re-keyed to each offset, after a draw at the last
     n = 1000
     m = int(n * 4.0 / math.pi) + 16
     seed, chunk = 44, 3
@@ -357,15 +404,17 @@ def test_positioned_stream_is_the_chunk_stream_tail():
                n + 2 * m - 1, n + 2 * m, n + 2 * m + 3, 10**6 + 1}
     assert {off % 4 for off in offsets} == {0, 1, 2, 3}
     stream = chunk_stream(seed, chunk).random(max(offsets) + 64)
-    for off in sorted(offsets):
-        assert np.array_equal(simulate._positioned(key, off).random(64), stream[off:off + 64])
+    g = np.random.Generator(np.random.Philox(key=0))
+    for off in sorted(offsets) + sorted(offsets, reverse=True):
+        simulate._positioned(g, key, off)
+        assert np.array_equal(g.random(64), stream[off:off + 64])
 
 
 def test_helper_thread_exception_reaches_the_caller(monkeypatch):
     class HelperFailure(RuntimeError):
         pass
 
-    real = simulate._chunk
+    real = simulate._chunk_count
     helpers, callers = [], []
     helper_failed = threading.Event()
 
@@ -381,7 +430,7 @@ def test_helper_thread_exception_reaches_the_caller(monkeypatch):
         assert not helpers[0].is_alive()
         return real(ws, i)
 
-    monkeypatch.setattr(simulate, "_chunk", fail_off_the_main_thread)
+    monkeypatch.setattr(simulate, "_chunk_count", fail_off_the_main_thread)
     monkeypatch.setattr(simulate, "_workers", lambda chunks: min(2, chunks))
     threads = threading.active_count()
     with pytest.raises(HelperFailure):
@@ -413,9 +462,10 @@ def test_pool_hands_out_each_chunk_once(monkeypatch):
 
 def test_kernel_memory_peak_is_bounded():
     # The kernel allocates its arrays once per call.  Its tracemalloc peak on
-    # 1M trials was 4.95 MiB, against 5.98 MiB for the per-chunk temporaries
-    # of the loop it replaced.  A 10-trial call first does the lazy imports
-    # of a first call, which would add about 0.7 MiB to either.
+    # 1M trials is 4.7-4.9 MiB with two workers, each with a 2 MiB workspace
+    # and the kept-candidate indices of one block; 5.98 MiB were once taken
+    # by per-chunk temporaries.  A 10-trial call first does the lazy imports
+    # of a first call, which would add about 0.7 MiB.
     spec = bc.ResourceSpec(scope=bc.PRScope(0, 1, 1), weights=tuple(np.arange(1, 17) / 136))
     bc.chunk_xor_counts(spec, bc.Direction.polar(0.0), bc.Direction.polar(1.0), 10, seed=1)
     tracemalloc.start()
@@ -523,6 +573,18 @@ def test_axes_must_be_directions():
         for run in (bc.simulate_singlet, bc.chunk_xor_counts):
             with pytest.raises(bc.DomainError, match=kind):
                 run(PR_SPEC, *axes, 10, 0)
+
+
+def test_sweep_angles_refuses_malformed_angle_lists():
+    # a list that is not iterable, and entries that are not finite numbers,
+    # are refused by name before any angle runs
+    for angles, shown in ((None, "None"), (1.0, "1.0"), (["x"], "'x'"), ([0.5, None], "None"),
+                          ([1.0, math.inf], "inf"), ([math.nan], "nan")):
+        with pytest.raises(bc.DomainError, match=shown):
+            bc.sweep_angles(PR_SPEC, angles, 10, 0)
+    # numeric strings and numpy scalars are numbers, as before
+    assert ([p.estimate for p in bc.sweep_angles(PR_SPEC, ("0.5", np.float64(1.0)), 100, 2)]
+            == [p.estimate for p in bc.sweep_angles(PR_SPEC, [0.5, 1.0], 100, 2)])
 
 
 def test_sweep_angles_refuses_malformed_seeds_and_trial_counts():
