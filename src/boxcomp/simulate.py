@@ -50,23 +50,23 @@ The kernel draws at half scale, and every sign it tests is that of the
 formulas above to the last bit.  A candidate u/2 = r - 1/2, r a uniform
 double (a multiple of 2^-53), is exact.  Nonzero u/2 and v/2 are at least
 2^-53 in size, so their squares and sum stay normal and q/4 is exactly a
-quarter of q: q/4 < 1/4 keeps the same points.  A point's projection is
-p = [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)].  Its products are the
-reals c u and s v, so they round alike even below the normal range, and
+quarter of q: q/4 < 1/4 keeps the same points.  In the projection
+p = [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)], the products are the
+reals c u and s v, which round alike even below the normal range, and
 1/4 - q/4 >= 2^-55 and its root are normal, so the doubled root is
 sqrt(1 - q) rounded: p is the formula's value for any axes that Direction
-accepts.  sgn((t1 - t2).y_hat) is tested as p1 >= p2, which is exact: with
-gradual underflow a rounded difference has the sign of the exact one.
+accepts.  p1 >= p2 tests sgn((t1 - t2).y_hat) exactly: with gradual
+underflow a rounded difference has the sign of the exact one.
 
 `_chunk_count` counts a chunk in one worker's workspace, which holds t1's
 sign bits alpha and projections p1 and one block of candidates.  t2 is
 never stored: each block of its L points is projected as it is drawn and
-paired with the same columns of t1, and L - count(((alpha xor a2) and
-(beta xor d)) xor alpha xor beta) is added to the chunk's count, with
-a2 = sgn(t2.x_hat), beta = [p1 + p2 >= 0] and d = [p1 >= p2].
-`chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`, runs the
-chunks on at most two workers, the caller and one helper thread, each with
-its own workspace of about 2 MiB and its own two Philox generators.
+paired with the same columns of t1, adding L - count(((alpha xor a2) and
+(beta xor d)) xor alpha xor beta) to the chunk's count, with a2 =
+sgn(t2.x_hat), beta = [p1 + p2 >= 0] and d = [p1 >= p2].  The chunks of
+`chunk_xor_counts`, behind `simulate_singlet` and `sweep_angles`, run on at
+most two workers, the caller and one helper thread, each with its own
+workspace of about 2 MiB and two Philox generators.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,7 +88,6 @@ from .errors import DomainError
 CHUNK = 1 << 16
 MAX_TRIALS = 1 << 36  # the most trials a run accepts: 2**20 chunks, an 8 MiB count list
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
-_BLOCKS = 2  # blocks in the first disc round of a full chunk
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,10 @@ def _chunk_key(seed, chunk_index):
 
 
 def _positioned(g, key, off):
-    """Re-key generator g to word off of the stream with this key.
+    """Re-key generator g to word off of the stream with this key, where each double reads one.
 
-    Each double drawn reads one word.  Philox4x64 makes four words per
-    counter value, so the counter is set to off // 4 with an empty buffer
-    and the first off % 4 words are discarded.
+    Philox4x64 makes four words per counter value: the counter is set to
+    off // 4 with an empty buffer, and off % 4 words are discarded.
     """
     g.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                              "state": {"counter": [off // 4, 0, 0, 0], "key": key},
@@ -134,24 +134,25 @@ def _positioned(g, key, off):
     g.bit_generator.random_raw(off % 4)
 
 
-class _Workspace:
-    """One worker's rows and generators, sized for the call's chunks.
+def _workspaces(count, n_trials, seed, c, s):
+    """count workers' rows and generators, sized for a call's chunks.
 
-    alpha and p1 hold t1's sign bits and projections; rows and flags are
-    four float and three flag rows of one block of candidates.  c2 = 2c and
-    s2 = 2s are resolved from the axes in the calling thread.
+    Each holds t1's sign bits alpha and projections p1, four float rows and
+    three flag rows of one block of candidates, two generators that disc
+    rounds re-key, and c2 = 2c and s2 = 2s.  The rows are carved from one
+    float and one bool buffer, allocated in the calling thread so that a
+    helper thread's malloc arena holds neither; each is freed whole, and the
+    next call takes it again without faulting in fresh pages.
     """
-
-    def __init__(self, n_trials, seed, c, s):
-        self.n_trials, self.seed, self.c2, self.s2 = n_trials, seed, 2.0 * c, 2.0 * s
-        size = min(CHUNK, n_trials)
-        width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // _BLOCKS)
-        # one float and one bool buffer: a buffer this size, freed whole, is
-        # taken again by the next call without faulting in fresh pages
-        floats, flags = np.empty(size + 4 * width), np.empty(size + 3 * width, dtype=bool)
-        self.p1, self.rows = floats[:size], floats[size:].reshape(4, width)
-        self.alpha, self.flags = flags[:size], flags[size:].reshape(3, width)
-        self.gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(2)]
+    size = min(CHUNK, n_trials)
+    width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // 2)  # a full chunk's first round in 2
+    floats = np.empty((count, size + 4 * width))
+    flags = np.empty((count, size + 3 * width), dtype=bool)
+    return [SimpleNamespace(n_trials=n_trials, seed=seed, c2=2.0 * c, s2=2.0 * s,
+                            p1=f[:size], rows=f[size:].reshape(4, width),
+                            alpha=b[:size], flags=b[size:].reshape(3, width),
+                            gens=[np.random.Generator(np.random.Philox(key=0)) for _ in "uv"])
+            for f, b in zip(floats, flags)]
 
 
 def _disc_points(key, off, n, ws, sink):
@@ -189,10 +190,9 @@ def _disc_points(key, off, n, ws, sink):
 
 
 def _project(ws, u, v, q, out):
-    """p = t.y_hat / 2 = sqrt(1 - q) (c u + s v) of half-scale points, written into out.
+    """p = t.y_hat / 2 = sqrt(1 - q) (c u + s v), written into out and over u, v and q.
 
-    Computed as [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)], which rounds
-    alike (see the module docstring); u, v and q are written over.
+    From half-scale points, as [2 sqrt(1/4 - q/4)] [(2c)(u/2) + (2s)(v/2)].
     """
     u *= ws.c2
     v *= ws.s2
@@ -204,7 +204,7 @@ def _project(ws, u, v, q, out):
 
 
 def _keep(ws, k, u, v, q):
-    """Store t1's half-scale points k, k + 1, ... as sign bits alpha = sgn(t.x_hat) and projections p1."""
+    """Store t1's half-scale points k, k + 1, ... as sign bits alpha and projections p1."""
     np.greater_equal(u, 0.0, out=ws.alpha[k:k + len(u)])
     _project(ws, u, v, q, ws.p1[k:k + len(u)])
 
@@ -243,10 +243,8 @@ def _chunk_count(ws, i):
 
 def _checked_run(spec, n_trials, seed):
     """(n_trials, seed) as ints; DomainError unless spec is a ResourceSpec and
-    1 <= n_trials <= MAX_TRIALS, seed >= 0 are integers.
-
-    The spec's weights and scope cannot change a count, so it is only
-    type-checked.
+    1 <= n_trials <= MAX_TRIALS, seed >= 0 are integers.  The spec's weights
+    and scope cannot change a count, so it is only type-checked.
     """
     if not isinstance(spec, ResourceSpec):
         raise DomainError(f"spec must be a ResourceSpec, got {type(spec).__name__}")
@@ -254,7 +252,7 @@ def _checked_run(spec, n_trials, seed):
 
 
 def _settings(spec, x_hat, y_hat, n_trials, seed):
-    """What each worker's `_Workspace` reads: (n_trials, seed, c, s)."""
+    """What a call's workspaces read: (n_trials, seed, c, s)."""
     n_trials, seed = _checked_run(spec, n_trials, seed)
     if not (isinstance(x_hat, Direction) and isinstance(y_hat, Direction)):
         raise DomainError(f"axes must be Directions, got {type(x_hat).__name__} "
@@ -324,8 +322,10 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     settings = _settings(spec, x_hat, y_hat, n_trials, seed)
     counts = [0] * -(-settings[0] // CHUNK)
 
+    spaces = _workspaces(_workers(len(counts)), *settings)
+
     def work(indices):
-        ws = _Workspace(*settings)
+        ws = spaces.pop()
         for i in indices:
             counts[i] = _chunk_count(ws, i)
 
@@ -365,10 +365,9 @@ def sweep_angles(spec, angles, n_trials, seed):
     runs n_trials on its own derived stream of the master seed.
     """
     n_trials, seed = _checked_run(spec, n_trials, seed)
-    try:
-        angles = list(angles)
-    except TypeError:
-        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}") from None
+    if isinstance(angles, (str, bytes)) or not isinstance(angles, Iterable):
+        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}")
+    angles = list(angles)
     for i, angle in enumerate(angles):
         try:
             angles[i] = float(angle)

@@ -53,7 +53,7 @@ def disc_draws(n_trials, seed):
     on the full scale, with q = u^2 + v^2 < 1.  A recording sink copies
     each block as it is handed over; nothing else of the kernel is read.
     """
-    ws = simulate._Workspace(n_trials, seed, 0.0, 1.0)  # the draw reads no axis
+    (ws,) = simulate._workspaces(1, n_trials, seed, 0.0, 1.0)  # the draw reads no axis
     for i in range(-(-n_trials // bc.CHUNK)):
         n = min(bc.CHUNK, n_trials - i * bc.CHUNK)
         key, points = simulate._chunk_key(seed, i), np.empty((2, 2, n))

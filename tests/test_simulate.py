@@ -46,7 +46,7 @@ def test_zero_projections_give_sign_bit_one():
              ((0.25, 0.5), (0.25, -0.5)),     # (t1 + t2).y_hat = 0: beta = 1
              ((0.25, 0.5), (-0.25, 0.5)),     # (t1 - t2).y_hat = 0: d = 1
              ((0.3, -0.4), (0.3, -0.4))]      # t1 = t2: x = 0, y = beta ^ 1
-    ws = simulate._Workspace(len(pairs), 0, 0.0, 1.0)
+    (ws,) = simulate._workspaces(1, len(pairs), 0, 0.0, 1.0)
     t1, t2 = zip(*pairs)
     simulate._keep(ws, 0, *half_scale(t1))
     assert ws.alpha.tolist() == [True, True, False, False, True, True, True]
@@ -70,8 +70,9 @@ def test_direction_validation():
 
 def workspace(n_trials):
     """A kernel workspace sized for n_trials."""
-    return simulate._Workspace(*simulate._settings(PR_SPEC, bc.Direction.polar(0.0),
-                                                   bc.Direction.polar(1.0), n_trials, 0))
+    (ws,) = simulate._workspaces(1, *simulate._settings(PR_SPEC, bc.Direction.polar(0.0),
+                                                        bc.Direction.polar(1.0), n_trials, 0))
+    return ws
 
 
 def drawn(key, n, ws):
@@ -100,7 +101,7 @@ def test_direction_draw_follows_the_sphere_law():
     assert abs(float(np.mean(t_x ** 2)) - 1.0 / 3.0) <= 4.0 * math.sqrt((1 / 5 - 1 / 9) / n)
     for theta in (math.pi / 6, math.pi / 2, 5.0 * math.pi / 6):
         c, s = math.cos(theta), math.sin(theta)
-        ws = simulate._Workspace(n, 0, c, s)
+        (ws,) = simulate._workspaces(1, n, 0, c, s)
         # the projection works in place, so it gets copies; it is t.y_hat / 2 to the last bit
         t_y = simulate._project(ws, *points.copy(), np.empty(n))
         assert np.array_equal(t_y, np.sqrt(1.0 - q) * (c * u + s * v))
@@ -462,9 +463,10 @@ def test_pool_hands_out_each_chunk_once(monkeypatch):
 
 def test_kernel_memory_peak_is_bounded():
     # The kernel allocates its arrays once per call.  Its tracemalloc peak on
-    # 1M trials is 4.7-4.9 MiB with two workers, each with a 2 MiB workspace
-    # and the kept-candidate indices of one block; 5.98 MiB were once taken
-    # by per-chunk temporaries.  A 10-trial call first does the lazy imports
+    # 1M trials is 4.68 MiB with two workers: two workspaces of about 2 MiB,
+    # carved from one float and one bool buffer, and each worker's
+    # kept-candidate indices of one block.  The per-chunk temporaries of an
+    # older loop took 5.98 MiB.  A 10-trial call first does the lazy imports
     # of a first call, which would add about 0.7 MiB.
     spec = bc.ResourceSpec(scope=bc.PRScope(0, 1, 1), weights=tuple(np.arange(1, 17) / 136))
     bc.chunk_xor_counts(spec, bc.Direction.polar(0.0), bc.Direction.polar(1.0), 10, seed=1)
@@ -576,10 +578,10 @@ def test_axes_must_be_directions():
 
 
 def test_sweep_angles_refuses_malformed_angle_lists():
-    # a list that is not iterable, and entries that are not finite numbers,
-    # are refused by name before any angle runs
-    for angles, shown in ((None, "None"), (1.0, "1.0"), (["x"], "'x'"), ([0.5, None], "None"),
-                          ([1.0, math.inf], "inf"), ([math.nan], "nan")):
+    # a list that is not iterable or is a string, and entries that are not
+    # finite numbers, are refused by name before any angle runs
+    for angles, shown in ((None, "None"), (1.0, "1.0"), ("123", "'123'"), (["x"], "'x'"),
+                          ([0.5, None], "None"), ([1.0, math.inf], "inf"), ([math.nan], "nan")):
         with pytest.raises(bc.DomainError, match=shown):
             bc.sweep_angles(PR_SPEC, angles, 10, 0)
     # numeric strings and numpy scalars are numbers, as before
