@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -137,21 +136,20 @@ def _positioned(g, key, off):
 def _workspaces(count, n_trials, seed, c, s):
     """count workers' rows and generators, sized for a call's chunks.
 
-    Each holds t1's sign bits alpha and projections p1, four float rows and
-    three flag rows of one block of candidates, two generators that disc
-    rounds re-key, and c2 = 2c and s2 = 2s.  The rows are carved from one
-    float and one bool buffer, allocated in the calling thread so that a
-    helper thread's malloc arena holds neither; each is freed whole, and the
-    next call takes it again without faulting in fresh pages.
+    Each holds t1's sign bits alpha and projections p1, four float and three
+    flag rows of one block of candidates, two generators, c2 = 2c and s2 = 2s.
+    The rows come from one float and one bool buffer, allocated here in the
+    calling thread, so no helper's malloc arena holds them, and freed whole,
+    so the next call reuses them without faulting in fresh pages.
     """
     size = min(CHUNK, n_trials)
-    width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // 2)  # a full chunk's first round in 2
+    width = -(-(int(size * _CANDIDATES_PER_POINT) + 16) // 2)  # a full chunk's round 1 in 2 blocks
     floats = np.empty((count, size + 4 * width))
     flags = np.empty((count, size + 3 * width), dtype=bool)
     return [SimpleNamespace(n_trials=n_trials, seed=seed, c2=2.0 * c, s2=2.0 * s,
                             p1=f[:size], rows=f[size:].reshape(4, width),
                             alpha=b[:size], flags=b[size:].reshape(3, width),
-                            gens=[np.random.Generator(np.random.Philox(key=0)) for _ in "uv"])
+                            gens=[np.random.Generator(np.random.Philox(key=0)) for _ in range(2)])
             for f, b in zip(floats, flags)]
 
 
@@ -169,7 +167,8 @@ def _disc_points(key, off, n, ws, sink):
     width, (gu, gv), k = ws.rows.shape[1], ws.gens, 0
     while k < n:
         m = int((n - k) * _CANDIDATES_PER_POINT) + 16
-        _positioned(gu, key, off), _positioned(gv, key, off + m)
+        _positioned(gu, key, off)
+        _positioned(gv, key, off + m)
         off += 2 * m
         for lo in range(0, m, width):
             u, v, q, vv = ws.rows[:, :min(width, m - lo)]
@@ -229,11 +228,8 @@ def _pair_count(ws, k, u, v, q):
 
 
 def _chunk_count(ws, i):
-    """The number of chunk i's trials with X xor Y = 1.
-
-    The chunk's stream gives t1's rounds, from word n on, which `_keep`
-    stores, then t2's, whose blocks `_pair_count` counts as they are drawn.
-    """
+    """The number of chunk i's trials with X xor Y = 1: `_keep` stores t1's rounds,
+    from word n on, and `_pair_count` counts the blocks of t2's as they are drawn."""
     n = min(CHUNK, ws.n_trials - i * CHUNK)
     key, counts = _chunk_key(ws.seed, i), []
     off = _disc_points(key, n, n, ws, partial(_keep, ws))
@@ -321,7 +317,6 @@ def chunk_xor_counts(spec, x_hat, y_hat, n_trials, seed):
     """
     settings = _settings(spec, x_hat, y_hat, n_trials, seed)
     counts = [0] * -(-settings[0] // CHUNK)
-
     spaces = _workspaces(_workers(len(counts)), *settings)
 
     def work(indices):
@@ -365,9 +360,12 @@ def sweep_angles(spec, angles, n_trials, seed):
     runs n_trials on its own derived stream of the master seed.
     """
     n_trials, seed = _checked_run(spec, n_trials, seed)
-    if isinstance(angles, (str, bytes)) or not isinstance(angles, Iterable):
-        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}")
-    angles = list(angles)
+    try:
+        if isinstance(angles, (str, bytes)):
+            raise TypeError
+        angles = list(angles)
+    except TypeError:
+        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}") from None
     for i, angle in enumerate(angles):
         try:
             angles[i] = float(angle)

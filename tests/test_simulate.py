@@ -580,8 +580,9 @@ def test_axes_must_be_directions():
 def test_sweep_angles_refuses_malformed_angle_lists():
     # a list that is not iterable or is a string, and entries that are not
     # finite numbers, are refused by name before any angle runs
-    for angles, shown in ((None, "None"), (1.0, "1.0"), ("123", "'123'"), (["x"], "'x'"),
-                          ([0.5, None], "None"), ([1.0, math.inf], "inf"), ([math.nan], "nan")):
+    for angles, shown in ((None, "None"), (1.0, "1.0"), (np.array(2.0), "array"), ("123", "'123'"),
+                          (["x"], "'x'"), ([0.5, None], "None"), ([1.0, math.inf], "inf"),
+                          ([math.nan], "nan")):
         with pytest.raises(bc.DomainError, match=shown):
             bc.sweep_angles(PR_SPEC, angles, 10, 0)
     # numeric strings and numpy scalars are numbers, as before
