@@ -75,7 +75,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -232,7 +231,7 @@ def _chunk_count(ws, i):
     from word n on, and `_pair_count` counts the blocks of t2's as they are drawn."""
     n = min(CHUNK, ws.n_trials - i * CHUNK)
     key, counts = _chunk_key(ws.seed, i), []
-    off = _disc_points(key, n, n, ws, partial(_keep, ws))
+    off = _disc_points(key, n, n, ws, lambda *block: _keep(ws, *block))
     _disc_points(key, off, n, ws, lambda *block: counts.append(_pair_count(ws, *block)))
     return sum(counts)
 

@@ -46,7 +46,7 @@ def pair_box(j, p, scope=bc.PRScope()):
     return bc.resource_box(pair_spec(j, p, scope))
 
 
-def disc_draws(n_trials, seed):
+def _disc_draws(n_trials, seed):
     """Each chunk's (t1, t2) points, drawn by the kernel's `_disc_points`.
 
     Yields one (2, 2, n) array per chunk: t1 and t2, each as rows u and v
@@ -77,7 +77,7 @@ def _direction(u, v):
 def trial_records(spec, x_hat, y_hat, n_trials, seed):
     """Every trial of a run, as int8 arrays by field name, from a reference in plain numpy.
 
-    Only the points are the kernel's (`disc_draws`).  Each direction is
+    Only the points are the kernel's (`_disc_draws`).  Each direction is
     t = (2u r, 2v r, 1 - 2q), r = sqrt(1 - q), in the frame e1 = x_hat,
     y_hat = c e1 + s e2; then x = sgn(t1.x_hat) ^ sgn(t2.x_hat),
     y = sgn((t1 + t2).y_hat) ^ sgn((t1 - t2).y_hat), alpha = sgn(t1.x_hat),
@@ -88,7 +88,7 @@ def trial_records(spec, x_hat, y_hat, n_trials, seed):
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
     s = math.sqrt(1.0 - c * c)
     fields = {name: [] for name in ("x_in", "y_in", "alpha", "beta")}
-    for (u1, v1), (u2, v2) in disc_draws(n_trials, seed):
+    for (u1, v1), (u2, v2) in _disc_draws(n_trials, seed):
         (a1, b1), (a2, b2) = _direction(u1, v1), _direction(u2, v2)
         plus = c * (a1 + a2) + s * (b1 + b2)
         minus = c * (a1 - a2) + s * (b1 - b2)

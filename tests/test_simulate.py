@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import chi2
 
 import boxcomp as bc
-from _helpers import disc_draws, random_resource_spec, trial_records
+from _helpers import random_resource_spec, trial_records
 from boxcomp import simulate
 
 PR_SPEC = bc.ResourceSpec.from_mapping({"S1+": 0.5, "S1-": 0.5})
@@ -383,9 +383,9 @@ def test_pooled_counts_match_one_worker_and_records(monkeypatch):
 def test_kernel_counts_match_the_reference(monkeypatch):
     # every per-chunk count, on one worker and on two, against the plain-numpy
     # reference, at five angles and on clamped antipodal axes (c = -1, s = 0)
-    pole, x_hat = bc.Direction.polar(0.0), bc.Direction(np.ones(3) / math.sqrt(3.0))
+    pole, diagonal = bc.Direction.polar(0.0), bc.Direction(np.ones(3) / math.sqrt(3.0))
     axes = [(pole, bc.Direction.polar(theta)) for theta in (0.0, 1.0, math.pi / 2, 2.5, math.pi)]
-    axes.append((x_hat, bc.Direction(-x_hat.v)))
+    axes.append((diagonal, bc.Direction(-diagonal.v)))
     for (x_hat, y_hat), seed in zip(axes, itertools.count(61)):
         for n in (1, 17, bc.CHUNK - 1, bc.CHUNK + 1, 3 * bc.CHUNK + 1234):
             reference = _records_counts(trial_records(PR_SPEC, x_hat, y_hat, n, seed))
