@@ -147,10 +147,11 @@ def _check_bit(value, name):
     return int(value)
 
 
-def _check_bit_table(table, name):
-    if len(table) != 4:
-        raise DomainError(f"{name} must list outputs for the 4 input pairs")
-    return tuple(_check_bit(v, name) for v in table)
+def _check_bits(bits, n, name):
+    """`bits` as a tuple; DomainError unless it holds n bits."""
+    if len(bits) != n:
+        raise DomainError(f"{name} must hold {n} bits, got {bits!r}")
+    return tuple(_check_bit(v, name) for v in bits)
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ class DeterministicStrategy:
     fb: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fa", _check_bit_table(self.fa, "fa"))
-        object.__setattr__(self, "fb", _check_bit_table(self.fb, "fb"))
+        object.__setattr__(self, "fa", _check_bits(self.fa, 4, "fa"))
+        object.__setattr__(self, "fb", _check_bits(self.fb, 4, "fb"))
 
     def a(self, x, y):
         return self.fa[2 * x + y]
@@ -334,6 +335,12 @@ class PRScope:
         return cls(int(text[0]), int(text[1]), int(text[2]))
 
 
+def check_scope(scope):
+    """Raise DomainError, naming the value, unless `scope` is a PRScope."""
+    if not isinstance(scope, PRScope):
+        raise DomainError(f"scope must be a PRScope, got {scope!r}")
+
+
 def all_scopes():
     """The 8 PR-type scopes, mu1 mu2 mu3 counting up in binary from (0,0,0)."""
     return [PRScope(m1, m2, m3) for m1, m2, m3 in itertools.product((0, 1), repeat=3)]
@@ -341,12 +348,7 @@ def all_scopes():
 
 def pr_box(scope=PRScope(), label=None):
     """Maximally nonlocal box: weight 1/2 on each output pair obeying the scope relation."""
-    p = np.zeros((2, 2, 2, 2))
-    for x, y in INPUT_PAIRS:
-        r = scope.relation(x, y)
-        p[x, y, 0, r] = 0.5
-        p[x, y, 1, 1 ^ r] = 0.5
-    return CorrelationBox(p, label=label)
+    return CorrelationBox(scope_boxes(scope).mean(axis=0), label=label)
 
 
 @dataclass(frozen=True)
@@ -365,10 +367,7 @@ class Relabelling:
         object.__setattr__(self, "flip_x", _check_bit(self.flip_x, "flip_x"))
         object.__setattr__(self, "flip_y", _check_bit(self.flip_y, "flip_y"))
         for name in ("a_offset", "b_offset"):
-            off = getattr(self, name)
-            if len(off) != 2:
-                raise DomainError(f"{name} must have one bit per own input")
-            object.__setattr__(self, name, tuple(_check_bit(v, name) for v in off))
+            object.__setattr__(self, name, _check_bits(getattr(self, name), 2, name))
 
 
 def all_relabellings():
@@ -445,6 +444,7 @@ _CANONICAL_NAMES = dict(zip(_CANONICAL_TABLE, STRATEGY_NAMES))
 
 def scope_relabelling(scope):
     """Relabelling carrying the canonical scope (0,0,0) onto `scope`."""
+    check_scope(scope)
     return Relabelling(flip_x=0, flip_y=0,
                        a_offset=(scope.mu3, scope.mu1 ^ scope.mu3),
                        b_offset=(0, scope.mu2))
@@ -466,6 +466,7 @@ def scope_strategies(scope=PRScope()):
     two-way, and consecutive +/- entries are output complements.  Each call
     returns a new list, which the caller may change.
     """
+    check_scope(scope)
     return list(_CATALOGUE[scope])
 
 
@@ -474,6 +475,7 @@ def scope_boxes(scope=PRScope()):
 
     Built once per scope; it always matches scope_strategies(scope).
     """
+    check_scope(scope)
     return _CATALOGUE_BOXES[scope]
 
 

@@ -28,8 +28,8 @@ these two) and entropic-floor grids.  Every floor grid is a prefix of the
 1001-point p grid, so the floor reads H(p) from one entropy of that grid.
 The suites pass stacks, never box or spec objects: their random instances
 are drawn into arrays, and each stack is checked once by the rules a box or
-a spec checks itself with.  The 16 zero-signal LPs share one phase 1.
-`Certificate` is `analyze`'s only record.
+a spec checks itself with.  The zero-signal check reads an integer identity
+of the catalogue, not an LP.  `Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -40,7 +40,6 @@ inequalities that define C.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -84,7 +83,9 @@ from .measures import (
     signal,
     two_point_mutual_information,
 )
-from .simplex import solve_lp
+
+
+MAX_INSTANCES = 1 << 18  # the most a suite accepts: ~1 GiB at its peak, ~3.8 KiB per instance
 
 
 def certified_indeterminacy_bound(lam, s):
@@ -235,18 +236,17 @@ def complementarity_report(box, tol=1e-9):
 def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
     """Largest |marginal - 1/2| reachable by a zero-signal mixture of the catalogue.
 
-    Optimizes each outcome marginal over all weight vectors with every signed
-    signal pinned to zero.  The result is 0: unbiased marginals (I = 1/2) are
-    forced, which is why no nonsignaling catalogue mixture can be sharper.
-    The 16 LPs (8 marginals, each minimized and maximized) share one phase 1.
+    In every scope, twice each strategy's outcome-1 marginal is k + E.s in
+    integers, with s the rows of SIGNAL_COEFFICIENTS, k = 1 and E = +/-1 per
+    party and setting.  So a zero-signal mixture's marginals are all 1/2: no
+    nonsignaling catalogue mixture is sharper.  The result, max(|k - 1|, the
+    exact miss of the rounded fit) / 2, is 0 unless the catalogue breaks that.
     """
     check_tolerance(tol)
-    # one objective row per party and setting: each strategy's P(outcome 1)
-    objectives = marginals(scope_boxes(scope))[..., 1].reshape(16, 8).T
-    a_eq = np.vstack([np.ones((1, 16)), SIGNAL_COEFFICIENTS])
-    b_eq = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    _, values = solve_lp(np.concatenate([objectives, -objectives]), a_eq, b_eq, tol=tol)
-    return float(np.abs(np.repeat([1.0, -1.0], 8) * values - 0.5).max())
+    twice = 2.0 * marginals(scope_boxes(scope))[..., 1].reshape(16, 8).T  # per party and setting
+    basis = np.vstack([np.ones(16), SIGNAL_COEFFICIENTS])
+    fit = np.rint(np.linalg.solve(basis @ basis.T, basis @ twice.T).T)  # per row: k, then E
+    return float(max(np.abs(fit[:, 0] - 1.0).max(), np.abs(fit @ basis - twice).max()) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -393,9 +393,10 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
     The suites check the canonical scope (0,0,0).  `strategies` overrides
     its catalogue (used as a corruption hook by the negative-control test
     and CLI flag); everything is driven by `seed`.  DomainError unless seed
-    and instances are integers with seed >= 0 and instances >= 1.
+    and instances are integers with seed >= 0 and 1 <= instances <= MAX_INSTANCES.
     """
-    instances, seed = checked_count_and_seed(instances, seed, math.inf, "instances >= 1")
+    instances, seed = checked_count_and_seed(instances, seed, MAX_INSTANCES,
+                                             "instances in [1, 2**18]")
     check_tolerance(tol)
     scope = PRScope()
     if strategies is None:

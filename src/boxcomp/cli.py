@@ -212,7 +212,11 @@ def cmd_sweep(args):
         if not angles:
             raise DomainError("empty angle list")
     else:
+        from .simulate import MAX_TRIALS
+
         k = args.angle_grid
+        if k * args.trials > MAX_TRIALS:  # as sweep_angles counts, before the grid is built
+            raise DomainError(f"{k} angles of {args.trials} trials exceed 2**36 in all")
         angles = [math.pi * i / max(k - 1, 1) for i in range(k)]
     return _sweep_common(args, angles)
 

@@ -50,6 +50,7 @@ from .boxcore import (
     PRScope,
     STRATEGY_NAMES,
     SYMMETRIES,
+    check_scope,
     check_weights,
     checked_boxes,
     enumerate_deterministic,
@@ -110,13 +111,8 @@ COST_ROWS = _orbit_rows(_COST_ORBITS)
 FACET_ROWS = _orbit_rows(_FACET_ORBITS)
 
 
-def _values(rows, cells):
-    """(K, R) values of the rows on a (K, 16) stack of flat boxes."""
-    return cells @ rows[:, :16].T + rows[:, 16]
-
-
-# each table as the float (16, R) matrix and (R,) constants that `_values` casts it to on
-# every call; comm_cost_many's products with them are bit-equal to `_values`
+# each table's int rows as a float (16, R) matrix and (R,) constants, cast once; products
+# with them are bit-equal to cells @ rows[:, :16].T + rows[:, 16], which casts per call
 _COST_T, _COST_K, _FACET_T, _FACET_K = (np.ascontiguousarray(part, dtype=np.float64)
                                         for rows in (COST_ROWS, FACET_ROWS)
                                         for part in (rows[:, :16].T, rows[:, 16]))
@@ -222,8 +218,7 @@ class ResourceSpec:
     weights: tuple
 
     def __post_init__(self):
-        if not isinstance(self.scope, PRScope):
-            raise DomainError(f"scope must be a PRScope, got {self.scope!r}")
+        check_scope(self.scope)
         w = tuple(float(v) for v in self.weights)
         if len(w) != 16:
             raise WeightError(f"expected 16 weights, got {len(w)}")

@@ -198,9 +198,13 @@ def entropic_signal(box, prior=(0.5, 0.5)):
     """H_S: best extractable information (bits) about the remote input flip.
 
     The remote input is drawn with the given prior; the value is maximized
-    over direction and the receiving party's own setting.
+    over direction and the receiving party's own setting.  DomainError unless
+    the prior is a sized pair of nonnegative numbers that sums to 1.
     """
-    pi0, pi1 = (float(w) for w in prior) if len(prior) == 2 else (np.nan, np.nan)
+    try:
+        pi0, pi1 = map(float, prior) if len(prior) == 2 and not isinstance(prior, str) else ()
+    except (TypeError, ValueError, OverflowError):
+        pi0 = pi1 = np.nan
     if not (pi0 >= 0.0 and pi1 >= 0.0 and abs(pi0 + pi1 - 1.0) <= _ENTROPY_SLACK):
         raise DomainError(f"prior must be a distribution over the two inputs, got {prior!r}")
     m = marginals(box)

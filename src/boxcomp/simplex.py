@@ -6,15 +6,11 @@ constraint rows (the polytope descriptions here are rank-deficient) are
 dropped after phase 1.  Each pivot writes its rank-1 update into one buffer
 made per call, so a pivot allocates no tableau-sized array.
 
-Phase 1 does not read the objective, so `solve_lp` also takes a stack of
-objectives over one polytope: phase 1 and the row dropping run once, and
-each objective runs phase 2 on its own copy of the phase-1 tableau.
-`certify.max_marginal_bias_zero_signal` solves its 16 LPs that way.
-
-Of the cost LPs, only `decompose.min_comm_cost` (behind the `decompose`
-command) solves them here, because it reports a decomposition's weights;
-`comm_cost_many`, and so `analyze` and `verify`, read C and 1-bit
-feasibility from two integer inequality tables instead.
+Its one caller is `decompose.min_comm_cost` (behind the `decompose`
+command), because it reports a decomposition's weights.  `comm_cost_many`,
+and so `analyze` and `verify`, read C and 1-bit feasibility from two
+integer inequality tables instead, and `verify`'s zero-signal check reads
+an integer identity of the catalogue's marginals.
 """
 
 from __future__ import annotations
@@ -57,16 +53,12 @@ def _run(tableau, basis, ncols, buf):
 def solve_lp(c, a_eq, b_eq, tol=1e-9):
     """Minimize c.x over A x = b, x >= 0; returns (x, objective).
 
-    `c` is one objective or a (k, n) stack of them.  Phase 1 and the row
-    dropping run once; each objective then runs phase 2 on its own copy of
-    the phase-1 tableau, so its result is bit-equal to a call of its own.  A
-    stack gives a (k, n) array of solutions and a (k,) array of objectives.
     Raises Infeasible when no nonnegative solution fits b within tol, and
     NumericalError on convergence failure.
     """
     a = np.array(a_eq, dtype=np.float64)
     b = np.array(b_eq, dtype=np.float64)
-    costs = np.asarray(c, dtype=np.float64)
+    cost = np.asarray(c, dtype=np.float64)
     m, n = a.shape
 
     # phase 1: rows with b < 0 negated, the last row minus the column sums (the
@@ -104,18 +96,13 @@ def solve_lp(c, a_eq, b_eq, tol=1e-9):
         basis = [basis[i] for i in keep]
         buf = buf[:len(tableau)]
 
-    # phase 2 per objective, on the original columns of its own copy of the tableau:
-    # the last row becomes the reduced costs
-    stack = costs.reshape(-1, n)
-    xs, values = np.zeros(stack.shape), []
-    for cost, x in zip(stack, xs):
-        t, in_basis = tableau.copy(), basis.copy()
-        t[-1, :n] = cost
-        t[-1, -1] = 0.0
-        for i, var in enumerate(in_basis):
-            t[-1] -= cost[var] * t[i]
-        _run(t, in_basis, n, buf)
-        for i, var in enumerate(in_basis):
-            x[var] = max(t[i, -1], 0.0)
-        values.append(float(cost @ x))
-    return (xs[0], values[0]) if costs.ndim == 1 else (xs, np.array(values))
+    # phase 2 on the original columns: the last row becomes the reduced costs
+    tableau[-1, :n] = cost
+    tableau[-1, -1] = 0.0
+    for i, var in enumerate(basis):
+        tableau[-1] -= cost[var] * tableau[i]
+    _run(tableau, basis, n, buf)
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        x[var] = max(tableau[i, -1], 0.0)
+    return x, float(cost @ x)

@@ -84,7 +84,7 @@ from .decompose import ResourceSpec
 from .errors import DomainError
 
 CHUNK = 1 << 16
-MAX_TRIALS = 1 << 36  # the most trials a run accepts: 2**20 chunks, an 8 MiB count list
+MAX_TRIALS = 1 << 36  # most trials in a run or a whole sweep: 2**20 chunks, an 8 MiB count list
 _CANDIDATES_PER_POINT = 4.0 / math.pi  # square candidates per disc point
 
 
@@ -356,7 +356,8 @@ def sweep_angles(spec, angles, n_trials, seed):
     """Simulate a list of relative angles between the measurement axes.
 
     x_hat is fixed at the pole and y_hat rotated by each angle; each angle
-    runs n_trials on its own derived stream of the master seed.
+    runs n_trials on its own derived stream of the master seed.  DomainError
+    when the angles and trials multiply to more than MAX_TRIALS.
     """
     n_trials, seed = _checked_run(spec, n_trials, seed)
     try:
@@ -365,6 +366,8 @@ def sweep_angles(spec, angles, n_trials, seed):
         angles = list(angles)
     except TypeError:
         raise DomainError(f"angles must be an iterable of numbers, got {angles!r}") from None
+    if len(angles) * n_trials > MAX_TRIALS:
+        raise DomainError(f"{len(angles)} angles of {n_trials} trials exceed 2**36 in all")
     for i, angle in enumerate(angles):
         try:
             angles[i] = float(angle)

@@ -108,6 +108,11 @@ def reconstruct(dec):
     return bc.mixtures(list(dec.weights.values()), bc.strategy_boxes(list(dec.weights)))
 
 
+def row_values(rows, cells):
+    """(K, R) values of integer table rows (T's cells, then k) on a (K, 16) stack of flat boxes."""
+    return cells @ rows[:, :16].T + rows[:, 16]
+
+
 def lp_matrices():
     """(A_eq, one-way mask) of the 112-vertex LP: cell rows plus a weight-sum row."""
     columns = decompose.VERTEX_BOXES.reshape(len(decompose.VERTICES), 16).T

@@ -1,6 +1,7 @@
 """Boxes, strategies, scopes, relabellings, and their JSON round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ def test_uniform_catalogue_mixture_is_pr_box():
         table = bc.scope_strategies(scope)
         uni = bc.mix([1.0 / 16.0] * 16, [bc.strategy_box(s) for s in table])
         assert np.abs(uni.p - bc.pr_box(scope).p).max() <= 1e-15
+
+
+def test_catalogue_functions_refuse_a_scope_that_is_not_a_prscope():
+    # a label, a tuple of bits or None once ended in KeyError or AttributeError
+    for scope in ("000", (0, 0, 0), None):
+        for read in (bc.scope_boxes, bc.scope_strategies, bc.pr_box, bc.scope_relabelling,
+                     bc.max_marginal_bias_zero_signal):
+            with pytest.raises(bc.DomainError, match=f"PRScope, got {re.escape(repr(scope))}"):
+                read(scope)
 
 
 def test_pr_box_entries():

@@ -1,6 +1,7 @@
 """Certificates, entropic complementarity, and the property suites."""
 
 import collections
+import itertools
 import math
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 import boxcomp as bc
 from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
-from _helpers import pair_box, random_feasible_box, random_resource_spec, tsirelson_box
+from _helpers import (pair_box, random_feasible_box, random_resource_spec, row_values,
+                      tsirelson_box)
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -107,7 +109,7 @@ def test_tol_below_the_default_bounds_the_facet_rows(tmp_path, capsys):
     # 5e-10 of a two-way strategy puts the box 5e-10 outside the 1-bit polytope
     zero = bc.strategy_box(bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0)))
     box = bc.mix((1.0 - 5e-10, 5e-10), [zero, bc.strategy_box(bc.scope_strategies()[8])])
-    excess = float(decompose._values(decompose.FACET_ROWS, box.p.reshape(1, 16)).max())
+    excess = float(row_values(decompose.FACET_ROWS, box.p.reshape(1, 16)).max())
     assert 1e-12 < excess < 1e-9
     tight = bc.complementarity_report(box, tol=1e-12)
     assert tight.feasible is False and tight.C_min is None
@@ -156,6 +158,36 @@ def test_zero_signal_forces_unbiased_marginals():
     assert bc.max_marginal_bias_zero_signal(bc.PRScope(1, 1, 1)) <= 1e-9
 
 
+def test_catalogue_marginals_are_affine_in_the_signed_signals():
+    # twice each catalogue strategy's outcome-1 marginal is k + E.SIGNAL_COEFFICIENTS,
+    # in integers: per party and setting, exactly one (k, E) with E in {-1, 0, 1}^4
+    # fits, and it has k = 1 and E = +/-1, so zero signed signals force marginals 1/2
+    coeff = decompose.SIGNAL_COEFFICIENTS.astype(np.int64)
+    assert np.array_equal(coeff, decompose.SIGNAL_COEFFICIENTS)
+    tables = np.array(list(itertools.product((-1, 0, 1), repeat=4)))
+    for scope in bc.all_scopes():
+        twice = 2.0 * bc.marginals(bc.scope_boxes(scope))[..., 1].reshape(16, 8).T
+        exact = twice.astype(np.int64)
+        assert np.array_equal(exact, twice) and set(exact.ravel().tolist()) == {0, 2}
+        for row in exact:
+            rest = row - tables @ coeff  # per E, what k would have to be at each strategy
+            fits = [(int(r[0]), e.tolist()) for r, e in zip(rest, tables) if (r == r[0]).all()]
+            assert len(fits) == 1
+            (k, e), = fits
+            assert k == 1 and set(e) <= {-1, 1}
+        bias = bc.max_marginal_bias_zero_signal(scope)
+        assert bias == 0.0 and math.copysign(1.0, bias) == 1.0
+
+
+def test_a_catalogue_that_breaks_the_identity_reads_a_bias(monkeypatch):
+    # the first strategy's B output at x = y = 1 flipped, as verify --corrupt-table flips it
+    table = bc.scope_strategies()
+    s0 = table[0]
+    table[0] = bc.DeterministicStrategy(s0.fa, (s0.fb[0], s0.fb[1], s0.fb[2], s0.fb[3] ^ 1))
+    monkeypatch.setattr(certify, "scope_boxes", lambda scope: bc.strategy_boxes(table))
+    assert bc.max_marginal_bias_zero_signal() > 1e-9
+
+
 def test_property_suite_passes_and_is_seeded():
     report = bc.run_property_suite(seed=17, instances=40)
     assert report.passed
@@ -194,6 +226,18 @@ def test_property_suite_validation():
     report = bc.run_property_suite(seed=np.int64(3), instances=np.uint8(2))
     assert report.to_json() == bc.run_property_suite(seed=3, instances=2).to_json()
     assert report.seed == 3 and type(report.seed) is int
+
+
+def test_property_suite_refuses_more_instances_than_its_maximum(monkeypatch):
+    # a suite that got past the check fails at its first draw, before sizing anything
+    def never_drawn(*args):
+        raise AssertionError("instances past the maximum were drawn")
+
+    monkeypatch.setattr(certify, "_suite_feasible_boxes", never_drawn)
+    for instances in (certify.MAX_INSTANCES + 1, 10 ** 12):
+        with pytest.raises(bc.DomainError, match=r"instances in \[1, 2\*\*18\]"):
+            bc.run_property_suite(instances=instances)
+    assert certify.MAX_INSTANCES == 2 ** 18
 
 
 def test_tolerances_outside_the_unit_interval_are_refused():

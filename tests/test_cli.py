@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import boxcomp as bc
 from _helpers import random_feasible_box
+from boxcomp import simulate
 from boxcomp.cli import main
 from boxcomp.simulate import MAX_TRIALS
 
@@ -369,13 +372,38 @@ def test_simulate_rejects_bad_resource(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_trial_counts_above_the_maximum_are_refused(capsys):
-    for trials in (str(10 ** 30), str(MAX_TRIALS + 1)):
-        for grid in (["simulate", "--angle", "1.0"], ["sweep", "--angle-grid", "2"]):
-            assert main(grid + ["--resource", "S1+:1.0", "--trials", trials]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+def _never_run(*args):
+    raise AssertionError("a run past the trial maximum was started")
+
+
+def test_trial_counts_above_the_maximum_are_refused(capsys, monkeypatch):
+    # a run that got past the check fails at once instead of running for hours
+    monkeypatch.setattr(simulate, "simulate_singlet", _never_run)
+    cases = [grid + ["--resource", "S1+:1.0", "--trials", trials]
+             for trials in (str(10 ** 30), str(MAX_TRIALS + 1))
+             for grid in (["simulate", "--angle", "1.0"], ["sweep", "--angle-grid", "2"])]
+    # a sweep runs at most MAX_TRIALS in all, and verify at most MAX_INSTANCES
+    cases += [["sweep", "--resource", "S1+:1.0", "--angles", "0,1",
+               "--trials", str(MAX_TRIALS // 2 + 1)],
+              ["sweep", "--resource", "S1+:1.0", "--angle-grid", "3",
+               "--trials", str(MAX_TRIALS // 2)],
+              ["verify", "--instances", str(10 ** 12)]]
+    for argv in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a grid built before its trials were counted would fill the child's address
+    # space, capped at 1 GiB, and end in MemoryError
+    code = ("import resource, sys; cap = resource.RLIMIT_AS; "
+            "resource.setrlimit(cap, (1 << 30, resource.getrlimit(cap)[1])); "
+            "from boxcomp.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, "sweep", "--resource", "S1+:1",
+                           "--angle-grid", str(10 ** 11), "--trials", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_sweep_csv_files_are_byte_identical(tmp_path, capsys):

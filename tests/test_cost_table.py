@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 import boxcomp as bc
-from _helpers import random_feasible_box
+from _helpers import random_feasible_box, row_values
 from boxcomp import decompose
 
 FREE = [c for c in range(16) if c % 4] + [16]  # the 12 cells with ab != 00, then k
@@ -181,5 +181,5 @@ def test_chsh_orbit_is_the_pironio_floor():
     boxes = [random_feasible_box(rng)[0].p for _ in range(200)]
     boxes += [bc.pr_box(scope).p for scope in bc.all_scopes()]
     boxes = np.stack(boxes)
-    floor = decompose._values(chsh_rows, boxes.reshape(-1, 16)).max(axis=1)
+    floor = row_values(chsh_rows, boxes.reshape(-1, 16)).max(axis=1)
     assert np.abs(floor - (bc.chsh_max(boxes) / 2.0 - 1.0)).max() <= 1e-12

@@ -1,6 +1,7 @@
 """CHSH values, signal/indeterminacy, and their entropic counterparts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,8 +121,11 @@ def test_entropic_signal_values():
 
 
 def test_entropic_signal_refuses_a_prior_of_the_wrong_length():
-    for prior in ((1.0,), (0.5, 0.5, 7.0), (0.5, 0.5, 0.0), ()):
-        with pytest.raises(bc.DomainError):
+    # a prior of the wrong length, or one that is not a sized pair of numbers,
+    # is refused by name
+    for prior in ((1.0,), (0.5, 0.5, 7.0), (0.5, 0.5, 0.0), (), 0.5, iter((0.5, 0.5)),
+                  ("a", "b"), "01", (10 ** 400, 0.0), (1j, 0.0), np.eye(2)):
+        with pytest.raises(bc.DomainError, match=re.escape(repr(prior))):
             bc.entropic_signal(bc.pr_box(), prior=prior)
     assert bc.entropic_signal(bc.pr_box(), prior=np.array([0.25, 0.75])) == 0.0
 

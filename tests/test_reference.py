@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 import boxcomp as bc
-from _helpers import random_feasible_box, random_resource_spec
+from _helpers import random_feasible_box, random_resource_spec, row_values
 from boxcomp import certify, decompose
 from boxcomp.boxcore import INPUT_PAIRS, STRATEGY_KINDS, SYMMETRIES
 
@@ -384,17 +384,17 @@ def test_float_cost_tables_and_box_stacks_are_the_int_row_products():
     per_box = np.array([decompose._COLUMNS @ row for row in w])
     assert boxes.tobytes() == per_box.tobytes() and not boxes.flags.writeable
     cells = np.concatenate([per_box, BOXES.reshape(-1, 16)])
-    excess = decompose._values(decompose.FACET_ROWS, cells).max(axis=1)
+    excess = row_values(decompose.FACET_ROWS, cells).max(axis=1)
     feasible = cells[excess <= decompose.WEIGHT_TOL]
     assert len(feasible) > 5000
-    ref = np.clip(decompose._values(decompose.COST_ROWS, feasible).max(axis=1), 0.0, 1.0)
+    ref = np.clip(row_values(decompose.COST_ROWS, feasible).max(axis=1), 0.0, 1.0)
     assert bc.comm_cost_many(feasible.reshape(-1, 2, 2, 2, 2)).tobytes() == ref.tobytes()
     assert bc.comm_cost_many(list(feasible.reshape(-1, 2, 2, 2, 2))).tobytes() == ref.tobytes()
     tables = ((decompose.FACET_ROWS, decompose._FACET_T, decompose._FACET_K),
               (decompose.COST_ROWS, decompose._COST_T, decompose._COST_K))
     for rows, table, k in tables:  # products of every stack height give the same bits
         for n in (1, 2, 3, 7, 200):
-            ref = decompose._values(rows, cells[:n]).max(axis=1)
+            ref = row_values(rows, cells[:n]).max(axis=1)
             assert decompose._largest(cells[:n], table, k).tobytes() == ref.tobytes()
 
 

@@ -99,41 +99,12 @@ def _counted_runs(monkeypatch):
     return runs
 
 
-def test_a_stack_of_objectives_matches_separate_calls_bit_for_bit(monkeypatch):
-    # the 16 signed zero-signal objectives, and 50 random ones on the cost LP's
-    # constraints with a random 1-bit box
-    rng = np.random.default_rng(2029)
-    marginals = bc.marginals(bc.scope_boxes(bc.PRScope()))[..., 1].reshape(16, 8).T
-    zero_signal = (np.array([sign * c for c in marginals for sign in (1.0, -1.0)]),
-                   np.vstack([np.ones((1, 16)), decompose.SIGNAL_COEFFICIENTS]),
-                   np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    box, _ = random_feasible_box(rng)
-    dense = (rng.normal(size=(50, len(decompose.VERTICES))), decompose._A_EQ,
-             np.append(box.p.ravel(), 1.0))
-    for costs, a, b in (zero_signal, dense):
-        runs = _counted_runs(monkeypatch)
-        xs, values = solve_lp(costs, a, b)
-        assert len(runs) == len(costs) + 1  # one phase 1, then one phase 2 per objective
-        assert xs.shape == costs.shape and values.shape == (len(costs),)
-        for c, x, value in zip(costs, xs, values):
-            x1, value1 = solve_lp(c, a, b)
-            assert x.tobytes() == x1.tobytes()
-            assert np.float64(value).tobytes() == np.float64(value1).tobytes()
-            assert type(value1) is float
-        monkeypatch.undo()
-    # the suite's check solves its 16 LPs in one call, so in 17 runs of the pivoting
-    runs = _counted_runs(monkeypatch)
-    assert bc.max_marginal_bias_zero_signal() <= 1e-9 and len(runs) == 17
-
-
-def test_a_stack_of_objectives_is_refused_once_when_infeasible(monkeypatch):
+def test_an_infeasible_lp_is_refused_after_phase_1(monkeypatch):
+    # a two-way box lies outside the 1-bit polytope: phase 1 ends with a residual
+    # of 5, and phase 2 never runs
     two_way = bc.strategy_box(bc.scope_strategies()[8])
-    b = np.append(two_way.p.ravel(), 1.0)
-    with pytest.raises(bc.Infeasible) as one:
-        solve_lp(decompose._ONEWAY, decompose._A_EQ, b)
     runs = _counted_runs(monkeypatch)
-    costs = np.random.default_rng(2030).normal(size=(7, len(decompose.VERTICES)))
-    with pytest.raises(bc.Infeasible) as stacked:
-        solve_lp(costs, decompose._A_EQ, b)
+    with pytest.raises(bc.Infeasible) as refused:
+        solve_lp(decompose._ONEWAY, decompose._A_EQ, np.append(two_way.p.ravel(), 1.0))
     assert len(runs) == 1
-    assert str(one.value) == str(stacked.value) == "phase-1 residual 5.000e+00 exceeds 1.0e-09"
+    assert str(refused.value) == "phase-1 residual 5.000e+00 exceeds 1.0e-09"

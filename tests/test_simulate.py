@@ -597,6 +597,18 @@ def test_sweep_angles_refuses_malformed_seeds_and_trial_counts():
                 bc.sweep_angles(PR_SPEC, angles, n_trials, seed)
 
 
+def test_sweep_angles_counts_its_trials_over_all_angles(monkeypatch):
+    # angles x trials may reach MAX_TRIALS and not pass it; the runs are stubbed
+    ran = []
+    monkeypatch.setattr(simulate, "simulate_singlet", lambda *run: ran.append(run[3]) or 0.5)
+    half = simulate.MAX_TRIALS // 2
+    assert len(bc.sweep_angles(PR_SPEC, [0.0, 1.0], half, 0)) == 2 and ran == [half, half]
+    for angles, n_trials in (([0.0, 1.0], half + 1), ([0.0] * 3, half), ([0.0] * 5, half // 2)):
+        with pytest.raises(bc.DomainError, match=r"exceed 2\*\*36 in all"):
+            bc.sweep_angles(PR_SPEC, angles, n_trials, 0)
+    assert ran == [half, half]
+
+
 def test_two_way_specs_also_simulate():
     # the estimator identity only needs the scope relation, so two-way
     # support reproduces the same statistics
