@@ -148,10 +148,13 @@ def _check_bit(value, name):
 
 
 def _check_bits(bits, n, name):
-    """`bits` as a tuple; DomainError unless it holds n bits."""
-    if len(bits) != n:
-        raise DomainError(f"{name} must hold {n} bits, got {bits!r}")
-    return tuple(_check_bit(v, name) for v in bits)
+    """`bits` as a tuple; DomainError unless it is a sequence of n bits, each 0 or 1."""
+    try:
+        if len(bits) == n and all(v in (0, 1) for v in bits):
+            return tuple(int(v) for v in bits)
+    except (TypeError, ValueError):  # no length or items, or an array for an item
+        pass
+    raise DomainError(f"{name} must hold {n} bits, each 0 or 1, got {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,14 @@ def checked_count_and_seed(count, seed, most, what):
     raise DomainError(f"need integer {what} and seed >= 0, got {count!r}, {seed!r}")
 
 
+def weight_row(weights):
+    """`weights` as a tuple of floats; WeightError, naming the value, unless each is a number."""
+    try:
+        return tuple(float(v) for v in weights)
+    except (TypeError, ValueError, OverflowError):
+        raise WeightError(f"weights must be a row of numbers, got {weights!r}") from None
+
+
 def mix(weights, boxes, label=None):
     """Convex mixture of boxes: a (n, 2, 2, 2, 2) stack, or a sequence of boxes or tables.
 
@@ -294,7 +305,7 @@ def mix(weights, boxes, label=None):
     stack, by `checked_boxes`, so an invalid box is refused even where the
     mixture would be a valid one.
     """
-    w = [float(v) for v in weights]
+    w = weight_row(weights)
     if len(w) != len(boxes):
         raise WeightError(f"{len(w)} weights for {len(boxes)} boxes")
     if not w:
@@ -329,8 +340,8 @@ class PRScope:
 
     @classmethod
     def from_label(cls, text):
-        text = text.strip()
-        if len(text) != 3 or set(text) - {"0", "1"}:
+        text = text.strip() if isinstance(text, str) else text
+        if not isinstance(text, str) or len(text) != 3 or set(text) - {"0", "1"}:
             raise DomainError(f"scope label must be 3 bits, got {text!r}")
         return cls(int(text[0]), int(text[1]), int(text[2]))
 

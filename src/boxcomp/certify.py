@@ -26,10 +26,11 @@ and the `verify` suites read it; the suites run over stacks of random 1-bit
 boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
 these two) and entropic-floor grids.  Every floor grid is a prefix of the
 1001-point p grid, so the floor reads H(p) from one entropy of that grid.
-The suites pass stacks, never box or spec objects: their random instances
-are drawn into arrays, and each stack is checked once by the rules a box or
-a spec checks itself with.  The zero-signal check reads an integer identity
-of the catalogue, not an LP.  `Certificate` is `analyze`'s only record.
+The suites pass stacks, never box or spec objects: random instances are
+drawn into arrays, each stack checked once by the rules a box or a spec
+checks itself with.  They read the catalogue from boxcore's one table, which
+the negative-control test corrupts; the zero-signal check reads an integer
+identity of it, not an LP.  `Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -52,7 +53,6 @@ from .boxcore import (
     mixtures,
     scope_boxes,
     scope_strategies,
-    strategy_boxes,
 )
 from .decompose import (
     SIGNAL_COEFFICIENTS,
@@ -233,16 +233,15 @@ def complementarity_report(box, tol=1e-9):
     )
 
 
-def max_marginal_bias_zero_signal(scope=PRScope(), tol=1e-9):
+def max_marginal_bias_zero_signal(scope=PRScope()):
     """Largest |marginal - 1/2| reachable by a zero-signal mixture of the catalogue.
 
     In every scope, twice each strategy's outcome-1 marginal is k + E.s in
     integers, with s the rows of SIGNAL_COEFFICIENTS, k = 1 and E = +/-1 per
     party and setting.  So a zero-signal mixture's marginals are all 1/2: no
     nonsignaling catalogue mixture is sharper.  The result, max(|k - 1|, the
-    exact miss of the rounded fit) / 2, is 0 unless the catalogue breaks that.
+    exact miss of the rounded fit) / 2, is 0 unless boxcore's catalogue breaks that.
     """
-    check_tolerance(tol)
     twice = 2.0 * marginals(scope_boxes(scope))[..., 1].reshape(16, 8).T  # per party and setting
     basis = np.vstack([np.ones(16), SIGNAL_COEFFICIENTS])
     fit = np.rint(np.linalg.solve(basis @ basis.T, basis @ twice.T).T)  # per row: k, then E
@@ -298,7 +297,8 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _check_catalogue(strategies, scope):
+def _check_catalogue(scope):
+    strategies = scope_strategies(scope)
     bad = 0
     for i, s in enumerate(strategies):
         if not scope.holds_for(s):
@@ -322,7 +322,7 @@ def _suite_feasible_boxes(rng, instances):
                                            r.cert_slack))
 
 
-def _suite_specs(rng, instances, strategies, scope):
+def _suite_specs(rng, instances, scope):
     # per instance, in this order: Dirichlet catalogue weights, the weight c kept
     # under noise and the local vertex k of the noise; the draws cannot be batched.
     # rng.dirichlet(ones(16)) scales 16 standard exponential draws by one over their
@@ -335,7 +335,7 @@ def _suite_specs(rng, instances, strategies, scope):
         k[i] = rng.integers(16)
     weights = draws * (1.0 / np.cumsum(draws, axis=1)[:, -1:])
     check_weights(weights)
-    boxes = mixtures(weights, strategy_boxes(strategies))
+    boxes = mixtures(weights, scope_boxes(scope))
     r = _relations(boxes, cost=1.0)
     measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
     signed = _signed_signal_rows(weights)
@@ -387,24 +387,21 @@ def _suite_entropic_floor():
     return worst_slack, worst_eq
 
 
-def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
+def run_property_suite(seed=0, instances=1000, tol=1e-9):
     """Randomized + exhaustive grid checks of every certified relation.
 
-    The suites check the canonical scope (0,0,0).  `strategies` overrides
-    its catalogue (used as a corruption hook by the negative-control test
-    and CLI flag); everything is driven by `seed`.  DomainError unless seed
+    The suites check the canonical scope (0,0,0), reading its catalogue from
+    boxcore's one table; `seed` drives everything.  DomainError unless seed
     and instances are integers with seed >= 0 and 1 <= instances <= MAX_INSTANCES.
     """
     instances, seed = checked_count_and_seed(instances, seed, MAX_INSTANCES,
                                              "instances in [1, 2**18]")
     check_tolerance(tol)
     scope = PRScope()
-    if strategies is None:
-        strategies = scope_strategies(scope)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     checks = []
 
-    bad = _check_catalogue(strategies, scope)
+    bad = _check_catalogue(scope)
     checks.append(SuiteCheck("catalogue-structure", bad == 0, float(bad),
                              "scope relation, kind split, +/- complements"))
 
@@ -418,7 +415,7 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
     checks.append(SuiteCheck("certified-indeterminacy", cert >= -tol, cert,
                              f"min I - bound over {instances} boxes"))
 
-    signed, cond, sat = _suite_specs(rng, instances, strategies, scope)
+    signed, cond, sat = _suite_specs(rng, instances, scope)
     checks.append(SuiteCheck("signed-signal-consistency", signed <= 1e-12, signed,
                              f"max ||s_k| - measured| over {instances} specs"))
     checks.append(SuiteCheck("conditional-bounds", cond >= -1e-12, cond,
@@ -438,7 +435,7 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9, strategies=None):
     checks.append(SuiteCheck("entropic-floor-equality", floor_eq <= tol, floor_eq,
                              "bound attained at p = (1-S)/2"))
 
-    bias = max_marginal_bias_zero_signal(scope, tol)
+    bias = max_marginal_bias_zero_signal(scope)
     checks.append(SuiteCheck("zero-signal-bias", bias <= tol, bias,
                              "max |marginal - 1/2| with all signed signals pinned to 0"))
 

@@ -116,7 +116,6 @@ def build_parser():
                       help="slack allowed to each check")
     p_ve.add_argument("--out")
     p_ve.add_argument("--format", choices=("text", "json"), default="text")
-    p_ve.add_argument("--corrupt-table", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 
@@ -222,17 +221,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    strategies = None
-    if args.corrupt_table:
-        from .boxcore import DeterministicStrategy, scope_strategies
-
-        table = scope_strategies()
-        s0 = table[0]
-        flipped = tuple(bit ^ (1 if i == 3 else 0) for i, bit in enumerate(s0.fb))
-        table[0] = DeterministicStrategy(s0.fa, flipped)  # deliberate corruption
-        strategies = table
-    report = run_property_suite(seed=args.seed, instances=args.instances,
-                                tol=args.tol, strategies=strategies)
+    report = run_property_suite(seed=args.seed, instances=args.instances, tol=args.tol)
     if args.format == "json":
         _emit(_json_dumps(report.to_json()), args.out)
     else:

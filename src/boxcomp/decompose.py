@@ -59,6 +59,7 @@ from .boxcore import (
     scope_strategies,
     strategy_boxes,
     strategy_name,
+    weight_row,
 )
 from .errors import DomainError, Infeasible, NumericalError, WeightError
 from .simplex import solve_lp
@@ -219,7 +220,7 @@ class ResourceSpec:
 
     def __post_init__(self):
         check_scope(self.scope)
-        w = tuple(float(v) for v in self.weights)
+        w = weight_row(self.weights)
         if len(w) != 16:
             raise WeightError(f"expected 16 weights, got {len(w)}")
         check_weights(w)
@@ -230,8 +231,7 @@ class ResourceSpec:
         unknown = sorted(set(mapping) - set(STRATEGY_NAMES))
         if unknown:
             raise WeightError(f"unknown strategy names {unknown}")
-        w = tuple(float(mapping.get(name, 0.0)) for name in STRATEGY_NAMES)
-        return cls(scope=scope, weights=w)
+        return cls(scope=scope, weights=[mapping.get(name, 0.0) for name in STRATEGY_NAMES])
 
     @classmethod
     def parse(cls, text):

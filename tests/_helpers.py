@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import boxcomp as bc
-from boxcomp import decompose, simulate
+from boxcomp import boxcore, decompose, simulate
 
 
 def tsirelson_box():
@@ -44,6 +44,21 @@ def pair_spec(j, p, scope=bc.PRScope()):
 
 def pair_box(j, p, scope=bc.PRScope()):
     return bc.resource_box(pair_spec(j, p, scope))
+
+
+def corrupt_catalogue(monkeypatch):
+    """Flip the canonical S1+'s B output at x = y = 1 in boxcore's one catalogue table.
+
+    Scope (0,0,0)'s strategies and its box stack are both replaced, so every
+    reader of the catalogue (`certify`'s suites, the anchor of
+    `decompose._conditional_bounds`) sees the same corrupted table.
+    """
+    scope = bc.PRScope()
+    table = list(boxcore._CATALOGUE[scope])
+    fb = table[0].fb
+    table[0] = bc.DeterministicStrategy(table[0].fa, (fb[0], fb[1], fb[2], fb[3] ^ 1))
+    monkeypatch.setitem(boxcore._CATALOGUE, scope, tuple(table))
+    monkeypatch.setitem(boxcore._CATALOGUE_BOXES, scope, bc.strategy_boxes(table))
 
 
 def _disc_draws(n_trials, seed):

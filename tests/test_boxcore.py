@@ -79,6 +79,27 @@ def test_catalogue_functions_refuse_a_scope_that_is_not_a_prscope():
                 read(scope)
 
 
+def test_bit_tables_and_scope_labels_of_the_wrong_type_are_refused():
+    # each once ended in TypeError (no len()) or AttributeError (no strip())
+    table = (0, 0, 0, 0)
+    for bits in (None, 5, np.array(1), "0000", iter(table), [[0, 1]] * 4, np.zeros((4, 2))):
+        with pytest.raises(bc.DomainError, match=f"got {re.escape(repr(bits))}$"):
+            bc.DeterministicStrategy(bits, table)
+        with pytest.raises(bc.DomainError, match=f"got {re.escape(repr(bits))}$"):
+            bc.DeterministicStrategy(table, bits)
+    for bits in (None, 3, "01", (0, 2), [np.zeros(2), 0]):
+        for name in ("a_offset", "b_offset"):
+            with pytest.raises(bc.DomainError, match=f"{name} must hold 2 bits"):
+                bc.Relabelling(**{name: bits})
+    for label in (None, 5, b"000", ("0", "0", "0")):
+        with pytest.raises(bc.DomainError, match=f"3 bits, got {re.escape(repr(label))}$"):
+            bc.PRScope.from_label(label)
+    # bit-valued numbers of any type stay bits
+    assert (bc.DeterministicStrategy(np.array([0, 1, 0, 1]), [True, False, 0.0, np.int8(1)])
+            == bc.DeterministicStrategy((0, 1, 0, 1), (1, 0, 0, 1)))
+    assert bc.PRScope.from_label(" 101 ") == bc.PRScope(1, 0, 1)
+
+
 def test_pr_box_entries():
     pr = bc.pr_box()
     for x, y in INPUT_PAIRS:
@@ -129,6 +150,22 @@ def test_mix_weight_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(bc.WeightError):
             bc.mix((bad, 1.0), boxes)
+
+
+def test_weight_rows_that_are_not_numbers_are_refused():
+    # each once ended in TypeError or ValueError; mix and ResourceSpec share one conversion
+    for weights in (None, 5, ["x"] * 16, [None] * 16, [0.5j] * 16, [10 ** 400] + [0.0] * 15):
+        with pytest.raises(bc.WeightError, match=re.escape(repr(weights)[:40])):
+            bc.ResourceSpec(bc.PRScope(), weights)
+    with pytest.raises(bc.WeightError, match="'x'"):
+        bc.ResourceSpec.from_mapping({"S1+": "x"})
+    for weights in (None, 5, ["x"], [None], [10 ** 400]):
+        with pytest.raises(bc.WeightError, match=re.escape(repr(weights)[:40])):
+            bc.mix(weights, [bc.pr_box()])
+    # numbers of any type, numeric strings included, are still weights
+    assert bc.mix(np.array([1]), [bc.pr_box()]) == bc.mix(["1.0"], [bc.pr_box()]) == bc.pr_box()
+    spec = bc.ResourceSpec.from_mapping({"S1+": "0.5", "S1-": np.float32(0.5)})
+    assert spec.weights[:2] == (0.5, 0.5) and type(spec.weights) is tuple
 
 
 def test_mix_checks_its_boxes_as_one_stack():

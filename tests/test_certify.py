@@ -11,8 +11,8 @@ import pytest
 import boxcomp as bc
 from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
-from _helpers import (pair_box, random_feasible_box, random_resource_spec, row_values,
-                      tsirelson_box)
+from _helpers import (corrupt_catalogue, pair_box, random_feasible_box, random_resource_spec,
+                      row_values, tsirelson_box)
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -180,12 +180,9 @@ def test_catalogue_marginals_are_affine_in_the_signed_signals():
 
 
 def test_a_catalogue_that_breaks_the_identity_reads_a_bias(monkeypatch):
-    # the first strategy's B output at x = y = 1 flipped, as verify --corrupt-table flips it
-    table = bc.scope_strategies()
-    s0 = table[0]
-    table[0] = bc.DeterministicStrategy(s0.fa, (s0.fb[0], s0.fb[1], s0.fb[2], s0.fb[3] ^ 1))
-    monkeypatch.setattr(certify, "scope_boxes", lambda scope: bc.strategy_boxes(table))
+    corrupt_catalogue(monkeypatch)
     assert bc.max_marginal_bias_zero_signal() > 1e-9
+    assert bc.max_marginal_bias_zero_signal(bc.PRScope(1, 1, 1)) == 0.0  # another scope's table
 
 
 def test_property_suite_passes_and_is_seeded():
@@ -204,15 +201,17 @@ def test_property_suite_passes_and_is_seeded():
     assert len(data["checks"]) == len(report.checks)
 
 
-def test_property_suite_detects_corrupted_catalogue():
-    table = bc.scope_strategies()
-    s0 = table[0]
-    table[0] = bc.DeterministicStrategy(s0.fa, (s0.fb[0], s0.fb[1], s0.fb[2], s0.fb[3] ^ 1))
-    report = bc.run_property_suite(seed=17, instances=30, strategies=table)
+def test_property_suite_detects_corrupted_catalogue(monkeypatch):
+    # one corrupted table reaches every check that reads the catalogue, and none other
+    corrupt_catalogue(monkeypatch)
+    report = bc.run_property_suite(seed=17, instances=30)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
-    assert "catalogue-structure" in failed
-    assert "signed-signal-consistency" in failed
+    assert failed >= {"catalogue-structure", "signed-signal-consistency", "conditional-bounds",
+                      "single-pair-saturation", "entropic-pair-saturation", "zero-signal-bias"}
+    assert not failed & {"cost-complementarity", "pironio-floor", "relaxed-bell",
+                         "certified-indeterminacy", "entropic-signal-floor",
+                         "entropic-floor-equality"}
     assert "FAIL overall" in report.render_text()
 
 
@@ -314,9 +313,3 @@ def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
     rows = decompose._signed_signal_rows(np.array([spec.weights for spec in specs]))
     one_by_one = np.array([bc.signed_signals(spec).as_tuple() for spec in specs])
     assert rows.shape == (len(specs), 4) and rows.tobytes() == one_by_one.tobytes()
-
-
-def test_zero_signal_bias_refuses_tolerances_outside_the_unit_interval():
-    for tol in (math.nan, 0.0, 2.0):
-        with pytest.raises(bc.DomainError):
-            bc.max_marginal_bias_zero_signal(tol=tol)

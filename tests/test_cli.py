@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxcomp as bc
-from _helpers import random_feasible_box
+from _helpers import corrupt_catalogue, random_feasible_box
 from boxcomp import simulate
 from boxcomp.cli import main
 from boxcomp.simulate import MAX_TRIALS
@@ -450,19 +450,24 @@ def test_sweep_requires_exactly_one_grid_flag(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_verify_ok_and_corrupted(tmp_path, capsys):
+def test_verify_ok_and_corrupted(tmp_path, capsys, monkeypatch):
     out = tmp_path / "verify.txt"
     rc = main(["verify", "--seed", "5", "--instances", "8", "--out", str(out)])
     assert rc == 0
     assert "PASS overall" in out.read_text()
 
-    rc = main(["verify", "--seed", "5", "--instances", "8", "--corrupt-table",
-               "--format", "json"])
+    # the corruption hook is gone from the CLI: the flag is refused as unknown
+    assert main(["verify", "--seed", "5", "--instances", "8", "--corrupt-table"]) == 2
+    assert _refused_by_the_parser(capsys.readouterr())
+
+    with monkeypatch.context() as patched:
+        corrupt_catalogue(patched)
+        rc = main(["verify", "--seed", "5", "--instances", "8", "--format", "json"])
     assert rc == 1
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is False
     failed = {c["name"] for c in data["checks"] if not c["passed"]}
-    assert "signed-signal-consistency" in failed
+    assert {"catalogue-structure", "signed-signal-consistency", "zero-signal-bias"} <= failed
 
     for tol in ("inf", "nan", "10"):
         assert main(["verify", "--instances", "2", "--tol", tol]) == 2
