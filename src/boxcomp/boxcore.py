@@ -142,7 +142,7 @@ def _write_text(path, text):
 
 
 def _check_bit(value, name):
-    if value not in (0, 1):
+    if getattr(value, "ndim", 0) != 0 or value not in (0, 1):  # an array of bits is not a bit
         raise DomainError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
 
@@ -306,8 +306,12 @@ def mix(weights, boxes, label=None):
     mixture would be a valid one.
     """
     w = weight_row(weights)
-    if len(w) != len(boxes):
-        raise WeightError(f"{len(w)} weights for {len(boxes)} boxes")
+    try:
+        n = len(boxes)
+    except TypeError:  # None, a number or a 0-d array
+        raise BoxFormatError(f"expected a stack or a sequence of boxes, got {boxes!r}") from None
+    if len(w) != n:
+        raise WeightError(f"{len(w)} weights for {n} boxes")
     if not w:
         raise WeightError("empty mixture")
     check_weights(w)

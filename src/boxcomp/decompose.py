@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -228,7 +229,9 @@ class ResourceSpec:
 
     @classmethod
     def from_mapping(cls, mapping, scope=PRScope()):
-        unknown = sorted(set(mapping) - set(STRATEGY_NAMES))
+        if not isinstance(mapping, Mapping):
+            raise WeightError(f"expected a mapping of strategy names to weights, got {mapping!r}")
+        unknown = sorted(set(mapping) - set(STRATEGY_NAMES), key=repr)
         if unknown:
             raise WeightError(f"unknown strategy names {unknown}")
         return cls(scope=scope, weights=[mapping.get(name, 0.0) for name in STRATEGY_NAMES])

@@ -94,9 +94,17 @@ def test_bit_tables_and_scope_labels_of_the_wrong_type_are_refused():
     for label in (None, 5, b"000", ("0", "0", "0")):
         with pytest.raises(bc.DomainError, match=f"3 bits, got {re.escape(repr(label))}$"):
             bc.PRScope.from_label(label)
+    # a single bit that is an array once ended in ValueError (ambiguous truth value)
+    for bit in (np.zeros(2), np.zeros(1), [[0], [0, 1]], None, 2, "1"):
+        got = f"must be 0 or 1, got {re.escape(repr(bit))}$"
+        with pytest.raises(bc.DomainError, match=f"mu1 {got}"):
+            bc.PRScope(bit)
+        with pytest.raises(bc.DomainError, match=f"flip_x {got}"):
+            bc.Relabelling(flip_x=bit)
     # bit-valued numbers of any type stay bits
     assert (bc.DeterministicStrategy(np.array([0, 1, 0, 1]), [True, False, 0.0, np.int8(1)])
             == bc.DeterministicStrategy((0, 1, 0, 1), (1, 0, 0, 1)))
+    assert bc.PRScope(np.array(1), np.int8(1), True) == bc.PRScope(1, 1, 1)
     assert bc.PRScope.from_label(" 101 ") == bc.PRScope(1, 0, 1)
 
 
@@ -159,6 +167,12 @@ def test_weight_rows_that_are_not_numbers_are_refused():
             bc.ResourceSpec(bc.PRScope(), weights)
     with pytest.raises(bc.WeightError, match="'x'"):
         bc.ResourceSpec.from_mapping({"S1+": "x"})
+    # a mapping that is not one once ended in TypeError (set(None)) or AttributeError
+    for mapping in (None, 5, ["S1+"]):
+        with pytest.raises(bc.WeightError, match=f"got {re.escape(repr(mapping))}$"):
+            bc.ResourceSpec.from_mapping(mapping)
+    with pytest.raises(bc.WeightError, match=r"unknown strategy names \['S9', 1\]"):
+        bc.ResourceSpec.from_mapping({1: 0.5, "S9": 0.5})
     for weights in (None, 5, ["x"], [None], [10 ** 400]):
         with pytest.raises(bc.WeightError, match=re.escape(repr(weights)[:40])):
             bc.mix(weights, [bc.pr_box()])
@@ -181,6 +195,10 @@ def test_mix_checks_its_boxes_as_one_stack():
     # one box is not a stack of two
     with pytest.raises(bc.BoxFormatError):
         bc.mix((0.5, 0.5), pr.p)
+    # nor is no box at all, which once ended in TypeError (len(None))
+    for boxes in (None, 5, np.array(0.5)):
+        with pytest.raises(bc.BoxFormatError, match=f"got {re.escape(repr(boxes))}$"):
+            bc.mix([1.0], boxes)
 
 
 def test_box_validation():

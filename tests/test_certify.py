@@ -215,6 +215,20 @@ def test_property_suite_detects_corrupted_catalogue(monkeypatch):
     assert "FAIL overall" in report.render_text()
 
 
+def test_the_negative_control_does_not_depend_on_the_suites_before_it(monkeypatch):
+    # clean, corrupted, clean in one process: each run reads the table it is given
+    clean = bc.run_property_suite(seed=17, instances=30)
+    with monkeypatch.context() as patched:
+        corrupt_catalogue(patched)
+        corrupted = bc.run_property_suite(seed=17, instances=30)
+    again = bc.run_property_suite(seed=17, instances=30)
+    assert {c.name for c in corrupted.checks if not c.passed} == {
+        "catalogue-structure", "signed-signal-consistency", "conditional-bounds",
+        "single-pair-saturation", "entropic-pair-saturation", "zero-signal-bias"}
+    assert all(c.passed for c in clean.checks) and all(c.passed for c in again.checks)
+    assert clean.to_json() == again.to_json()
+
+
 def test_property_suite_validation():
     # seed and instances follow the integer rule of simulate's trials and seed
     for seed, instances in ((0, 0), (-1, 1), (1.5, 1), ("1", 1), (None, 1), (0, 1.5),
@@ -282,6 +296,17 @@ def test_analyze_measures_each_box_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert main(["analyze", "--box", str(path), "--format", fmt]) == 0
         assert calls == dict.fromkeys(names, 1), fmt
+
+
+def test_the_entropic_floor_is_computed_once_per_process(monkeypatch):
+    # the floor checks read fixed grids, never the seed or the catalogue, so the
+    # first suite computes them and later ones reuse the same two floats
+    certify._suite_entropic_floor.cache_clear()
+    calls = _count_calls(monkeypatch, ("two_point_mutual_information",))
+    cold = bc.run_property_suite(seed=17, instances=40).to_json()
+    warm = bc.run_property_suite(seed=17, instances=40).to_json()
+    assert cold == warm
+    assert calls == {"two_point_mutual_information": 1}
 
 
 def test_suite_measures_its_box_stack_once(monkeypatch):
