@@ -395,8 +395,11 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9):
     The suites check the canonical scope (0,0,0), reading its catalogue from
     boxcore's one table on every call, so a corrupted table is seen whatever
     ran before; `seed` drives every random draw.  The two entropic-floor
-    checks read only fixed S and p grids, so they are computed once per
-    process.  DomainError unless seed and instances are integers with
+    checks read only fixed S and p grids, so the first call in a process
+    computes them and later calls report the first call's two values, even
+    if a measure they read has changed since;
+    `_suite_entropic_floor.cache_clear()` makes the next call compute them
+    again.  DomainError unless seed and instances are integers with
     seed >= 0 and 1 <= instances <= MAX_INSTANCES.
     """
     instances, seed = checked_count_and_seed(instances, seed, MAX_INSTANCES,

@@ -309,6 +309,29 @@ def test_the_entropic_floor_is_computed_once_per_process(monkeypatch):
     assert calls == {"two_point_mutual_information": 1}
 
 
+def test_a_broken_floor_measure_is_seen_once_the_floor_cache_is_cleared(monkeypatch):
+    # a warm suite reports the first call's floor values; cache_clear makes the
+    # next suite compute them again, so a raised bound then fails both floor checks
+    certify._suite_entropic_floor.cache_clear()
+    assert bc.run_property_suite(seed=5, instances=20).passed
+
+    def raised(s):
+        return measures.entropic_signal_lower_bound(s) + 1e-6
+
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(certify, "entropic_signal_lower_bound", raised)
+            warm = bc.run_property_suite(seed=5, instances=20)
+            certify._suite_entropic_floor.cache_clear()
+            fresh = bc.run_property_suite(seed=5, instances=20)
+    finally:
+        certify._suite_entropic_floor.cache_clear()
+    assert warm.passed
+    assert {c.name for c in fresh.checks if not c.passed} == {
+        "entropic-signal-floor", "entropic-floor-equality"}
+    assert bc.run_property_suite(seed=5, instances=20).passed
+
+
 def test_suite_measures_its_box_stack_once(monkeypatch):
     names = ("chsh_max", "signal", "indeterminacy_per_setting")
     calls = _count_calls(monkeypatch, names)
