@@ -254,10 +254,13 @@ def checked_boxes(p, single=False):
 def check_weights(w):
     """Raise WeightError unless each row of weights is finite, nonnegative and sums to 1.
 
-    `w` is one row or a (K, n) stack of rows, each summed by one `math.fsum`.
+    `w` is one row or a (K, n) stack of rows, each judged by its `math.fsum`.
     A sum may miss 1 by at most NORM_TOL, the slack CorrelationBox allows its
     normalization, so that `mix` and `ResourceSpec` accept the same weights
-    and every mixture they allow is a box.
+    and every mixture they allow is a box.  The rows are first summed as one
+    float stack: the float sum s of n nonnegative weights is within
+    n * 2**-52 * s of the exact one, so when each row's s lies that far
+    inside NORM_TOL / 2 of 1, every fsum would pass and none is taken.
     """
     arr = np.asarray(w, dtype=np.float64)
     rows = [w] if arr.ndim == 1 else w
@@ -268,6 +271,10 @@ def check_weights(w):
     lo = arr.min(axis=1, initial=0.0)
     if lo.min(initial=0.0) < 0.0:
         raise WeightError(f"negative weight {float(lo[lo < 0.0][0])}")
+    with np.errstate(over="ignore"):  # a sum past float range is inf, and fsum judges it
+        s = arr.sum(axis=1)
+        if (np.abs(s - 1.0) + arr.shape[1] * 2.0**-52 * s <= NORM_TOL / 2.0).all():
+            return
     for row, values in zip(rows, arr.tolist()):
         try:
             total = math.fsum(values)

@@ -327,7 +327,11 @@ def _suite_specs(rng, instances, scope):
     # per instance, in this order: Dirichlet catalogue weights, the weight c kept
     # under noise and the local vertex k of the noise; the draws cannot be batched.
     # rng.dirichlet(ones(16)) scales 16 standard exponential draws by one over their
-    # running sum, so the weights are drawn as those exponentials and scaled here
+    # running sum, so the weights are drawn as those exponentials and scaled here.
+    # The loop stays: rng.uniform forms low + range * U in C, which a compiler may
+    # contract into an FMA (on aarch64, say), and rng.integers(16) reads half-words
+    # through the generator's buffered uint32, so a hand-rolled batch of either
+    # could change the stream on some platform
     draws, c = np.empty((instances, 16)), np.empty(instances)
     k = np.empty(instances, dtype=np.intp)
     for i in range(instances):

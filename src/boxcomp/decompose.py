@@ -30,7 +30,10 @@ strategies, whose boxes `resource_box` mixes from the scope's catalogue
 stack.  `signed_signals` evaluates the four directed marginal shifts such a
 mixture produces, with coefficients read from the canonical catalogue's
 outputs; it is the stack of one of `_signed_signal_rows`, which the
-`verify` suite runs over all its weight rows at once.  Their alternating-sum
+`verify` suite runs over all its weight rows at once.  Each signal is a
+difference of two `math.fsum`s, and `_fsum_rows` takes all 8K of them in
+one cascade of error-free sums over the stack, bit for bit; only rows that
+it cannot certify go to `math.fsum` one by one.  Their alternating-sum
 structure yields certified per-cell lower bounds via
 `conditional_lower_bounds`.
 """
@@ -41,7 +44,6 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -275,17 +277,27 @@ class ResourceSpec:
         return all(w <= SUPPORT_EPS for w in self.weights[8:])
 
 
+def check_spec(spec):
+    """Raise DomainError, naming its type, unless spec is a ResourceSpec."""
+    if not isinstance(spec, ResourceSpec):
+        raise DomainError(f"spec must be a ResourceSpec, got {type(spec).__name__}")
+
+
 def resource_box(spec, label=None):
     """The box realized by mixing the spec's strategies with its weights."""
+    check_spec(spec)
     return mix(spec.weights, scope_boxes(spec.scope), label=label)
 
 
 def _random_feasible_boxes(rng, n):
-    """n random mixtures of the 112 vertices, as one checked stack, and their (n, 112) weights."""
+    """n random mixtures of the 112 vertices, as one checked stack, and their (n, 112) weights.
+
+    Each box is the product _COLUMNS @ w[i], taken as one stacked product:
+    numpy hands each (16, 112) @ (112, 1) item to the matrix-vector routine
+    the single product uses, so every box has its bits.
+    """
     w = rng.dirichlet(np.ones(len(VERTICES)), size=n)
-    cells = np.empty((n, 16))
-    for row, out in zip(w, cells):  # one product per box: a batched w @ _COLUMNS.T differs
-        np.matmul(_COLUMNS, row, out=out)  # in the last bit
+    cells = np.matmul(_COLUMNS, w[:, :, None])  # w @ _COLUMNS.T differs in the last bit
     return checked_boxes(cells.reshape(n, 2, 2, 2, 2)), w
 
 
@@ -325,23 +337,66 @@ def _signal_coefficients():
 
 
 SIGNAL_COEFFICIENTS = _signal_coefficients()
-# per signal, getters of a row's catalogue weights with coefficient +1 and with -1
-_SIGNAL_TERMS = tuple((itemgetter(*np.flatnonzero(row > 0.0).tolist()),
-                       itemgetter(*np.flatnonzero(row < 0.0).tolist()))
-                      for row in SIGNAL_COEFFICIENTS)
+# (2, 4, 4): per sign +1, -1 and per signal, the catalogue indices with that coefficient
+_SIGNAL_TERMS = np.array([[np.flatnonzero(row == sign) for row in SIGNAL_COEFFICIENTS]
+                          for sign in (1.0, -1.0)])
 # per setting in INPUT_PAIRS order, the sign of s1..s4 in its alternating sum T
 _T_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, 1, 1, -1]], dtype=np.float64)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth's TwoSum), elementwise."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fsum_rows(x):
+    """math.fsum of each row of a (K, n) float stack, bit for bit, as a (K,) array.
+
+    A TwoSum cascade (Knuth; Ogita, Rump & Oishi 2005) gives each row's
+    float sum s and the exact error of every step; their float sum E is
+    itself a TwoSum cascade, and a last TwoSum splits s + E exactly into
+    r + t.  When E lost nothing, r + t is the exact sum, so r is its
+    rounding to nearest even, which is what fsum returns.  Otherwise the
+    exact sum lies within n * 2**-52 * sum|e| of r + t, and r is still
+    fsum's value when that and |t| fall short of half the gap at r (the
+    smaller gap, below a power of two).  The few rows that pass neither
+    check, or whose magnitudes could overflow, go to math.fsum one by one,
+    which also raises or returns what fsum does for them.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cols = x.T.copy()
+    if not len(cols):
+        return np.zeros(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, (err, mag, lost) = cols[0], np.zeros((3, len(x)))
+        for v in cols[1:]:
+            s, e = _two_sum(s, v)
+            err, f = _two_sum(err, e)
+            mag += np.abs(e)
+            lost += np.abs(f)
+        r, t = _two_sum(s, err)
+        m, k = np.frexp(np.abs(r))
+        half = np.ldexp(np.where(m == 0.5, 0.25, 0.5), k - 53)
+        exact = (lost == 0.0) | (np.abs(t) + len(cols) * 2.0**-52 * mag < half)
+        exact &= np.abs(cols).sum(axis=0) < 2.0**1023  # no partial sum of fsum's can overflow
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        r[rest] = [math.fsum(row) for row in x[rest].tolist()]
+    return r
 
 
 def _signed_signal_rows(weights):
     """The four signed signals of each row of a (K, 16) weight stack, as a (K, 4) array.
 
-    Each is the exactly rounded sum of the row's weights with coefficient +1
-    in SIGNAL_COEFFICIENTS minus that of its weights with coefficient -1.
+    Each is math.fsum of the row's weights with coefficient +1 in
+    SIGNAL_COEFFICIENTS minus math.fsum of its weights with coefficient -1,
+    bit for bit; the 8K sums are one `_fsum_rows` call.
     """
-    rows = np.asarray(weights, dtype=np.float64).reshape(-1, 16).tolist()
-    return np.array([[math.fsum(plus(w)) - math.fsum(minus(w)) for plus, minus in _SIGNAL_TERMS]
-                     for w in rows]).reshape(-1, 4)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, 16)
+    sums = _fsum_rows(w[:, _SIGNAL_TERMS].reshape(-1, 4)).reshape(len(w), 2, 4)
+    return sums[:, 0] - sums[:, 1]
 
 
 def signed_signals(spec):
@@ -350,6 +405,7 @@ def signed_signals(spec):
     Its row of `_signed_signal_rows`; their absolute values match the
     per-setting directed signals of the mixed box.
     """
+    check_spec(spec)
     return SignedSignals(*_signed_signal_rows(spec.weights)[0].tolist())
 
 
@@ -379,8 +435,11 @@ def conditional_lower_bounds(spec, nonlocal_weight=1.0):
     (the rest arbitrary local noise), returns 8 rows (x, y, a, b, bound):
     at each setting the two output pairs allowed by the scope relation are
     guaranteed at least (nonlocal_weight +/- T)/2 where T is the setting's
-    alternating sum of signed signals scaled by nonlocal_weight.
+    alternating sum of signed signals scaled by nonlocal_weight, a real
+    number in [0, 1].
     """
+    if not isinstance(nonlocal_weight, numbers.Real):
+        raise DomainError(f"nonlocal weight must be a real number, got {nonlocal_weight!r}")
     bounds, cells = _conditional_bounds(np.array([signed_signals(spec).as_tuple()]),
                                         [float(nonlocal_weight)], spec.scope)
     return [(*cell, bound) for cell, bound in zip(cells, bounds[0].tolist())]

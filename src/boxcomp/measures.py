@@ -56,9 +56,17 @@ def _value(v):
     return float(v) if v.ndim == 0 else v
 
 
+def _floats(v, what):
+    """v as a float64 array; DomainError, naming v, unless numpy reads it as real numbers."""
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be real, got {v!r}") from None
+
+
 def _in_range(v, hi, what):
     """v as a float64 array; DomainError if any value lies outside [0, hi], NaN included."""
-    v = np.asarray(v, dtype=np.float64)
+    v = _floats(v, what)
     if v.size and not (v.min() >= 0.0 and v.max() <= hi + 1e-12):
         raise DomainError(f"{what} outside [0,{hi}]: {v.min()}..{v.max()}")
     return v
@@ -87,7 +95,7 @@ def _entropy(m):
 
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with H(0) = H(1) = 0."""
-    arr = np.asarray(p, dtype=np.float64)
+    arr = _floats(p, "probability")
     if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
         raise DomainError(f"probability outside [0,1]: {arr.min()}..{arr.max()}")
     # p and 1 - p as two contiguous halves, read as one last axis of length 2
@@ -228,14 +236,14 @@ def two_point_mutual_information(p, shift):
     Vectorized over p: the remote bit is uniform, and the receiver sees
     outcome probability p when it is 0 and p + shift when it is 1.
     """
-    p = np.asarray(p, dtype=np.float64)
-    mixed = binary_entropy(p + 0.5 * np.asarray(shift))
+    p, shift = _floats(p, "probability"), _floats(shift, "shift")
+    mixed = binary_entropy(p + 0.5 * shift)
     return mixed - 0.5 * binary_entropy(p) - 0.5 * binary_entropy(p + shift)
 
 
 def entropic_signal_lower_bound(s):
     """Least H_S compatible with signal strength s: 1 - H((1 - s)/2), elementwise."""
-    s = np.asarray(s, dtype=np.float64)
+    s = _floats(s, "signal strength")
     if s.size and not (s.min() >= -_ENTROPY_SLACK and s.max() <= 1.0 + _ENTROPY_SLACK):
         raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
     return 1.0 - binary_entropy((1.0 - np.clip(s, 0.0, 1.0)) / 2.0)

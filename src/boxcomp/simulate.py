@@ -80,7 +80,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .boxcore import checked_count_and_seed
-from .decompose import ResourceSpec
+from .decompose import check_spec
 from .errors import DomainError
 
 CHUNK = 1 << 16
@@ -241,8 +241,7 @@ def _checked_run(spec, n_trials, seed):
     1 <= n_trials <= MAX_TRIALS, seed >= 0 are integers.  The spec's weights
     and scope cannot change a count, so it is only type-checked.
     """
-    if not isinstance(spec, ResourceSpec):
-        raise DomainError(f"spec must be a ResourceSpec, got {type(spec).__name__}")
+    check_spec(spec)
     return checked_count_and_seed(n_trials, seed, MAX_TRIALS, "trials in [1, 2**36]")
 
 

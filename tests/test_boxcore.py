@@ -1,6 +1,7 @@
 """Boxes, strategies, scopes, relabellings, and their JSON round trips."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -389,16 +390,38 @@ def test_a_stack_with_one_bad_box_is_refused():
         checked_boxes(good[:, :, :, :, :1])
 
 
-def test_weight_rows_are_checked_like_one_row():
+def test_weight_rows_are_checked_like_one_row(monkeypatch):
     rng = np.random.default_rng(2033)
     good = [tuple(rng.dirichlet(np.ones(4))) for _ in range(20)]
     check_weights(good)
     check_weights(np.array(good))
+    # sums that miss 1 by just under or just over NORM_TOL, which only fsum can judge
+    near = [0.25 + sign * boxcore.NORM_TOL * scale for sign in (1.0, -1.0)
+            for scale in (1.0 - 1e-3, 1.0 + 1e-3)]
+    for last in near[0], near[2]:
+        check_weights((0.25, 0.25, 0.25, last))
+        check_weights(good[:13] + [(0.25, 0.25, 0.25, last)] + good[13:])
     for bad in ((0.5, float("nan"), 0.25, 0.25), (float("inf"), 0.0, 0.0, 0.0),
                 (-0.1, 0.6, 0.25, 0.25), (0.25, 0.25, 0.25, 0.2500000001),
-                (1e308, 1e308, 0.0, 0.0)):
+                (1e308, 1e308, 0.0, 0.0), (0.25, 0.25, 0.25, near[1]),
+                (0.25, 0.25, 0.25, near[3])):
         with pytest.raises(bc.WeightError) as one:
             check_weights(bad)
         with pytest.raises(bc.WeightError) as stacked:
             check_weights(good[:13] + [bad] + good[13:])
         assert str(stacked.value) == str(one.value), bad
+    # rows whose float sums decide the verdict take no fsum; a row of 100,000 weights,
+    # whose float sum cannot, is judged by its fsum alone
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(len(row)) or fsum(row))
+    check_weights(good)
+    long = np.full(100_000, 1e-5)
+    check_weights(long)
+    check_weights(np.stack([long, long]))
+    assert calls == [100_000] * 3
+    long[7] += 2.0 * boxcore.NORM_TOL
+    with pytest.raises(bc.WeightError) as one:
+        check_weights(long)
+    with pytest.raises(bc.WeightError) as stacked:
+        check_weights(np.stack([np.full(100_000, 1e-5), long]))
+    assert str(stacked.value) == str(one.value)

@@ -13,6 +13,7 @@ from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
 from _helpers import (corrupt_catalogue, pair_box, random_feasible_box, random_resource_spec,
                       row_values, tsirelson_box)
+from test_reference import ref_signed_signals
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -354,10 +355,10 @@ def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
     # are drawn as stacks too, and no spec is built one at a time
     assert calls == {"_signed_signal_rows": 1}
     monkeypatch.undo()
-    # the core is signed_signals row by row, bit for bit
+    # the core is the hand-written fsum of each signal's index sets, row by row, bit for bit
     rng = np.random.default_rng(2028)
-    specs = [random_resource_spec(rng, scope) for scope in bc.all_scopes() for _ in range(25)]
+    specs = [random_resource_spec(rng, scope) for scope in bc.all_scopes() for _ in range(650)]
     specs += [bc.ResourceSpec.from_mapping({name: 1.0}) for name in bc.STRATEGY_NAMES]
     rows = decompose._signed_signal_rows(np.array([spec.weights for spec in specs]))
-    one_by_one = np.array([bc.signed_signals(spec).as_tuple() for spec in specs])
-    assert rows.shape == (len(specs), 4) and rows.tobytes() == one_by_one.tobytes()
+    reference = np.array([ref_signed_signals(spec) for spec in specs])
+    assert rows.shape == (len(specs), 4) and rows.tobytes() == reference.tobytes()

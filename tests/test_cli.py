@@ -478,13 +478,15 @@ def test_verify_ok_and_corrupted(tmp_path, capsys, monkeypatch):
     assert _refused_by_the_parser(capsys.readouterr())
 
 
-# sha256 of `verify --format json` stdout, recorded before the suites read stacks;
-# the float operations behind every worst value are the same, so the bytes are too
+# sha256 of `verify --format json` stdout, recorded before the suites read stacks, and
+# (3, 20000) before they summed their weights exactly as whole stacks; the float
+# operations behind every worst value are the same, so the bytes are too
 VERIFY_DIGESTS = {
     (0, 200): "740ca185f9a88f2f05c05f0526019eb1ecdc07c5701df7c5735bb10c9db01056",
     (1, 200): "06d921ff405d083be60979e23fb09e2baf2ee908424814d52e668c5d08f026db",
     (2, 200): "73c0cd93a57f46fb17c5358c7d67024c102e02290562dd2db6fe1e4f51253849",
     (0, 1): "8f32c27780c8b4034a8a58394a2c2dcb768c3a21f33f46a8e6fc903c655a46f1",
+    (3, 20000): "7eed5fe77be654c5c6717f00301fe63c828126e69f3780fc51314f036922c4e6",
 }
 
 

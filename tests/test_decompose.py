@@ -2,9 +2,12 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import boxcomp as bc
@@ -324,3 +327,114 @@ def test_conditional_lower_bounds_validation():
         bc.conditional_lower_bounds(pair_spec(1, 0.5), nonlocal_weight=1.5)
     with pytest.raises(bc.DomainError):
         bc.conditional_lower_bounds(pair_spec(1, 0.5), nonlocal_weight=math.nan)
+
+
+def test_spec_entry_points_refuse_what_is_not_a_spec_or_a_weight():
+    spec = pair_spec(1, 0.5)
+    for weight in ("x", "0.5", None, np.array([0.5, 0.5]), 0.5j):
+        with pytest.raises(bc.DomainError, match=re.escape(repr(weight))):
+            bc.conditional_lower_bounds(spec, weight)
+    for f in (bc.signed_signals, bc.resource_box, bc.conditional_lower_bounds):
+        for bad in (None, spec.weights, "S1+:1.0"):
+            with pytest.raises(bc.DomainError,
+                               match=f"^spec must be a ResourceSpec, got {type(bad).__name__}$"):
+                f(bad)
+    # a real number of any type is a weight
+    for weight in (np.float64(0.25), 1, True):
+        assert (bc.conditional_lower_bounds(spec, weight)
+                == bc.conditional_lower_bounds(spec, float(weight)))
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_fsum_rows(rows):
+    """_fsum_rows of rows is math.fsum of each, bit for bit, or raises what the first
+    row whose fsum raises does."""
+    want = [_fsum_or_error(row) for row in rows]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            decompose._fsum_rows(np.array(rows))
+    else:
+        assert decompose._fsum_rows(np.array(rows)).tobytes() == np.array(want).tobytes(), rows
+
+
+_BIG = 2.0**1023
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**-53, 2.0**-54,
+            -(2.0**-54), 0.25, -0.25, 1.0, -1.0, 1.0 + 2.0**-52, _BIG, -_BIG,
+            np.finfo(float).max, math.inf, -math.inf)
+
+
+@st.composite
+def _fsum_stacks(draw):
+    """1 to 6 rows of n = 1...8 floats: any floats, special values, dyadic values on a
+    fine grid, and a value with multiples of a quarter and a half of its spacing."""
+    n = draw(st.integers(1, 8))
+    base = draw(st.floats(min_value=-1e300, max_value=1e300).filter(lambda v: v != 0.0))
+    near_ties = st.sampled_from((-0.5, -0.25, 0.25, 0.5, 1.5)).map(
+        lambda f: f * math.ulp(base))
+    element = st.one_of(st.floats(), st.sampled_from(_SPECIAL), near_ties, st.just(base),
+                        st.integers(-2**60, 2**60).map(lambda k: k * 2.0**-70))
+    return draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rows=_fsum_stacks())
+def test_fsum_rows_is_math_fsum(rows):
+    _assert_fsum_rows(rows)
+
+
+def test_fsum_rows_is_math_fsum_on_ties_signs_zeros_and_overflow():
+    m = np.finfo(float).max
+    fixed = [
+        [1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-106],  # ties
+        [-1.0, 2.0**-54], [-1.0, -(2.0**-53)], [0.5, -(2.0**-55)], [-0.5, 2.0**-55, 2.0**-160],
+        [2.0**-1000, -(2.0**-1053)], [-(2.0**-1022), 5e-324], [5e-324, -5e-324, 5e-324],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [], [1e300, 1.0, -1e300], [1e-300, 1e300, -1e300],
+        [1.0, 1e100, 1.0, -1e100] * 2, [0.1] * 8, [0.1, 0.2, 0.3, -0.6],
+        # the float sum of the errors rounds r + t to within half the gap of r, but not
+        # the exact sum: only the bound on that rounding sends this row to fsum
+        [0.0037965361041336068, -7.47522376228015e-35, 0.009502577543249936, 6.871435404774911e-35],
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.inf, -math.inf], [math.nan, 1.0],
+        [1e308, 1e308], [1e308, 1e308, -1e308], [m, 2.0**970], [m, -m, m], [_BIG, _BIG, -_BIG],
+    ]
+    for row in fixed:
+        _assert_fsum_rows([row])
+    assert decompose._fsum_rows(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert math.copysign(1.0, decompose._fsum_rows(np.array([[-0.0, -0.0]]))[0]) == 1.0
+    rng = np.random.default_rng(2034)
+    for n in range(1, 9):
+        dirichlet = rng.dirichlet(np.ones(n), size=2000)
+        spread = rng.standard_normal((2000, n)) * np.exp2(rng.integers(-1074, 1000, (2000, n)))
+        for rows in (dirichlet, spread):
+            got = decompose._fsum_rows(rows)
+            assert got.tobytes() == np.array([math.fsum(row) for row in rows.tolist()]).tobytes()
+
+
+def test_fsum_rows_hand_only_the_rows_that_fail_the_check_to_fsum(monkeypatch):
+    rng = np.random.default_rng(2035)
+    weights = rng.dirichlet(np.ones(16), size=1000)[:, decompose._SIGNAL_TERMS].reshape(-1, 4)
+    spread = rng.standard_normal((2000, 4)) * np.exp2(rng.integers(-1074, 1000, (2000, 4)))
+    ties = np.array([[1.0, 2.0**-53, 0.0, 0.0], [0.25, -(2.0**-56), 2.0**-80, 0.0]])
+    huge = np.array([[_BIG, 1.0, -_BIG, 0.0]])
+    seen = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: seen.append(list(row)) or fsum(row))
+
+    def fallbacks(rows):
+        seen.clear()
+        decompose._fsum_rows(rows)
+        return list(seen)
+
+    # the suite's weight rows and exact ties are all decided without fsum
+    assert fallbacks(weights) == [] and fallbacks(ties) == []
+    assert fallbacks(huge) == huge.tolist()
+    # a stack hands fsum exactly the rows that it takes alone, in order
+    rows = np.concatenate([weights[:500], spread, ties, huge])
+    alone = [row for row in rows.tolist() if fallbacks(np.array([row]))]
+    assert 1 < len(alone) < 50 and fallbacks(rows) == alone

@@ -163,6 +163,22 @@ def test_entropic_signal_lower_bound():
         bc.entropic_signal_lower_bound(math.nan)
 
 
+def test_measures_and_bounds_refuse_values_that_are_not_real_numbers():
+    calls = ((bc.certified_indeterminacy_bound, ("x", 0.1), "x"),
+             (bc.certified_indeterminacy_bound, (4.0, [0.1, "s"]), [0.1, "s"]),
+             (bc.pironio_bound, (1j,), 1j),
+             (bc.binary_entropy, ("p",), "p"),
+             (bc.entropic_signal_lower_bound, ("x",), "x"),
+             (bc.entropic_signal_lower_bound, (10**400,), 10**400),
+             (bc.two_point_mutual_information, ("a", 0.5), "a"),
+             (bc.two_point_mutual_information, (0.5, "a"), "a"),
+             (bc.two_point_mutual_information, (np.zeros(3), [0.1, "s", 0.2]), [0.1, "s", 0.2]))
+    for f, args, bad in calls:
+        with pytest.raises(bc.DomainError) as refused:
+            f(*args)
+        assert repr(bad) in str(refused.value), (f.__name__, args)
+
+
 def test_entropic_signal_lower_bound_is_elementwise():
     s = np.arange(101) / 100.0
     bounds = bc.entropic_signal_lower_bound(s)
