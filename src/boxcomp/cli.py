@@ -83,7 +83,8 @@ def build_parser():
     p_de = sub.add_parser("decompose", help="minimum-communication 1-bit decomposition")
     p_de.add_argument("--box", required=True)
     p_de.add_argument("--tol", type=float, default=1e-9,
-                      help="largest LP phase-1 residual and reconstruction error allowed")
+                      help="largest facet-row value a 1-bit box may have, and the largest "
+                           "phase-1 residual and reconstruction error of its weights")
     p_de.add_argument("--out")
     p_de.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -19,11 +19,13 @@ the 64 local relabellings, each with and without the A<->B swap:
   cell positivity, which CorrelationBox enforces: a box is outside the
   polytope when one of them is positive.
 
-`comm_cost_many` reads them, as float matrices made once at import, over a
-stack checked once.  `min_comm_cost` alone keeps the linear
-program, because it reports a decomposition's weights; it raises Infeasible
-outside the polytope (e.g. for two-way deterministic boxes).  The tests
-certify the tables complete in exact integer arithmetic.
+`comm_cost_many` and `min_comm_cost` read them, as float matrices made once
+at import; the facet rows decide feasibility and C is the tables' value.
+The argmax cost row r* is an optimal dual solution, so by complementary
+slackness a cheapest decomposition uses only the 16 to 48 vertices on which
+r* is tight (_TIGHT), and `min_comm_cost` finds its weights by one phase-1
+solve on those columns.  The tests certify the tables complete in exact
+integer arithmetic.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -114,6 +116,12 @@ def _orbit_rows(orbits):
 COST_ROWS = _orbit_rows(_COST_ORBITS)
 FACET_ROWS = _orbit_rows(_FACET_ORBITS)
 
+# (344, 112): cost row r is tight on vertex v when its value there is v's cost; in int8,
+# which holds every value (all lie within +-10) exactly, so no temporary outgrows the table
+_TIGHT = (COST_ROWS[:, :16].astype(np.int8) @ VERTEX_BOXES.reshape(-1, 16).astype(np.int8).T
+          + COST_ROWS[:, 16:].astype(np.int8) == _ONEWAY.astype(np.int8))
+_TIGHT.flags.writeable = False
+
 
 # each table's int rows as a float (16, R) matrix and (R,) constants, cast once; products
 # with them are bit-equal to cells @ rows[:, :16].T + rows[:, 16], which casts per call
@@ -122,11 +130,11 @@ _COST_T, _COST_K, _FACET_T, _FACET_K = (np.ascontiguousarray(part, dtype=np.floa
                                         for part in (rows[:, :16].T, rows[:, 16]))
 
 
-def _largest(cells, table, k):
-    """Each flat box's largest value of one float table's rows."""
+def _values(cells, table, k):
+    """Each flat box's values of one float table's rows, as a (K, R) array."""
     values = cells @ table
     values += k  # in place: a second (K, R) array made a 200-box call four times slower
-    return values.max(axis=1)
+    return values
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ class Decomposition:
 def check_tolerance(tol):
     """Accept a solver tolerance only as a real number in the open interval (0, 1).
 
-    A tolerance of 1 or more lets the LP's feasibility and residual checks
+    A tolerance of 1 or more lets the facet, phase-1 and residual checks
     pass any box, so it is refused like NaN, infinity and non-real values.
     """
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
@@ -165,22 +173,28 @@ def _as_box(box):
 
 
 def min_comm_cost(box, tol=WEIGHT_TOL):
-    """Cheapest 1-bit decomposition of a box, by linear programming.
+    """Cheapest 1-bit decomposition of a box, with comm_cost_many's verdict and C.
 
-    Minimizes total one-way weight over all convex decompositions into local
-    and one-way deterministic vertices.  Raises Infeasible when the box needs
-    two-way communication and NumericalError if the solution fails to
-    reproduce the box within tol.  Anything but a CorrelationBox is first
-    made into one.
+    Raises Infeasible when a facet row value exceeds tol.  C is the largest
+    cost row value, clamped to [0, 1], bit for bit.  The weights are phase 1
+    over the vertices on which that row is tight; their one-way total is C
+    to rounding.  Raises Infeasible if phase 1 leaves a residual above tol,
+    and NumericalError if the weights reproduce the box only beyond tol.
+    Anything but a CorrelationBox is first made into one.
     """
     check_tolerance(tol)
-    box = _as_box(box)
-    x, value = solve_lp(_ONEWAY, _A_EQ, np.append(box.p.ravel(), 1.0), tol=tol)
-    residual = float(np.abs(_COLUMNS @ x - box.p.ravel()).max())
+    cells = _as_box(box).p.reshape(1, 16)
+    excess = float(_values(cells, _FACET_T, _FACET_K).max())
+    if excess > tol:
+        raise Infeasible(f"facet row value {excess:.3e} exceeds {tol:.1e}")
+    costs = _values(cells, _COST_T, _COST_K)
+    columns = np.flatnonzero(_TIGHT[costs.argmax()])
+    x = solve_lp(_A_EQ[:, columns], np.append(cells, 1.0), tol=tol)
+    residual = float(np.abs(_COLUMNS[:, columns] @ x - cells[0]).max())
     if residual > tol:
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
-    weights = {VERTICES[i]: float(x[i]) for i in range(len(VERTICES)) if x[i] > SUPPORT_EPS}
-    return Decomposition(weights=weights, C=float(min(max(value, 0.0), 1.0)))
+    weights = {VERTICES[j]: w for j, w in zip(columns.tolist(), x.tolist()) if w > SUPPORT_EPS}
+    return Decomposition(weights=weights, C=float(np.clip(costs.max(axis=1), 0.0, 1.0)[0]))
 
 
 def comm_cost_many(boxes, tol=WEIGHT_TOL):
@@ -188,9 +202,9 @@ def comm_cost_many(boxes, tol=WEIGHT_TOL):
 
     `boxes` is a (..., 2, 2, 2, 2) array, checked once as a stack by
     `checked_boxes`, or a sequence of boxes.  C is the largest COST_ROWS
-    value, clamped to [0, 1]; it agrees with min_comm_cost(box).C to
-    rounding.  Raises Infeasible naming the first box, by index, on which a
-    FACET_ROWS value exceeds tol.
+    value, clamped to [0, 1], as min_comm_cost(box).C is.  Raises
+    Infeasible naming the first box, by index, on which a FACET_ROWS value
+    exceeds tol.
     """
     check_tolerance(tol)
     if isinstance(boxes, np.ndarray):
@@ -202,12 +216,12 @@ def comm_cost_many(boxes, tol=WEIGHT_TOL):
 
 def _comm_costs(cells, tol=WEIGHT_TOL):
     """comm_cost_many on a (K, 16) stack of flat boxes that is already checked, tol too."""
-    excess = _largest(cells, _FACET_T, _FACET_K)
+    excess = _values(cells, _FACET_T, _FACET_K).max(axis=1)
     outside = np.flatnonzero(excess > tol)
     if outside.size:
         k = int(outside[0])
         raise Infeasible(f"stack index {k}: facet row value {excess[k]:.3e} exceeds {tol:.1e}")
-    return np.clip(_largest(cells, _COST_T, _COST_K), 0.0, 1.0)
+    return np.clip(_values(cells, _COST_T, _COST_K).max(axis=1), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

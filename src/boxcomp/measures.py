@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BoxFormatError, DomainError
 
 _ENTROPY_SLACK = 1e-12
 _SMALLEST = np.nextafter(0.0, 1.0)
@@ -48,7 +48,10 @@ _SMALLEST = np.nextafter(0.0, 1.0)
 
 def _stack(box):
     """The float64 probability array of a box or of a stack of boxes."""
-    return np.asarray(getattr(box, "p", box), dtype=np.float64)
+    try:
+        return np.asarray(getattr(box, "p", box), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise BoxFormatError(f"a box must be an array of numbers, got {box!r}") from None
 
 
 def _value(v):
@@ -64,12 +67,18 @@ def _floats(v, what):
         raise DomainError(f"{what} must be real, got {v!r}") from None
 
 
+def _outside(v, arr, hi, what):
+    """The DomainError for v, read as arr, outside [0, hi]; NaN, as None reads, names v itself."""
+    shown = repr(v) if np.isnan(arr).any() else f"{arr.min()}..{arr.max()}"
+    return DomainError(f"{what} outside [0,{hi}]: {shown}")
+
+
 def _in_range(v, hi, what):
     """v as a float64 array; DomainError if any value lies outside [0, hi], NaN included."""
-    v = _floats(v, what)
-    if v.size and not (v.min() >= 0.0 and v.max() <= hi + 1e-12):
-        raise DomainError(f"{what} outside [0,{hi}]: {v.min()}..{v.max()}")
-    return v
+    arr = _floats(v, what)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= hi + 1e-12):
+        raise _outside(v, arr, hi, what)
+    return arr
 
 
 def _max2(v):
@@ -97,7 +106,7 @@ def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with H(0) = H(1) = 0."""
     arr = _floats(p, "probability")
     if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
-        raise DomainError(f"probability outside [0,1]: {arr.min()}..{arr.max()}")
+        raise _outside(p, arr, 1, "probability")
     # p and 1 - p as two contiguous halves, read as one last axis of length 2
     halves = np.empty((2,) + arr.shape).transpose(*range(1, arr.ndim + 1), 0)
     np.clip(arr, 0.0, 1.0, out=halves[..., 0])
@@ -243,7 +252,7 @@ def two_point_mutual_information(p, shift):
 
 def entropic_signal_lower_bound(s):
     """Least H_S compatible with signal strength s: 1 - H((1 - s)/2), elementwise."""
-    s = _floats(s, "signal strength")
-    if s.size and not (s.min() >= -_ENTROPY_SLACK and s.max() <= 1.0 + _ENTROPY_SLACK):
-        raise DomainError(f"signal strength outside [0,1]: {s.min()}..{s.max()}")
-    return 1.0 - binary_entropy((1.0 - np.clip(s, 0.0, 1.0)) / 2.0)
+    arr = _floats(s, "signal strength")
+    if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
+        raise _outside(s, arr, 1, "signal strength")
+    return 1.0 - binary_entropy((1.0 - np.clip(arr, 0.0, 1.0)) / 2.0)

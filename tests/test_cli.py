@@ -572,7 +572,7 @@ def _audit_corpus():
 # `_audit_corpus`, each box's name and exit code before its report
 AUDIT_DIGESTS = {
     "analyze": "f183c7e43cf07f15cd5f2efbb0678620fd697c2e648f85935d9d907955dbdb15",
-    "decompose": "c507b38d360bd1c3df30db29ad2bdd8cfb183b55e9377856f6c3896ea9a24ddf",
+    "decompose": "81e6d69a73928ea16092dd73985ae8ccdba0de61a9153c3c64b79ce1bfa73bc6",
 }
 
 
@@ -589,6 +589,43 @@ def test_analyze_and_decompose_json_bytes_are_pinned(tmp_path, capsys):
             assert captured.err == ""
             stream.update(f"{name} {rc}\n{captured.out}".encode("utf-8"))
         assert stream.hexdigest() == digest, command
+
+
+def _json_report(argv, capsys):
+    rc = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return rc, json.loads(captured.out)
+
+
+def test_decompose_reports_the_verdict_and_c_of_analyze(tmp_path, capsys):
+    # one C: decompose reads its verdict and C from analyze's tables, so the two agree
+    # bit for bit on every box of the corpus, feasible or not
+    feasible = 0
+    for name, p in _audit_corpus():
+        path = str(tmp_path / f"{name}.json")
+        bc.dump_box(bc.CorrelationBox(p, label=name), path)
+        rc_an, an = _json_report(["analyze", "--box", path], capsys)
+        rc_de, de = _json_report(["decompose", "--box", path], capsys)
+        assert rc_an == 0, name
+        assert rc_de == (0 if an["feasible"] else 3), name
+        if an["feasible"]:
+            assert de["C"].hex() == an["C_min"].hex(), name
+            feasible += 1
+    assert feasible >= 50
+
+
+def test_boundary_box_decomposes_with_the_c_of_analyze(tmp_path, capsys):
+    # (1 - 5e-10) [a=0, b=0] + 5e-10 S5+ lies just outside the 1-bit polytope; at tol 1e-8
+    # the LP over all 112 vertices reported C = 1.000000082740371e-09, the tables 1.5e-9
+    corner = bc.strategy_box(bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0)))
+    s5 = bc.strategy_box(bc.scope_strategies()[8])
+    path = str(tmp_path / "boundary.json")
+    bc.dump_box(bc.mix((1.0 - 5e-10, 5e-10), np.stack([corner.p, s5.p])), path)
+    rc_an, an = _json_report(["analyze", "--box", path, "--tol", "1e-8"], capsys)
+    rc_de, de = _json_report(["decompose", "--box", path, "--tol", "1e-8"], capsys)
+    assert (rc_an, rc_de) == (0, 0)
+    assert de["C"] == an["C_min"] == 1.5000000000000002e-09
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

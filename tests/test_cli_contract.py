@@ -94,7 +94,7 @@ ANALYZE_JSON = {
                        ALL_FLAGS),
 }
 
-INFEASIBLE_DETAIL = "phase-1 residual 5.000e+00 exceeds 1.0e-09"
+INFEASIBLE_DETAIL = "facet row value 1.000e+00 exceeds 1.0e-09"
 
 DECOMPOSE = {
     "pr": (0, "C = 1.0\n"

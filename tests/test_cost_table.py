@@ -183,3 +183,14 @@ def test_chsh_orbit_is_the_pironio_floor():
     boxes = np.stack(boxes)
     floor = row_values(chsh_rows, boxes.reshape(-1, 16)).max(axis=1)
     assert np.abs(floor - (bc.chsh_max(boxes) / 2.0 - 1.0)).max() <= 1e-12
+
+
+def test_every_cost_row_is_tight_on_a_vertex_set_that_covers_the_polytope():
+    # row r is tight on vertex v when its integer value there is v's cost; min_comm_cost
+    # runs phase 1 on the tight columns of the argmax row, which complementary slackness
+    # allows because every row is a vertex of the dual polyhedron (checked above)
+    tight = decompose.COST_ROWS @ A_T.T == np.array(COST)
+    assert np.array_equal(decompose._TIGHT, tight) and not decompose._TIGHT.flags.writeable
+    per_row = tight.sum(axis=1)
+    assert per_row.min() >= 16 and per_row.max() <= 48
+    assert tight.any(axis=0).all()

@@ -179,6 +179,34 @@ def test_measures_and_bounds_refuse_values_that_are_not_real_numbers():
         assert repr(bad) in str(refused.value), (f.__name__, args)
 
 
+def test_box_measures_refuse_what_is_not_an_array_of_numbers():
+    measures = (bc.chsh, bc.chsh_max, bc.correlators, bc.signal, bc.marginals, bc.indeterminacy,
+                bc.indeterminacy_per_setting, bc.entropic_indeterminacy, bc.entropic_signal)
+    for bad in ("x", [[0.5, "a"]], [[0.5, 0.5], [0.5]], {"P": 1}):
+        for f in measures:
+            with pytest.raises(bc.BoxFormatError) as refused:
+                f(bad)
+            assert repr(bad) in str(refused.value), (f.__name__, bad)
+
+
+def test_bounds_name_none_rather_than_nan():
+    calls = ((bc.certified_indeterminacy_bound, (None, 0.1)),
+             (bc.certified_indeterminacy_bound, (4.0, None)),
+             (bc.pironio_bound, (None,)),
+             (bc.binary_entropy, (None,)),
+             (bc.entropic_signal_lower_bound, (None,)),
+             (bc.binary_entropy, ([0.5, None],)))
+    for f, args in calls:
+        with pytest.raises(bc.DomainError) as refused:
+            f(*args)
+        message = str(refused.value)
+        assert "None" in message and "nan" not in message, (f.__name__, message)
+    with pytest.raises(bc.DomainError, match=r"^probability outside \[0,1\]: nan$"):
+        bc.binary_entropy(math.nan)
+    with pytest.raises(bc.DomainError, match=r"^CHSH value outside \[0,4\]: -0.5..4.5$"):
+        bc.pironio_bound([-0.5, 4.5])
+
+
 def test_entropic_signal_lower_bound_is_elementwise():
     s = np.arange(101) / 100.0
     bounds = bc.entropic_signal_lower_bound(s)

@@ -395,7 +395,7 @@ def test_float_cost_tables_and_box_stacks_are_the_int_row_products():
     for rows, table, k in tables:  # products of every stack height give the same bits
         for n in (1, 2, 3, 7, 200):
             ref = row_values(rows, cells[:n]).max(axis=1)
-            assert decompose._largest(cells[:n], table, k).tobytes() == ref.tobytes()
+            assert decompose._values(cells[:n], table, k).max(axis=1).tobytes() == ref.tobytes()
 
 
 def ref_entropy(m):
