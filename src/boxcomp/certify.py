@@ -324,20 +324,17 @@ def _suite_feasible_boxes(rng, instances):
 
 
 def _suite_specs(rng, instances, scope):
-    # per instance, in this order: Dirichlet catalogue weights, the weight c kept
-    # under noise and the local vertex k of the noise; the draws cannot be batched.
+    # three whole-stack draws, in this order: every instance's Dirichlet catalogue
+    # weights, every weight c kept under noise, every local vertex k of the noise.
     # rng.dirichlet(ones(16)) scales 16 standard exponential draws by one over their
     # running sum, so the weights are drawn as those exponentials and scaled here.
-    # The loop stays: rng.uniform forms low + range * U in C, which a compiler may
-    # contract into an FMA (on aarch64, say), and rng.integers(16) reads half-words
-    # through the generator's buffered uint32, so a hand-rolled batch of either
-    # could change the stream on some platform
-    draws, c = np.empty((instances, 16)), np.empty(instances)
-    k = np.empty(instances, dtype=np.intp)
-    for i in range(instances):
-        draws[i] = rng.standard_exponential(16)
-        c[i] = rng.uniform(0.2, 1.0)
-        k[i] = rng.integers(16)
+    # The size= forms run the same per-element C routines as the scalar calls, so
+    # unlike a hand-rolled batch (0.2 + 0.8 * rng.random(n), which a compiler may
+    # contract into an FMA) they add no platform dependence.  Only the order differs
+    # from per-instance draws: all weights, then all c, then all k
+    draws = rng.standard_exponential((instances, 16))
+    c = rng.uniform(0.2, 1.0, instances)
+    k = rng.integers(16, size=instances)
     weights = draws * (1.0 / np.cumsum(draws, axis=1)[:, -1:])
     check_weights(weights)
     boxes = mixtures(weights, scope_boxes(scope))
@@ -398,10 +395,15 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9):
 
     The suites check the canonical scope (0,0,0), reading its catalogue from
     boxcore's one table on every call, so a corrupted table is seen whatever
-    ran before; `seed` drives every random draw.  The two entropic-floor
-    checks read only fixed S and p grids, so the first call in a process
-    computes them and later calls report the first call's two values, even
-    if a measure they read has changed since;
+    ran before; `seed` drives every random draw.  Each suite draws its
+    randomness as whole stacks, in a fixed order, with the same number of
+    generator calls at any `instances` (the spec suite: all weights, then
+    all kept weights c, then all noise vertices k).  For a given seed this
+    samples other specs than the per-instance draws of earlier versions,
+    so seeded worst values of the spec checks differ from theirs.  The two
+    entropic-floor checks read only fixed S and p grids, so the first call
+    in a process computes them and later calls report the first call's two
+    values, even if a measure they read has changed since;
     `_suite_entropic_floor.cache_clear()` makes the next call compute them
     again.  DomainError unless seed and instances are integers with
     seed >= 0 and 1 <= instances <= MAX_INSTANCES.

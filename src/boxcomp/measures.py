@@ -47,11 +47,18 @@ _SMALLEST = np.nextafter(0.0, 1.0)
 
 
 def _stack(box):
-    """The float64 probability array of a box or of a stack of boxes."""
+    """The float64 probability array of a box or of a stack of boxes.
+
+    BoxFormatError unless numpy reads numbers whose last four axes are (2, 2, 2, 2).
+    """
     try:
-        return np.asarray(getattr(box, "p", box), dtype=np.float64)
+        p = np.asarray(getattr(box, "p", box), dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise BoxFormatError(f"a box must be an array of numbers, got {box!r}") from None
+    if p.shape[-4:] != (2, 2, 2, 2):
+        raise BoxFormatError(f"expected a box or a stack of boxes of shape (2,2,2,2), "
+                             f"got shape {p.shape}")
+    return p
 
 
 def _value(v):

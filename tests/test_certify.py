@@ -362,3 +362,32 @@ def test_suite_draws_and_bounds_its_specs_as_stacks(monkeypatch):
     rows = decompose._signed_signal_rows(np.array([spec.weights for spec in specs]))
     reference = np.array([ref_signed_signals(spec) for spec in specs])
     assert rows.shape == (len(specs), 4) and rows.tobytes() == reference.tobytes()
+
+
+class _CountingGenerator:
+    """A np.random.Generator that counts the calls made on it, by method name."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_spec_suite_draws_in_a_fixed_number_of_generator_calls():
+    scope = bc.PRScope()
+    counts = []
+    for instances in (1, 200, 20000):
+        rng = _CountingGenerator(5)
+        worst = certify._suite_specs(rng, instances, scope)
+        assert all(math.isfinite(v) for v in worst)
+        counts.append(dict(rng.calls))
+    # one call per kind of draw, whatever the suite's size
+    assert counts[0] == counts[1] == counts[2]
+    assert sum(counts[0].values()) == 3

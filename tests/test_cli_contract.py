@@ -121,7 +121,7 @@ VERIFY_SEED_0 = (
      2.220446049250313e-16),
     ("conditional-bounds", "min P(cell) - bound over 200 noisy specs", -2.220446049250313e-16),
     ("spec-complementarity", "min S + 2I - 1 over 200 catalogue mixtures",
-     0.010794768775276076),
+     0.0013719019128373144),
     ("single-pair-saturation", "max |S + 2I - 1| over +/- pair mixtures, 0.01 grid",
      1.1102230246251565e-16),
     ("entropic-pair-saturation", "max |H_S + H_I - 1| over +/- pair mixtures, 0.01 grid",

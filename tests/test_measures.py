@@ -189,6 +189,24 @@ def test_box_measures_refuse_what_is_not_an_array_of_numbers():
             assert repr(bad) in str(refused.value), (f.__name__, bad)
 
 
+def test_box_measures_refuse_arrays_not_shaped_as_boxes():
+    measures = (bc.chsh, bc.chsh_max, bc.correlators, bc.signal, bc.marginals, bc.indeterminacy,
+                bc.indeterminacy_per_setting, bc.entropic_indeterminacy, bc.entropic_signal)
+    # numbers, but no (2,2,2,2) tail: 0-d, 1-d, an axis short, an axis of 3, an axis too many
+    for bad in (None, 1.0, [1, 2, 3], np.full((2, 2, 2), 0.5), np.full((2, 2, 2, 3), 0.25),
+                np.full((3, 2, 2, 2), 0.25), np.full((5, 2, 2, 2, 1), 0.5)):
+        shape = np.shape(np.asarray(bad, dtype=np.float64))
+        for f in measures:
+            with pytest.raises(bc.BoxFormatError) as refused:
+                f(bad)
+            assert str(refused.value).endswith(f"got shape {shape}"), (f.__name__, shape)
+    # a box, a stack and an empty stack still pass
+    for good in (np.full((2, 2, 2, 2), 0.25), np.full((3, 2, 2, 2, 2), 0.25),
+                 np.empty((0, 2, 2, 2, 2))):
+        for f in measures:
+            f(good)
+
+
 def test_bounds_name_none_rather_than_nan():
     calls = ((bc.certified_indeterminacy_bound, (None, 0.1)),
              (bc.certified_indeterminacy_bound, (4.0, None)),

@@ -176,10 +176,10 @@ def ref_suite_worsts(seed, instances):
              "relaxed-bell": r.relax_slack, "certified-indeterminacy": r.cert_slack}
     worst = {name: float(v.min()) for name, v in worst.items()}
     scope = bc.PRScope()
-    specs, noisy = [], []
-    for _ in range(instances):
-        specs.append(random_resource_spec(rng, scope))
-        noisy.append((float(rng.uniform(0.2, 1.0)), int(rng.integers(16))))
+    # every spec, then every kept weight c, then every noise vertex k
+    specs = [random_resource_spec(rng, scope) for _ in range(instances)]
+    kept = [float(rng.uniform(0.2, 1.0)) for _ in range(instances)]
+    noisy = list(zip(kept, [int(rng.integers(16)) for _ in range(instances)]))
     mixed = bc.mixtures([spec.weights for spec in specs], bc.scope_boxes(scope))
     r = certify._relations(mixed, cost=1.0)
     measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
