@@ -10,8 +10,15 @@ rules of a box are written once over a stack, in `checked_boxes`, and a
 row of mixture weights or a stack of rows at once.
 `strategy_boxes` builds the stack of a list of deterministic strategies by
 index assignment, `scope_boxes` holds each catalogue's stack, and
-`mixtures` mixes a stack by rows of weights (`mix` is the validated
-single-box case).
+`mixtures` mixes a stack by rows of weights (`mix` is the single-box case).
+
+Each kind of input has one coercion here, which returns the value in the
+form its readers use or raises the documented error naming it: bits, bit
+tables, instances of a type (scopes, specs, directions, strategies), boxes
+and stacks, weight rows and stacks, real numbers in a range, counts and
+seeds, tolerances, iterables and angle lists.  Public functions of every
+module call them at their edge; internal stack paths, such as the
+`verify` suites and `_mixtures`, trust what they are given.
 
 Deterministic strategies are pairs of response functions a = fA(x,y),
 b = fB(x,y); they are classified as local (each output ignores the remote
@@ -34,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import stat
@@ -42,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxFormatError, BoxInvariantError, DomainError, WeightError
-from .measures import marginals
 
 NORM_TOL = 1e-12
 
@@ -58,7 +65,14 @@ class CorrelationBox:
     __slots__ = ("p", "label")
 
     def __init__(self, p, label=None):
-        self.p = checked_boxes(p, single=True)
+        if label is not None:
+            if not isinstance(label, str):
+                raise BoxFormatError(f'"label" must be a string, got {type(label).__name__}')
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which JSON's \u escapes allow
+                raise BoxFormatError('"label" is not valid Unicode text') from None
+        self.p = checked_boxes(p, ndim=4)
         self.label = label
 
     def __eq__(self, other):
@@ -81,20 +95,12 @@ class CorrelationBox:
     @classmethod
     def from_json(cls, data):
         if not isinstance(data, dict):
-            raise BoxFormatError("box JSON must be an object")
+            raise BoxFormatError(f"box JSON must be an object, got {type(data).__name__}")
         if "P" not in data:
             raise BoxFormatError('box JSON is missing the "P" key')
-        label = data.get("label")
-        if label is not None:
-            if not isinstance(label, str):
-                raise BoxFormatError('"label" must be a string')
-            try:
-                label.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate, which JSON's \u escapes allow
-                raise BoxFormatError('"label" is not valid Unicode text') from None
         if not _json_numbers(data["P"]):
             raise BoxFormatError('"P" entries must be JSON numbers')
-        return cls(data["P"], label=label)
+        return cls(data["P"], label=data.get("label"))
 
 
 def _json_numbers(value):
@@ -113,8 +119,11 @@ def _json_numbers(value):
 
 
 def load_box(path):
-    """Read a box from a JSON file ({"P": nested [x][y][a][b] lists, "label": optional})."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a box from a JSON file ({"P": nested [x][y][a][b] lists, "label": optional}).
+
+    DomainError unless path is a str, bytes or os.PathLike (open reads an int as a descriptor).
+    """
+    with open(_of_type(path, _PATH, _PATH_RULE), "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # bad syntax or encoding, or an int literal too long
@@ -125,8 +134,10 @@ def load_box(path):
 
 
 def dump_box(box, path):
-    """Write a box to a JSON file in the form `load_box` reads, with sorted keys."""
-    _write_text(path, json.dumps(box.to_json(), indent=2, sort_keys=True) + "\n")
+    """Write a CorrelationBox to a JSON file in the form `load_box` reads, with sorted keys."""
+    text = json.dumps(_of_type(box, CorrelationBox, "box must be a CorrelationBox").to_json(),
+                      indent=2, sort_keys=True)
+    _write_text(_of_type(path, _PATH, _PATH_RULE), text + "\n")
 
 
 def _write_text(path, text):
@@ -141,13 +152,18 @@ def _write_text(path, text):
             fh.truncate()
 
 
-def _check_bit(value, name):
-    if getattr(value, "ndim", 0) != 0 or value not in (0, 1):  # an array of bits is not a bit
+_PATH = (str, bytes, os.PathLike)
+_PATH_RULE = "a path must be a str, bytes or os.PathLike"
+
+
+def _bit(value, name):
+    """`value` as an int; DomainError, naming it, unless it is 0 or 1 (an array of bits is not)."""
+    if getattr(value, "ndim", 0) != 0 or value not in (0, 1):
         raise DomainError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
 
 
-def _check_bits(bits, n, name):
+def _bits(bits, n, name):
     """`bits` as a tuple; DomainError unless it is a sequence of n bits, each 0 or 1."""
     try:
         if len(bits) == n and all(v in (0, 1) for v in bits):
@@ -155,6 +171,67 @@ def _check_bits(bits, n, name):
     except (TypeError, ValueError):  # no length or items, or an array for an item
         pass
     raise DomainError(f"{name} must hold {n} bits, each 0 or 1, got {bits!r}")
+
+
+def _of_type(value, kind, rule, shown=None):
+    """`value`, unless it is not a `kind`: DomainError "<rule>, got <its repr, or shown>"."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{rule}, got {repr(value) if shown is None else shown}")
+    return value
+
+
+def _items(values, rule):
+    """`values` as a list; DomainError "<rule>, got <repr>" unless an iterable, not text."""
+    try:
+        if not isinstance(values, (str, bytes)):
+            return list(values)
+    except TypeError:
+        pass
+    raise DomainError(f"{rule}, got {values!r}")
+
+
+def _angles(angles):
+    """`angles` as a nonempty list of the finite floats float() reads; DomainError naming them."""
+    angles = _items(angles, "angles must be an iterable of numbers")
+    for i, angle in enumerate(angles):
+        try:
+            angles[i] = float(angle)
+        except (TypeError, ValueError, OverflowError):
+            angles[i] = math.nan
+        if not math.isfinite(angles[i]):
+            raise DomainError(f"angle must be a finite number, got {angle!r}")
+    if not angles:
+        raise DomainError("empty angle list")
+    return angles
+
+
+def _real(value, lo, hi, what, scalar=False):
+    """`value` as a float64 array with every entry in [lo, hi], up to 1e-12 either side.
+
+    DomainError naming the value unless numpy reads it as real numbers and,
+    when `scalar`, it is one real number (not a string or an array).  NaN,
+    as None reads, lies in no range, and the error shows the value as given.
+    """
+    try:
+        if scalar and not isinstance(value, numbers.Real):
+            raise TypeError
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be real, got {value!r}") from None
+    if arr.size and not (arr.min() >= lo - 1e-12 and arr.max() <= hi + 1e-12):
+        shown = repr(value) if np.isnan(arr).any() else f"{arr.min()}..{arr.max()}"
+        raise DomainError(f"{what} outside [{lo},{hi}]: {shown}")
+    return arr
+
+
+def check_tolerance(tol):
+    """Accept a solver tolerance only as a real number in the open interval (0, 1).
+
+    A tolerance of 1 or more lets the facet, phase-1 and residual checks
+    pass any box, so it is refused like NaN, infinity and non-real values.
+    """
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
+        raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +242,8 @@ class DeterministicStrategy:
     fb: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fa", _check_bits(self.fa, 4, "fa"))
-        object.__setattr__(self, "fb", _check_bits(self.fb, 4, "fb"))
+        object.__setattr__(self, "fa", _bits(self.fa, 4, "fa"))
+        object.__setattr__(self, "fb", _bits(self.fb, 4, "fb"))
 
     def a(self, x, y):
         return self.fa[2 * x + y]
@@ -197,6 +274,8 @@ def strategy_boxes(strategies):
     Built by index assignment from the output tables: entry [k, x, y, a, b]
     is 1 exactly where strategy k answers (a, b) to inputs (x, y).
     """
+    strategies = [_of_type(s, DeterministicStrategy, "strategy must be a DeterministicStrategy")
+                  for s in _items(strategies, "strategies must be an iterable")]
     fa = np.array([s.fa for s in strategies], dtype=np.intp).reshape(-1, 2, 2)
     fb = np.array([s.fb for s in strategies], dtype=np.intp).reshape(-1, 2, 2)
     k, x, y = np.indices(fa.shape)
@@ -212,30 +291,62 @@ def strategy_box(strategy, label=None):
 
 
 def mixtures(weights, boxes):
-    """Mixtures sum_k weights[..., k] * boxes[k] of a (n, 2, 2, 2, 2) stack.
+    """Mixtures sum_k weights[..., k] * boxes[k] of a (n, 2, 2, 2, 2) stack, one per weight row.
 
-    One mixture per weight row, each summed in k order; `mix` is the
-    validated single-box case.
+    `weights` is a row or a (K, n) stack of rows of finite, nonnegative
+    weights, which need not sum to 1; each mixture is summed in k order.
+    The boxes are checked as `mix` checks them.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    stack = checked_boxes(boxes, ndim=5)
+    w = check_weights(weights, total=False)
+    if w.shape[-1] != len(stack):
+        raise WeightError(f"expected rows of {len(stack)} weights, got {weights!r}")
+    return _mixtures(w, stack)
+
+
+def _mixtures(w, boxes):
+    """`mixtures` of a float weight array and a stack that are already checked."""
     return (w[..., None, None, None, None] * boxes).sum(axis=-5)
 
 
-def checked_boxes(p, single=False):
-    """The rules of a box, checked once over a (..., 2, 2, 2, 2) stack; the stack, read-only.
+def _box_array(boxes, ndim=None):
+    """The float64 array of a box, a stack, or a sequence of boxes or tables.
 
-    Entries must be numeric, finite and at least -NORM_TOL; sub-tolerance
-    negative dust is cleared to 0; each setting's four cells must sum to 1
-    within NORM_TOL.  Raises BoxFormatError or BoxInvariantError, naming the
-    stack's worst value.  `CorrelationBox` is the stack of one (`single`,
-    which also refuses any leading axis).
+    BoxFormatError, naming the value or its type, unless numpy reads numbers
+    whose last four axes are (2, 2, 2, 2), with `ndim` axes in all when it
+    is given: 4 for one box, 5 for a stack.  An empty sequence is an empty
+    stack.  Only the form is checked, not the rules of a box.
     """
+    p = getattr(boxes, "p", boxes)
+    if isinstance(p, (list, tuple)):
+        p = [getattr(box, "p", box) for box in p] or np.empty((0, 2, 2, 2, 2))
     try:
         arr = np.asarray(p, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BoxFormatError(f"box entries are not numeric: {exc}") from None
-    if arr.shape[-4:] != (2, 2, 2, 2) or (single and arr.ndim != 4):
-        raise BoxFormatError(f"expected probabilities of shape (2,2,2,2), got {arr.shape}")
+    except (TypeError, ValueError, OverflowError):
+        # a box file's whole table would make a long error line: its start names it
+        raise BoxFormatError(f"a box must be an array of numbers, got {boxes!r:.200}") from None
+    if ndim == 5 and arr.ndim != 5:
+        raise BoxFormatError(f"expected a stack or a sequence of boxes, got {boxes!r}")
+    if arr.shape[-4:] != (2, 2, 2, 2):
+        raise BoxFormatError(f"{type(boxes).__name__} is not a box or a stack of boxes "
+                             f"of shape (2,2,2,2): got shape {arr.shape}")
+    if ndim == 4 and arr.ndim != 4:
+        raise BoxFormatError(f"expected one box of shape (2,2,2,2), got {arr.shape}")
+    return arr
+
+
+def checked_boxes(p, ndim=None):
+    """The rules of a box, checked once over a (..., 2, 2, 2, 2) stack; the stack, read-only.
+
+    `_box_array` reads p (ndim 4 is one box, 5 a stack of them).  Entries
+    must be finite and at least -NORM_TOL; sub-tolerance negative dust is
+    cleared to 0; each setting's four cells must sum to 1 within NORM_TOL.
+    Raises BoxFormatError or BoxInvariantError, naming the stack's worst
+    value.  A CorrelationBox, checked when it was made, is its own table.
+    """
+    if isinstance(p, CorrelationBox) and ndim != 5:
+        return p.p
+    arr = _box_array(p, ndim)
     if not np.all(np.isfinite(arr)):
         raise BoxInvariantError("box entries must be finite")
     lo = float(arr.min(initial=0.0))
@@ -251,20 +362,27 @@ def checked_boxes(p, single=False):
     return arr
 
 
-def check_weights(w):
-    """Raise WeightError unless each row of weights is finite, nonnegative and sums to 1.
+def check_weights(weights, shape=None, total=True):
+    """`weights` as a float64 row, or a (K, m) stack of rows, of finite nonnegative numbers.
 
-    `w` is one row or a (K, n) stack of rows, each judged by its `math.fsum`.
-    A sum may miss 1 by at most NORM_TOL, the slack CorrelationBox allows its
-    normalization, so that `mix` and `ResourceSpec` accept the same weights
-    and every mixture they allow is a box.  The rows are first summed as one
-    float stack: the float sum s of n nonnegative weights is within
-    n * 2**-52 * s of the exact one, so when each row's s lies that far
-    inside NORM_TOL / 2 of 1, every fsum would pass and none is taken.
+    WeightError, naming the value or its first bad row, unless numpy reads
+    numbers of the given shape, if any, and, with `total`, each row sums to
+    1, judged by its `math.fsum`.  A sum may miss 1 by at most NORM_TOL, the
+    slack CorrelationBox allows its normalization, so that `mix` and
+    `ResourceSpec` accept the same weights and every mixture they allow is
+    a box.  The rows are first summed as one float stack: the float sum s of
+    n nonnegative weights is within n * 2**-52 * s of the exact one, so when
+    each row's s lies that far inside NORM_TOL / 2 of 1, every fsum would
+    pass and none is taken.
     """
-    arr = np.asarray(w, dtype=np.float64)
-    rows = [w] if arr.ndim == 1 else w
-    arr = arr.reshape(len(rows), -1)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        w = np.empty(())
+    if w.ndim not in (1, 2) or shape not in (None, w.shape):
+        rule = "a row or rows of numbers" if shape is None else f"numbers of shape {shape}"
+        raise WeightError(f"weights must be {rule}, got {weights!r}")
+    arr, rows = np.atleast_2d(w), [weights] if w.ndim == 1 else weights
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise WeightError(f"non-finite weight in {rows[int(np.argmin(finite))]!r}")
@@ -273,15 +391,16 @@ def check_weights(w):
         raise WeightError(f"negative weight {float(lo[lo < 0.0][0])}")
     with np.errstate(over="ignore"):  # a sum past float range is inf, and fsum judges it
         s = arr.sum(axis=1)
-        if (np.abs(s - 1.0) + arr.shape[1] * 2.0**-52 * s <= NORM_TOL / 2.0).all():
-            return
+        if not total or (np.abs(s - 1.0) + arr.shape[1] * 2.0**-52 * s <= NORM_TOL / 2.0).all():
+            return w
     for row, values in zip(rows, arr.tolist()):
         try:
-            total = math.fsum(values)
+            row_sum = math.fsum(values)
         except OverflowError:  # the exact sum is past float range
             raise WeightError(f"weights sum past float range, not 1: {row!r}") from None
-        if abs(total - 1.0) > NORM_TOL:
-            raise WeightError(f"weights sum to {total!r}, not 1")
+        if abs(row_sum - 1.0) > NORM_TOL:
+            raise WeightError(f"weights sum to {row_sum!r}, not 1")
+    return w
 
 
 def checked_count_and_seed(count, seed, most, what):
@@ -297,14 +416,6 @@ def checked_count_and_seed(count, seed, most, what):
     raise DomainError(f"need integer {what} and seed >= 0, got {count!r}, {seed!r}")
 
 
-def weight_row(weights):
-    """`weights` as a tuple of floats; WeightError, naming the value, unless each is a number."""
-    try:
-        return tuple(float(v) for v in weights)
-    except (TypeError, ValueError, OverflowError):
-        raise WeightError(f"weights must be a row of numbers, got {weights!r}") from None
-
-
 def mix(weights, boxes, label=None):
     """Convex mixture of boxes: a (n, 2, 2, 2, 2) stack, or a sequence of boxes or tables.
 
@@ -312,21 +423,8 @@ def mix(weights, boxes, label=None):
     stack, by `checked_boxes`, so an invalid box is refused even where the
     mixture would be a valid one.
     """
-    w = weight_row(weights)
-    try:
-        n = len(boxes)
-    except TypeError:  # None, a number or a 0-d array
-        raise BoxFormatError(f"expected a stack or a sequence of boxes, got {boxes!r}") from None
-    if len(w) != n:
-        raise WeightError(f"{len(w)} weights for {n} boxes")
-    if not w:
-        raise WeightError("empty mixture")
-    check_weights(w)
-    stack = checked_boxes(boxes if isinstance(boxes, np.ndarray)
-                          else [box.p if isinstance(box, CorrelationBox) else box for box in boxes])
-    if stack.ndim != 5:
-        raise BoxFormatError(f"expected a stack of (2,2,2,2) boxes, got shape {stack.shape}")
-    return CorrelationBox(mixtures(w, stack), label=label)
+    stack = checked_boxes(boxes, ndim=5)
+    return CorrelationBox(_mixtures(check_weights(weights, (len(stack),)), stack), label=label)
 
 
 @dataclass(frozen=True)
@@ -339,7 +437,7 @@ class PRScope:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "mu3"):
-            object.__setattr__(self, name, _check_bit(getattr(self, name), name))
+            object.__setattr__(self, name, _bit(getattr(self, name), name))
 
     def relation(self, x, y):
         """Required output parity a xor b at inputs (x, y)."""
@@ -355,12 +453,6 @@ class PRScope:
         if not isinstance(text, str) or len(text) != 3 or set(text) - {"0", "1"}:
             raise DomainError(f"scope label must be 3 bits, got {text!r}")
         return cls(int(text[0]), int(text[1]), int(text[2]))
-
-
-def check_scope(scope):
-    """Raise DomainError, naming the value, unless `scope` is a PRScope."""
-    if not isinstance(scope, PRScope):
-        raise DomainError(f"scope must be a PRScope, got {scope!r}")
 
 
 def all_scopes():
@@ -386,10 +478,10 @@ class Relabelling:
     b_offset: tuple = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "flip_x", _check_bit(self.flip_x, "flip_x"))
-        object.__setattr__(self, "flip_y", _check_bit(self.flip_y, "flip_y"))
+        object.__setattr__(self, "flip_x", _bit(self.flip_x, "flip_x"))
+        object.__setattr__(self, "flip_y", _bit(self.flip_y, "flip_y"))
         for name in ("a_offset", "b_offset"):
-            object.__setattr__(self, name, _check_bits(getattr(self, name), 2, name))
+            object.__setattr__(self, name, _bits(getattr(self, name), 2, name))
 
 
 def all_relabellings():
@@ -420,13 +512,20 @@ SYMMETRIES.flags.writeable = False
 
 def apply_relabelling(box, rel, label=None):
     """The box relabelled by `rel`, as Relabelling defines it: one gather of its 16 cells."""
-    return CorrelationBox(box.p.ravel()[_cell_maps([rel])[0]].reshape(2, 2, 2, 2), label=label)
+    maps = _cell_maps([_of_type(rel, Relabelling, "rel must be a Relabelling")])
+    return CorrelationBox(checked_boxes(box, ndim=4).ravel()[maps[0]].reshape(2, 2, 2, 2),
+                          label=label)
 
 
 def _read_strategies(cells):
-    """Inverse of `strategy_boxes`: the strategies of deterministic boxes, flat or not."""
-    tables = marginals(cells.reshape(-1, 2, 2, 2, 2)).argmax(axis=-1).reshape(-1, 2, 4).tolist()
-    return [DeterministicStrategy(tuple(fa), tuple(fb)) for fa, fb in tables]
+    """Inverse of `strategy_boxes`: the strategies of deterministic boxes, flat or not.
+
+    Each output is the one that carries the box's weight: A's sums over b, B's over a.
+    """
+    p = cells.reshape(-1, 2, 2, 2, 2)
+    fa = p.sum(axis=-1).argmax(axis=-1).reshape(-1, 4).tolist()
+    fb = p.sum(axis=-2).argmax(axis=-1).reshape(-1, 4).tolist()
+    return [DeterministicStrategy(tuple(a), tuple(b)) for a, b in zip(fa, fb)]
 
 
 _TABLES = tuple(itertools.product((0, 1), repeat=4))
@@ -466,7 +565,7 @@ _CANONICAL_NAMES = dict(zip(_CANONICAL_TABLE, STRATEGY_NAMES))
 
 def scope_relabelling(scope):
     """Relabelling carrying the canonical scope (0,0,0) onto `scope`."""
-    check_scope(scope)
+    _of_type(scope, PRScope, "scope must be a PRScope")
     return Relabelling(flip_x=0, flip_y=0,
                        a_offset=(scope.mu3, scope.mu1 ^ scope.mu3),
                        b_offset=(0, scope.mu2))
@@ -488,8 +587,7 @@ def scope_strategies(scope=PRScope()):
     two-way, and consecutive +/- entries are output complements.  Each call
     returns a new list, which the caller may change.
     """
-    check_scope(scope)
-    return list(_CATALOGUE[scope])
+    return list(_CATALOGUE[_of_type(scope, PRScope, "scope must be a PRScope")])
 
 
 def scope_boxes(scope=PRScope()):
@@ -497,10 +595,10 @@ def scope_boxes(scope=PRScope()):
 
     Built once per scope; it always matches scope_strategies(scope).
     """
-    check_scope(scope)
-    return _CATALOGUE_BOXES[scope]
+    return _CATALOGUE_BOXES[_of_type(scope, PRScope, "scope must be a PRScope")]
 
 
 def strategy_name(strategy):
     """Name of a strategy in the canonical scope (0,0,0) catalogue, or None if unnamed."""
+    _of_type(strategy, DeterministicStrategy, "strategy must be a DeterministicStrategy")
     return _CANONICAL_NAMES.get(strategy)

@@ -27,12 +27,13 @@ boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
 these two) and entropic-floor grids.  Every floor grid is a prefix of the
 1001-point p grid, so the floor reads H(p) from one entropy of that grid.
 The suites pass stacks, never box or spec objects: random instances are
-drawn into arrays, each stack checked once by the rules a box or a spec
-checks itself with.  They read the catalogue from boxcore's one table, which
+drawn into arrays that the suites trust, as every internal stack path
+does; the 1-bit boxes are checked once, as a stack, by the rules of a box.
+They read the catalogue from boxcore's one table, which
 the negative-control test corrupts; the zero-signal check reads an integer
 identity of it, not an LP.  `Certificate` is `analyze`'s only record.
 
-Both read C from `comm_cost_many`: the largest value of decompose's 344
+Both read C from `comm_cost_many`'s core: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
 32 facet rows is positive.  No linear program runs.  The cost rows'
 size-8 orbit holds the 8 CHSH rows, so the CHSH floor is one of the
@@ -49,18 +50,17 @@ import numpy as np
 
 from .boxcore import (
     PRScope,
-    check_weights,
+    _mixtures,
+    _real,
+    check_tolerance,
+    checked_boxes,
     checked_count_and_seed,
-    mixtures,
     scope_boxes,
     scope_strategies,
 )
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
-    _as_box,
-    check_tolerance,
-    comm_cost_many,
     _comm_costs,
     _conditional_bounds,
     _random_feasible_boxes,
@@ -69,7 +69,6 @@ from .decompose import (
 from .errors import Infeasible
 from .measures import (
     SignalReport,
-    _in_range,
     _max2,
     _value,
     binary_entropy,
@@ -96,8 +95,8 @@ def certified_indeterminacy_bound(lam, s):
     in [0, 4] and s the observed signal strength in [0, 1].  Arrays of
     values give an array of bounds.
     """
-    lam = _in_range(lam, 4, "CHSH value")
-    s = _in_range(s, 1, "signal strength")
+    lam = _real(lam, 0, 4, "CHSH value")
+    s = _real(s, 0, 1, "signal strength")
     return _value(np.maximum(lam / 4.0 - (1.0 + s) / 2.0, 0.0))
 
 
@@ -200,12 +199,12 @@ def complementarity_report(box, tol=1e-9):
 
     Boxes outside the local + one-way polytope skip the cost-based checks;
     the signal/indeterminacy relations are checked regardless.  Anything but
-    a CorrelationBox is first made into one.
+    a CorrelationBox is first checked as one.
     """
     check_tolerance(tol)
-    box = _as_box(box)
+    box = checked_boxes(box, ndim=4)
     try:
-        c_min = float(comm_cost_many([box], tol=tol)[0])
+        c_min = float(_comm_costs(box.reshape(1, 16), tol)[0])
     except Infeasible:
         c_min = None
     r = _relations(box, c_min)
@@ -336,8 +335,7 @@ def _suite_specs(rng, instances, scope):
     c = rng.uniform(0.2, 1.0, instances)
     k = rng.integers(16, size=instances)
     weights = draws * (1.0 / np.cumsum(draws, axis=1)[:, -1:])
-    check_weights(weights)
-    boxes = mixtures(weights, scope_boxes(scope))
+    boxes = _mixtures(weights, scope_boxes(scope))
     r = _relations(boxes, cost=1.0)
     measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
     signed = _signed_signal_rows(weights)
@@ -355,7 +353,7 @@ def _suite_single_pairs(scope):
     p = np.arange(101) / 100.0
     w = np.stack([p, 1.0 - p], axis=-1)
     table = scope_boxes(scope)
-    boxes = np.concatenate([mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
+    boxes = np.concatenate([_mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
     worst_sat = np.abs(_relations(boxes, cost=1.0).thm1_slack).max()
     worst_ent = np.abs(entropic_signal(boxes) + entropic_indeterminacy(boxes) - 1.0).max()
     return float(worst_sat), float(worst_ent)

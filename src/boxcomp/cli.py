@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .boxcore import _write_text, load_box
+from .boxcore import _write_text, checked_count_and_seed, load_box
 from .certify import complementarity_report, run_property_suite
 from .decompose import ResourceSpec, min_comm_cost
 from .errors import (
@@ -43,30 +43,6 @@ _EXIT_CODES = (
 )
 
 
-def _int_at_least(lower):
-    """An argparse type: an integer no smaller than `lower`."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < lower:
-            raise argparse.ArgumentTypeError(f"must be >= {lower}: {text!r}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
-
-
-def _angle_list(text):
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad angle list {text!r}") from None
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="boxcomp",
@@ -91,28 +67,28 @@ def build_parser():
     p_si = sub.add_parser("simulate", help="singlet-statistics run at one angle")
     p_si.add_argument("--resource", required=True,
                       help='compact spec, e.g. "scope=000;S1+:0.5,S1-:0.5"')
-    p_si.add_argument("--angle", type=float, required=True,
+    p_si.add_argument("--angle", required=True,
                       help="angle between measurement axes, radians")
-    p_si.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_si.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_si.add_argument("--trials", type=int, default=1_000_000)
+    p_si.add_argument("--seed", type=int, default=0)
     p_si.add_argument("--out")
     p_si.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p_sw = sub.add_parser("sweep", help="singlet-statistics sweep over angles")
     p_sw.add_argument("--resource", required=True)
     grid = p_sw.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--angles", type=_angle_list,
+    grid.add_argument("--angles",
                       help='comma-separated radians, e.g. "0,0.7853981633974483,1.5707963267948966"')
-    grid.add_argument("--angle-grid", type=_positive_int,
+    grid.add_argument("--angle-grid", type=int,
                       help="K evenly spaced angles covering [0, pi]")
-    p_sw.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_sw.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_sw.add_argument("--trials", type=int, default=1_000_000)
+    p_sw.add_argument("--seed", type=int, default=0)
     p_sw.add_argument("--out")
     p_sw.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p_ve = sub.add_parser("verify", help="run the randomized property suites")
-    p_ve.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_ve.add_argument("--instances", type=_positive_int, default=200)
+    p_ve.add_argument("--seed", type=int, default=0)
+    p_ve.add_argument("--instances", type=int, default=200)
     p_ve.add_argument("--tol", type=float, default=1e-9,
                       help="slack allowed to each check")
     p_ve.add_argument("--out")
@@ -208,15 +184,14 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     if args.angles is not None:
-        angles = args.angles
-        if not angles:
-            raise DomainError("empty angle list")
+        angles = [part for part in args.angles.split(",") if part.strip()]
     else:
         from .simulate import MAX_TRIALS
 
-        k = args.angle_grid
-        if k * args.trials > MAX_TRIALS:  # as sweep_angles counts, before the grid is built
-            raise DomainError(f"{k} angles of {args.trials} trials exceed 2**36 in all")
+        # the grid is built here, so its size is checked first, as sweep_angles counts it
+        n, seed = checked_count_and_seed(args.trials, args.seed, MAX_TRIALS, "trials in [1, 2**36]")
+        k, _ = checked_count_and_seed(args.angle_grid, seed, MAX_TRIALS // n,
+                                      f"--angle-grid in [1, 2**36 // {n}]")
         angles = [math.pi * i / max(k - 1, 1) for i in range(k)]
     return _sweep_common(args, angles)
 

@@ -43,7 +43,6 @@ structure yields certified per-cell lower bounds via
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -51,11 +50,12 @@ import numpy as np
 
 from .boxcore import (
     INPUT_PAIRS,
-    CorrelationBox,
     PRScope,
     STRATEGY_NAMES,
     SYMMETRIES,
-    check_scope,
+    _of_type,
+    _real,
+    check_tolerance,
     check_weights,
     checked_boxes,
     enumerate_deterministic,
@@ -64,9 +64,8 @@ from .boxcore import (
     scope_strategies,
     strategy_boxes,
     strategy_name,
-    weight_row,
 )
-from .errors import DomainError, Infeasible, NumericalError, WeightError
+from .errors import Infeasible, NumericalError, WeightError
 from .simplex import solve_lp
 
 SUPPORT_EPS = 1e-12
@@ -158,20 +157,6 @@ class Decomposition:
         return {"C": self.C, "weights": rows}
 
 
-def check_tolerance(tol):
-    """Accept a solver tolerance only as a real number in the open interval (0, 1).
-
-    A tolerance of 1 or more lets the facet, phase-1 and residual checks
-    pass any box, so it is refused like NaN, infinity and non-real values.
-    """
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
-
-
-def _as_box(box):
-    return box if isinstance(box, CorrelationBox) else CorrelationBox(box)
-
-
 def min_comm_cost(box, tol=WEIGHT_TOL):
     """Cheapest 1-bit decomposition of a box, with comm_cost_many's verdict and C.
 
@@ -180,10 +165,10 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     over the vertices on which that row is tight; their one-way total is C
     to rounding.  Raises Infeasible if phase 1 leaves a residual above tol,
     and NumericalError if the weights reproduce the box only beyond tol.
-    Anything but a CorrelationBox is first made into one.
+    Anything but a CorrelationBox is first checked as one.
     """
     check_tolerance(tol)
-    cells = _as_box(box).p.reshape(1, 16)
+    cells = checked_boxes(box, ndim=4).reshape(1, 16)
     excess = float(_values(cells, _FACET_T, _FACET_K).max())
     if excess > tol:
         raise Infeasible(f"facet row value {excess:.3e} exceeds {tol:.1e}")
@@ -200,18 +185,14 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
 def comm_cost_many(boxes, tol=WEIGHT_TOL):
     """The communication cost C of each box, as one array, read from the tables.
 
-    `boxes` is a (..., 2, 2, 2, 2) array, checked once as a stack by
-    `checked_boxes`, or a sequence of boxes.  C is the largest COST_ROWS
+    `boxes` is a box, a (..., 2, 2, 2, 2) stack or a sequence of boxes,
+    checked once as a stack by `checked_boxes`.  C is the largest COST_ROWS
     value, clamped to [0, 1], as min_comm_cost(box).C is.  Raises
     Infeasible naming the first box, by index, on which a FACET_ROWS value
     exceeds tol.
     """
     check_tolerance(tol)
-    if isinstance(boxes, np.ndarray):
-        cells = checked_boxes(boxes).reshape(-1, 16)
-    else:
-        cells = np.array([_as_box(box).p.ravel() for box in boxes]).reshape(-1, 16)
-    return _comm_costs(cells, tol)
+    return _comm_costs(checked_boxes(boxes).reshape(-1, 16), tol)
 
 
 def _comm_costs(cells, tol=WEIGHT_TOL):
@@ -236,12 +217,9 @@ class ResourceSpec:
     weights: tuple
 
     def __post_init__(self):
-        check_scope(self.scope)
-        w = weight_row(self.weights)
-        if len(w) != 16:
-            raise WeightError(f"expected 16 weights, got {len(w)}")
-        check_weights(w)
-        object.__setattr__(self, "weights", w)
+        _of_type(self.scope, PRScope, "scope must be a PRScope")
+        w = check_weights(self.weights, (16,))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
 
     @classmethod
     def from_mapping(cls, mapping, scope=PRScope()):
@@ -255,7 +233,7 @@ class ResourceSpec:
     @classmethod
     def parse(cls, text):
         """Parse the compact form "scope=000;S1+:0.75,S1-:0.25"."""
-        text = text.strip()
+        text = _of_type(text, str, "resource spec must be a str").strip()
         scope = PRScope()
         weights_part = text
         if ";" in text:
@@ -291,15 +269,9 @@ class ResourceSpec:
         return all(w <= SUPPORT_EPS for w in self.weights[8:])
 
 
-def check_spec(spec):
-    """Raise DomainError, naming its type, unless spec is a ResourceSpec."""
-    if not isinstance(spec, ResourceSpec):
-        raise DomainError(f"spec must be a ResourceSpec, got {type(spec).__name__}")
-
-
 def resource_box(spec, label=None):
     """The box realized by mixing the spec's strategies with its weights."""
-    check_spec(spec)
+    _of_type(spec, ResourceSpec, "spec must be a ResourceSpec", type(spec).__name__)
     return mix(spec.weights, scope_boxes(spec.scope), label=label)
 
 
@@ -419,19 +391,18 @@ def signed_signals(spec):
     Its row of `_signed_signal_rows`; their absolute values match the
     per-setting directed signals of the mixed box.
     """
-    check_spec(spec)
+    _of_type(spec, ResourceSpec, "spec must be a ResourceSpec", type(spec).__name__)
     return SignedSignals(*_signed_signal_rows(spec.weights)[0].tolist())
 
 
 def _conditional_bounds(signed, nonlocal_weight, scope):
     """The rule of `conditional_lower_bounds` over a stack of K specs of one scope.
 
-    Takes (K, 4) signed signals and (K,) nonlocal weights; returns the (K, 8)
-    bounds and the 8 (x, y, a, b) cells they bound, fixed by the scope's anchor.
+    Takes (K, 4) signed signals and (K,) nonlocal weights in [0, 1]; returns
+    the (K, 8) bounds and the 8 (x, y, a, b) cells they bound, fixed by the
+    scope's anchor.
     """
-    c = np.asarray(nonlocal_weight, dtype=np.float64)[:, None]
-    if not (c.min() >= 0.0 and c.max() <= 1.0 + SUPPORT_EPS):
-        raise DomainError(f"nonlocal weight outside [0,1]: {c.min()}..{c.max()}")
+    c = nonlocal_weight[:, None]
     v = signed[:, None, :] * _T_SIGNS  # sign flips are exact; T sums s1..s4 left to right
     t = c * (((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3])
     anchor = scope_strategies(scope)[0]  # the catalogue's first strategy fixes the cell pairing
@@ -452,8 +423,7 @@ def conditional_lower_bounds(spec, nonlocal_weight=1.0):
     alternating sum of signed signals scaled by nonlocal_weight, a real
     number in [0, 1].
     """
-    if not isinstance(nonlocal_weight, numbers.Real):
-        raise DomainError(f"nonlocal weight must be a real number, got {nonlocal_weight!r}")
+    c = _real(nonlocal_weight, 0, 1, "nonlocal weight", scalar=True)
     bounds, cells = _conditional_bounds(np.array([signed_signals(spec).as_tuple()]),
-                                        [float(nonlocal_weight)], spec.scope)
+                                        c.reshape(1), spec.scope)
     return [(*cell, bound) for cell, bound in zip(cells, bounds[0].tolist())]

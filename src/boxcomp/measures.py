@@ -40,52 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxFormatError, DomainError
+from .boxcore import _box_array, _real
+from .errors import DomainError
 
 _ENTROPY_SLACK = 1e-12
 _SMALLEST = np.nextafter(0.0, 1.0)
 
 
-def _stack(box):
-    """The float64 probability array of a box or of a stack of boxes.
-
-    BoxFormatError unless numpy reads numbers whose last four axes are (2, 2, 2, 2).
-    """
-    try:
-        p = np.asarray(getattr(box, "p", box), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise BoxFormatError(f"a box must be an array of numbers, got {box!r}") from None
-    if p.shape[-4:] != (2, 2, 2, 2):
-        raise BoxFormatError(f"expected a box or a stack of boxes of shape (2,2,2,2), "
-                             f"got shape {p.shape}")
-    return p
-
-
 def _value(v):
     """A single box's value as a Python float; a stack's as an array."""
     return float(v) if v.ndim == 0 else v
-
-
-def _floats(v, what):
-    """v as a float64 array; DomainError, naming v, unless numpy reads it as real numbers."""
-    try:
-        return np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be real, got {v!r}") from None
-
-
-def _outside(v, arr, hi, what):
-    """The DomainError for v, read as arr, outside [0, hi]; NaN, as None reads, names v itself."""
-    shown = repr(v) if np.isnan(arr).any() else f"{arr.min()}..{arr.max()}"
-    return DomainError(f"{what} outside [0,{hi}]: {shown}")
-
-
-def _in_range(v, hi, what):
-    """v as a float64 array; DomainError if any value lies outside [0, hi], NaN included."""
-    arr = _floats(v, what)
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= hi + 1e-12):
-        raise _outside(v, arr, hi, what)
-    return arr
 
 
 def _max2(v):
@@ -111,9 +75,7 @@ def _entropy(m):
 
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, with H(0) = H(1) = 0."""
-    arr = _floats(p, "probability")
-    if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
-        raise _outside(p, arr, 1, "probability")
+    arr = _real(p, 0, 1, "probability")
     # p and 1 - p as two contiguous halves, read as one last axis of length 2
     halves = np.empty((2,) + arr.shape).transpose(*range(1, arr.ndim + 1), 0)
     np.clip(arr, 0.0, 1.0, out=halves[..., 0])
@@ -127,7 +89,7 @@ def marginals(box):
     Party 0 is A, with P(a|x,y) = P(a,0|x,y) + P(a,1|x,y); party 1 is B, with
     P(b|x,y) = P(0,b|x,y) + P(1,b|x,y).
     """
-    p = _stack(box)
+    p = _box_array(box)
     m = np.empty(p.shape[:-4] + (2, 2, 2, 2))
     np.add(p[..., 0], p[..., 1], out=m[..., 0, :, :, :])
     np.add(p[..., 0, :], p[..., 1, :], out=m[..., 1, :, :, :])
@@ -136,7 +98,7 @@ def marginals(box):
 
 def correlators(box):
     """E(x,y) indexed [..., x, y]."""
-    p = _stack(box)
+    p = _box_array(box)
     return (p[..., 0, 0] + p[..., 1, 1]) - (p[..., 0, 1] + p[..., 1, 0])
 
 
@@ -158,7 +120,7 @@ def pironio_bound(lam_max):
 
     Arrays of values give an array of bounds.
     """
-    lam = _in_range(lam_max, 4, "CHSH value")
+    lam = _real(lam_max, 0, 4, "CHSH value")
     return _value(np.maximum(lam / 2.0 - 1.0, 0.0))
 
 
@@ -252,14 +214,12 @@ def two_point_mutual_information(p, shift):
     Vectorized over p: the remote bit is uniform, and the receiver sees
     outcome probability p when it is 0 and p + shift when it is 1.
     """
-    p, shift = _floats(p, "probability"), _floats(shift, "shift")
+    p, shift = _real(p, 0, 1, "probability"), _real(shift, -1, 1, "shift")
     mixed = binary_entropy(p + 0.5 * shift)
     return mixed - 0.5 * binary_entropy(p) - 0.5 * binary_entropy(p + shift)
 
 
 def entropic_signal_lower_bound(s):
     """Least H_S compatible with signal strength s: 1 - H((1 - s)/2), elementwise."""
-    arr = _floats(s, "signal strength")
-    if arr.size and not (arr.min() >= -_ENTROPY_SLACK and arr.max() <= 1.0 + _ENTROPY_SLACK):
-        raise _outside(s, arr, 1, "signal strength")
+    arr = _real(s, 0, 1, "signal strength")
     return 1.0 - binary_entropy((1.0 - np.clip(arr, 0.0, 1.0)) / 2.0)

@@ -71,6 +71,7 @@ workspace of about 2 MiB and two Philox generators.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import threading
@@ -79,8 +80,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .boxcore import checked_count_and_seed
-from .decompose import check_spec
+from .boxcore import _angles, _items, _of_type, _real, checked_count_and_seed
+from .decompose import ResourceSpec
 from .errors import DomainError
 
 CHUNK = 1 << 16
@@ -95,9 +96,9 @@ class Direction:
     v: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.v, dtype=np.float64)
+        arr = _real(self.v, -1, 1, "direction")
         if arr.shape != (3,):
-            raise DomainError(f"direction must be a 3-vector, got shape {arr.shape}")
+            raise DomainError(f"direction must be a 3-vector, got {self.v!r}")
         norm = float(np.linalg.norm(arr))
         if not abs(norm - 1.0) <= 1e-9:
             raise DomainError(f"direction norm {norm} is not 1")
@@ -107,7 +108,8 @@ class Direction:
 
     @classmethod
     def polar(cls, theta):
-        """Direction at polar angle theta in the x-z plane."""
+        """Direction at polar angle theta in the x-z plane; DomainError unless theta is finite."""
+        (theta,) = _angles([theta])
         return cls(np.array([math.sin(theta), 0.0, math.cos(theta)]))
 
     def dot(self, other):
@@ -241,16 +243,15 @@ def _checked_run(spec, n_trials, seed):
     1 <= n_trials <= MAX_TRIALS, seed >= 0 are integers.  The spec's weights
     and scope cannot change a count, so it is only type-checked.
     """
-    check_spec(spec)
+    _of_type(spec, ResourceSpec, "spec must be a ResourceSpec", type(spec).__name__)
     return checked_count_and_seed(n_trials, seed, MAX_TRIALS, "trials in [1, 2**36]")
 
 
 def _settings(spec, x_hat, y_hat, n_trials, seed):
     """What a call's workspaces read: (n_trials, seed, c, s)."""
     n_trials, seed = _checked_run(spec, n_trials, seed)
-    if not (isinstance(x_hat, Direction) and isinstance(y_hat, Direction)):
-        raise DomainError(f"axes must be Directions, got {type(x_hat).__name__} "
-                          f"and {type(y_hat).__name__}")
+    _of_type(x_hat, Direction, "x_hat must be a Direction", type(x_hat).__name__)
+    _of_type(y_hat, Direction, "y_hat must be a Direction", type(y_hat).__name__)
     c = min(max(x_hat.dot(y_hat), -1.0), 1.0)
     return n_trials, seed, c, math.sqrt(1.0 - c * c)
 
@@ -356,24 +357,13 @@ def sweep_angles(spec, angles, n_trials, seed):
 
     x_hat is fixed at the pole and y_hat rotated by each angle; each angle
     runs n_trials on its own derived stream of the master seed.  DomainError
-    when the angles and trials multiply to more than MAX_TRIALS.
+    unless the angles are a nonempty iterable of finite numbers, and when
+    they and the trials multiply to more than MAX_TRIALS.
     """
     n_trials, seed = _checked_run(spec, n_trials, seed)
-    try:
-        if isinstance(angles, (str, bytes)):
-            raise TypeError
-        angles = list(angles)
-    except TypeError:
-        raise DomainError(f"angles must be an iterable of numbers, got {angles!r}") from None
+    angles = _angles(angles)
     if len(angles) * n_trials > MAX_TRIALS:
         raise DomainError(f"{len(angles)} angles of {n_trials} trials exceed 2**36 in all")
-    for i, angle in enumerate(angles):
-        try:
-            angles[i] = float(angle)
-        except (TypeError, ValueError):
-            angles[i] = math.nan
-        if not math.isfinite(angles[i]):
-            raise DomainError(f"angle must be a finite number, got {angle!r}")
     x_hat = Direction.polar(0.0)
     points = []
     for i, theta in enumerate(angles):
@@ -390,8 +380,12 @@ SWEEP_CSV_HEADER = "angle_rad,estimate,target,stderr,N,seed"
 
 
 def write_sweep_csv(points, n_trials, seed, fh):
-    """Write sweep rows as CSV; float fields use repr so files are byte-stable."""
+    """Write sweep_angles' points as CSV to a text file; floats use repr, so files are byte-stable."""
+    points = [_of_type(p, SweepPoint, "point must be a SweepPoint")
+              for p in _items(points, "points must be an iterable")]
+    n_trials, seed = checked_count_and_seed(n_trials, seed, MAX_TRIALS, "trials in [1, 2**36]")
+    _of_type(fh, io.TextIOBase, "fh must be a text file")
     fh.write(SWEEP_CSV_HEADER + "\n")
     for p in points:
         fh.write(f"{float(p.angle)!r},{float(p.estimate)!r},{float(p.target)!r},"
-                 f"{float(p.stderr)!r},{int(n_trials)},{int(seed)}\n")
+                 f"{float(p.stderr)!r},{n_trials},{seed}\n")

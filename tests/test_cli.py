@@ -394,16 +394,18 @@ def test_trial_counts_above_the_maximum_are_refused(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     # a grid built before its trials were counted would fill the child's address
-    # space, capped at 1 GiB, and end in MemoryError
+    # space, capped at 1 GiB, and end in MemoryError; so would one sized by
+    # trials that are out of range themselves, as 0 is
     code = ("import resource, sys; cap = resource.RLIMIT_AS; "
             "resource.setrlimit(cap, (1 << 30, resource.getrlimit(cap)[1])); "
             "from boxcomp.cli import main; sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code, "sweep", "--resource", "S1+:1",
-                           "--angle-grid", str(10 ** 11), "--trials", "1"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    for grid, trials in ((str(10 ** 11), "1"), (str(10 ** 11), "0"), ("0", "1")):
+        done = subprocess.run([sys.executable, "-c", code, "sweep", "--resource", "S1+:1",
+                               "--angle-grid", grid, "--trials", trials],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2 and done.stdout == "", (grid, trials)
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_sweep_csv_files_are_byte_identical(tmp_path, capsys):
