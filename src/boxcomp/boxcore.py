@@ -227,8 +227,8 @@ def _real(value, lo, hi, what, scalar=False):
 def check_tolerance(tol):
     """Accept a solver tolerance only as a real number in the open interval (0, 1).
 
-    A tolerance of 1 or more lets the facet, phase-1 and residual checks
-    pass any box, so it is refused like NaN, infinity and non-real values.
+    A tolerance of 1 or more lets the facet and reconstruction checks pass
+    any box, so it is refused like NaN, infinity and non-real values.
     """
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
         raise DomainError(f"tolerance must lie in (0, 1), got {tol!r}")
@@ -298,7 +298,7 @@ def mixtures(weights, boxes):
     The boxes are checked as `mix` checks them.
     """
     stack = checked_boxes(boxes, ndim=5)
-    w = check_weights(weights, total=False)
+    w = check_weights(weights)
     if w.shape[-1] != len(stack):
         raise WeightError(f"expected rows of {len(stack)} weights, got {weights!r}")
     return _mixtures(w, stack)
@@ -336,7 +336,7 @@ def _box_array(boxes, ndim=None):
 
 
 def checked_boxes(p, ndim=None):
-    """The rules of a box, checked once over a (..., 2, 2, 2, 2) stack; the stack, read-only.
+    """The rules of a box, checked once over a (..., 2, 2, 2, 2) stack; a read-only copy of it.
 
     `_box_array` reads p (ndim 4 is one box, 5 a stack of them).  Entries
     must be finite and at least -NORM_TOL; sub-tolerance negative dust is
@@ -357,30 +357,28 @@ def checked_boxes(p, ndim=None):
     err = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max(initial=0.0))
     if err > NORM_TOL:
         raise BoxInvariantError(f"per-setting normalization off by {err}")
-    arr = np.ascontiguousarray(arr)
+    # a copy, so the caller's array stays writable and its later writes miss the box
+    arr = np.array(arr, order="C")
     arr.flags.writeable = False
     return arr
 
 
-def check_weights(weights, shape=None, total=True):
+def check_weights(weights, n=None):
     """`weights` as a float64 row, or a (K, m) stack of rows, of finite nonnegative numbers.
 
     WeightError, naming the value or its first bad row, unless numpy reads
-    numbers of the given shape, if any, and, with `total`, each row sums to
-    1, judged by its `math.fsum`.  A sum may miss 1 by at most NORM_TOL, the
-    slack CorrelationBox allows its normalization, so that `mix` and
+    numbers in a row or a stack of rows; or, when `n` is given, one row of
+    n numbers whose `math.fsum` is 1 within NORM_TOL.  That is the slack
+    CorrelationBox allows its normalization, so that `mix` and
     `ResourceSpec` accept the same weights and every mixture they allow is
-    a box.  The rows are first summed as one float stack: the float sum s of
-    n nonnegative weights is within n * 2**-52 * s of the exact one, so when
-    each row's s lies that far inside NORM_TOL / 2 of 1, every fsum would
-    pass and none is taken.
+    a box.
     """
     try:
         w = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         w = np.empty(())
-    if w.ndim not in (1, 2) or shape not in (None, w.shape):
-        rule = "a row or rows of numbers" if shape is None else f"numbers of shape {shape}"
+    if w.ndim not in (1, 2) or n is not None and w.shape != (n,):
+        rule = "a row or rows of numbers" if n is None else f"numbers of shape {(n,)}"
         raise WeightError(f"weights must be {rule}, got {weights!r}")
     arr, rows = np.atleast_2d(w), [weights] if w.ndim == 1 else weights
     finite = np.isfinite(arr).all(axis=1)
@@ -389,17 +387,13 @@ def check_weights(weights, shape=None, total=True):
     lo = arr.min(axis=1, initial=0.0)
     if lo.min(initial=0.0) < 0.0:
         raise WeightError(f"negative weight {float(lo[lo < 0.0][0])}")
-    with np.errstate(over="ignore"):  # a sum past float range is inf, and fsum judges it
-        s = arr.sum(axis=1)
-        if not total or (np.abs(s - 1.0) + arr.shape[1] * 2.0**-52 * s <= NORM_TOL / 2.0).all():
-            return w
-    for row, values in zip(rows, arr.tolist()):
+    if n is not None:
         try:
-            row_sum = math.fsum(values)
+            total = math.fsum(w.tolist())
         except OverflowError:  # the exact sum is past float range
-            raise WeightError(f"weights sum past float range, not 1: {row!r}") from None
-        if abs(row_sum - 1.0) > NORM_TOL:
-            raise WeightError(f"weights sum to {row_sum!r}, not 1")
+            raise WeightError(f"weights sum past float range, not 1: {weights!r}") from None
+        if abs(total - 1.0) > NORM_TOL:
+            raise WeightError(f"weights sum to {total!r}, not 1")
     return w
 
 
@@ -424,7 +418,7 @@ def mix(weights, boxes, label=None):
     mixture would be a valid one.
     """
     stack = checked_boxes(boxes, ndim=5)
-    return CorrelationBox(_mixtures(check_weights(weights, (len(stack),)), stack), label=label)
+    return CorrelationBox(_mixtures(check_weights(weights, len(stack)), stack), label=label)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Subcommands: analyze (measure a box file), decompose (minimum-cost 1-bit
 decomposition), simulate (one angle), sweep (angle grid to CSV), verify
 (randomized property suites).  Exit codes: 0 ok, 1 invariant violation,
 failed analyze check or failed verification, 2 malformed input or usage,
-3 infeasible decomposition, 4 numerical failure.
+3 infeasible decomposition (a facet row exceeds tol), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def build_parser():
     p_de.add_argument("--box", required=True)
     p_de.add_argument("--tol", type=float, default=1e-9,
                       help="largest facet-row value a 1-bit box may have, and the largest "
-                           "phase-1 residual and reconstruction error of its weights")
+                           "reconstruction error of its weights")
     p_de.add_argument("--out")
     p_de.add_argument("--format", choices=("text", "json"), default="text")
 

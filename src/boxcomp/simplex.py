@@ -1,7 +1,8 @@
-"""Dense phase-1 simplex: a nonnegative solution of a small equality system.
+"""Dense phase-1 simplex: the least-violation nonnegative point of a small equality system.
 
-Finds x >= 0 with A x = b, or proves within a tolerance that none exists,
-for systems of tens of rows and columns.  Bland's rule keeps it cycle-free.
+Finds the x >= 0 of least total violation of A x = b, for b >= 0 and
+tens of rows and columns, and gives no verdict on whether A x = b has a
+solution.  Bland's rule keeps it cycle-free.
 An artificial variable left in the basis at level zero is harmless, so
 redundant rows (the polytope descriptions here are rank-deficient) need no
 special care.  Each pivot writes its rank-1 update into one buffer made per
@@ -9,14 +10,15 @@ call, so a pivot allocates no tableau-sized array.
 
 Its one caller is `decompose.min_comm_cost` (behind the `decompose`
 command), for a decomposition's weights on the columns where the tables'
-argmax cost row is tight; the tables give C and 1-bit feasibility.
+argmax cost row is tight; the tables' facet rows alone decide 1-bit
+feasibility, and the tables give C.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import Infeasible, NumericalError
+from .errors import NumericalError
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
@@ -49,31 +51,29 @@ def _run(tableau, basis, ncols, buf):
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
 
-def solve_lp(a_eq, b_eq, tol=1e-9):
-    """A nonnegative x with A x = b, by phase 1 of the simplex method.
+def solve_lp(a_eq, b_eq):
+    """An x >= 0 with A x <= b and the least total shortfall sum(b - A x), for b >= 0.
 
-    Raises Infeasible when the least total violation of b exceeds tol, and
+    This is phase 1 of the simplex method: min 1's over A x + s = b with
+    x, s >= 0.  The shortfall is 0, to rounding, exactly when A x = b has a
+    nonnegative solution; judging that is the caller's.  Raises
     NumericalError on convergence failure.
     """
     a = np.array(a_eq, dtype=np.float64)
     b = np.array(b_eq, dtype=np.float64)
     m, n = a.shape
 
-    # rows with b < 0 negated, the last row minus the column sums (the artificials'
-    # total); the artificial columns are never read, so none are stored
-    flip = b < 0.0
-    b = np.where(flip, -b, b)
-    tableau = np.zeros((m + 1, n + 1))
-    rows = tableau[:m, :n]
-    rows[...] = a
-    rows[flip] *= -1.0
+    # columns x, then the artificials s; the last row is minus the column sums (the
+    # artificials' total).  An artificial that leaves may enter again: without that,
+    # phase 1 can stop above the least shortfall when A x = b has no solution
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n:-1] = np.eye(m)
     tableau[:m, -1] = b
-    tableau[m, :n] = -rows.sum(axis=0)
+    tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _run(tableau, basis, n, np.empty_like(tableau))
-    if -tableau[m, -1] > tol:
-        raise Infeasible(f"phase-1 residual {-tableau[m, -1]:.3e} exceeds {tol:.1e}")
+    _run(tableau, basis, n + m, np.empty_like(tableau))
     x = np.zeros(n)
     for i, var in enumerate(basis):
         if var < n:

@@ -222,6 +222,22 @@ def test_box_is_read_only():
         pr.p[0, 0, 0, 0] = 1.0
 
 
+def test_the_callers_array_stays_writable_and_out_of_the_box():
+    # each box is a frozen copy: the arrays it was made from stay the caller's to write,
+    # and those writes leave the box as it was
+    one = np.full((2, 2, 2, 2), 0.25)
+    stack = np.stack([bc.pr_box().p, one])
+    made = [bc.CorrelationBox(one), bc.mix((0.5, 0.5), stack)]
+    made += [bc.CorrelationBox(p) for p in bc.mixtures(np.array([[0.25, 0.75], [1.0, 0.0]]), stack)]
+    costs = bc.comm_cost_many(stack)
+    before = [box.p.copy() for box in made]
+    for arr in one, stack:
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    assert all(np.array_equal(box.p, p) for box, p in zip(made, before))
+    assert costs.tolist() == [1.0, 0.0]
+
+
 def _images(box):
     """The relabelled tables of a box, keyed by their bytes, for each of the 64 members."""
     return {bc.apply_relabelling(box, rel).p.tobytes(): rel for rel in bc.all_relabellings()}
@@ -391,37 +407,47 @@ def test_a_stack_with_one_bad_box_is_refused():
 
 
 def test_weight_rows_are_checked_like_one_row(monkeypatch):
+    # a row that must sum to 1 is judged by one math.fsum of its weights
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(len(row)) or fsum(row))
     rng = np.random.default_rng(2033)
     good = [tuple(rng.dirichlet(np.ones(4))) for _ in range(20)]
+    for row in good:
+        check_weights(row, 4)
+    assert calls == [4] * 20
+    # a stack of rows takes no sum: only its numbers are checked
     check_weights(good)
     check_weights(np.array(good))
+    assert calls == [4] * 20
     # sums that miss 1 by just under or just over NORM_TOL, which only fsum can judge
     near = [0.25 + sign * boxcore.NORM_TOL * scale for sign in (1.0, -1.0)
             for scale in (1.0 - 1e-3, 1.0 + 1e-3)]
     for last in near[0], near[2]:
-        check_weights((0.25, 0.25, 0.25, last))
-        check_weights(good[:13] + [(0.25, 0.25, 0.25, last)] + good[13:])
-    for bad in ((0.5, float("nan"), 0.25, 0.25), (float("inf"), 0.0, 0.0, 0.0),
-                (-0.1, 0.6, 0.25, 0.25), (0.25, 0.25, 0.25, 0.2500000001),
-                (1e308, 1e308, 0.0, 0.0), (0.25, 0.25, 0.25, near[1]),
-                (0.25, 0.25, 0.25, near[3])):
-        with pytest.raises(bc.WeightError) as one:
-            check_weights(bad)
+        check_weights((0.25, 0.25, 0.25, last), 4)
+    for bad, message in (
+            ((0.25, 0.25, 0.25, 0.2500000001), "weights sum to 1.0000000001, not 1"),
+            ((0.25, 0.25, 0.25, near[1]), "weights sum to 1.000000000001001, not 1"),
+            ((0.25, 0.25, 0.25, near[3]), "weights sum to 0.999999999998999, not 1"),
+            ((1e308, 1e308, 0.0, 0.0),
+             "weights sum past float range, not 1: (1e+308, 1e+308, 0.0, 0.0)")):
+        with pytest.raises(bc.WeightError, match="^" + re.escape(message) + "$"):
+            check_weights(bad, 4)
+    # non-finite and negative weights are refused in one row and in a stack alike, with
+    # the message of the first bad row
+    for bad, message in (
+            ((0.5, float("nan"), 0.25, 0.25), "non-finite weight in (0.5, nan, 0.25, 0.25)"),
+            ((float("inf"), 0.0, 0.0, 0.0), "non-finite weight in (inf, 0.0, 0.0, 0.0)"),
+            ((-0.1, 0.6, 0.25, 0.25), "negative weight -0.1")):
+        with pytest.raises(bc.WeightError, match="^" + re.escape(message) + "$") as one:
+            check_weights(bad, 4)
         with pytest.raises(bc.WeightError) as stacked:
             check_weights(good[:13] + [bad] + good[13:])
         assert str(stacked.value) == str(one.value), bad
-    # rows whose float sums decide the verdict take no fsum; a row of 100,000 weights,
-    # whose float sum cannot, is judged by its fsum alone
-    fsum, calls = math.fsum, []
-    monkeypatch.setattr(math, "fsum", lambda row: calls.append(len(row)) or fsum(row))
-    check_weights(good)
+    # a row of 100,000 weights is judged by its one fsum too
     long = np.full(100_000, 1e-5)
-    check_weights(long)
-    check_weights(np.stack([long, long]))
-    assert calls == [100_000] * 3
+    del calls[:]
+    check_weights(long, 100_000)
+    assert calls == [100_000]
     long[7] += 2.0 * boxcore.NORM_TOL
-    with pytest.raises(bc.WeightError) as one:
-        check_weights(long)
-    with pytest.raises(bc.WeightError) as stacked:
-        check_weights(np.stack([np.full(100_000, 1e-5), long]))
-    assert str(stacked.value) == str(one.value)
+    with pytest.raises(bc.WeightError, match="^weights sum to 1.0000000000020002, not 1$"):
+        check_weights(long, 100_000)

@@ -618,16 +618,18 @@ def test_decompose_reports_the_verdict_and_c_of_analyze(tmp_path, capsys):
 
 
 def test_boundary_box_decomposes_with_the_c_of_analyze(tmp_path, capsys):
-    # (1 - 5e-10) [a=0, b=0] + 5e-10 S5+ lies just outside the 1-bit polytope; at tol 1e-8
-    # the LP over all 112 vertices reported C = 1.000000082740371e-09, the tables 1.5e-9
+    # (1 - 5e-10) [a=0, b=0] + 5e-10 S5+ lies just outside the 1-bit polytope, by a facet
+    # row value within tol at 1e-8 and at the default 1e-9; an LP over all 112 vertices
+    # reports C = 1.000000082740371e-09, the tables 1.5e-9
     corner = bc.strategy_box(bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0)))
     s5 = bc.strategy_box(bc.scope_strategies()[8])
     path = str(tmp_path / "boundary.json")
     bc.dump_box(bc.mix((1.0 - 5e-10, 5e-10), np.stack([corner.p, s5.p])), path)
-    rc_an, an = _json_report(["analyze", "--box", path, "--tol", "1e-8"], capsys)
-    rc_de, de = _json_report(["decompose", "--box", path, "--tol", "1e-8"], capsys)
-    assert (rc_an, rc_de) == (0, 0)
-    assert de["C"] == an["C_min"] == 1.5000000000000002e-09
+    for tol in ["--tol", "1e-8"], []:
+        rc_an, an = _json_report(["analyze", "--box", path] + tol, capsys)
+        rc_de, de = _json_report(["decompose", "--box", path] + tol, capsys)
+        assert (rc_an, rc_de) == (0, 0), tol
+        assert de["C"] == an["C_min"] == 1.5000000000000002e-09
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

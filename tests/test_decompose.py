@@ -131,6 +131,52 @@ def test_comm_cost_many_is_min_comm_cost_per_box():
         bc.comm_cost_many([2.0 * bc.pr_box().p])
 
 
+def _near_boundary_boxes(rng, tol, n):
+    """n mixtures of 1 to 3 of the 112 vertices, with weight eps in [1e-3 tol, 2 tol] moved
+    onto a two-way vertex, as one stack: about 3% of them lie more than tol outside."""
+    vertices = decompose.VERTEX_BOXES
+    two_way = bc.strategy_boxes(bc.enumerate_deterministic("two_way"))
+    w = np.zeros((n, len(vertices) + len(two_way)))
+    for row in w:
+        k = int(rng.integers(1, 4))
+        eps = tol * 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+        row[rng.choice(len(vertices), size=k, replace=False)] = (1.0 - eps) * rng.dirichlet(
+            np.ones(k))
+        row[len(vertices) + int(rng.integers(len(two_way)))] = eps
+    return bc.mixtures(w, np.concatenate([vertices, two_way]))
+
+
+def test_decompose_gives_the_verdict_and_c_of_analyze_near_the_boundary():
+    # the facet rows alone decide: min_comm_cost refuses exactly the boxes the report calls
+    # infeasible, and returns the report's C; at tol 1e-12 the weights' own rounding can
+    # miss the box by more than tol, which is a NumericalError
+    rng = np.random.default_rng(2029)
+    for tol in (1e-12, 1e-9, 1e-3):
+        verdicts = collections.Counter()
+        for p in _near_boundary_boxes(rng, tol, 600):
+            report = bc.complementarity_report(p, tol)
+            try:
+                dec = bc.min_comm_cost(p, tol)
+            except bc.Infeasible:
+                assert not report.feasible
+                verdicts["infeasible"] += 1
+                continue
+            except bc.NumericalError:
+                assert tol == 1e-12
+                verdicts["numerical"] += 1
+                continue
+            assert report.feasible and dec.C.hex() == report.C_min.hex()
+            columns = [decompose.VERTICES.index(s) for s in dec.weights]
+            x = np.array(list(dec.weights.values()))
+            assert np.abs(decompose._COLUMNS[:, columns] @ x - p.ravel()).max() <= tol
+            # the weights fit a point inside the polytope, so their one-way total misses C
+            # by up to a few tol: at most 3.95 tol over 20,000 such boxes per tol
+            assert abs(decompose._ONEWAY[columns] @ x - dec.C) <= 4.0 * tol
+            verdicts["decomposed"] += 1
+        assert verdicts["decomposed"] >= 500 and verdicts["infeasible"] >= 5, (tol, verdicts)
+        assert verdicts["numerical"] <= 20, (tol, verdicts)  # about 1.6% at tol 1e-12
+
+
 def test_decomposition_structure():
     rng = np.random.default_rng(41)
     box, _ = random_feasible_box(rng)
