@@ -325,16 +325,13 @@ def _suite_feasible_boxes(rng, instances):
 def _suite_specs(rng, instances, scope):
     # three whole-stack draws, in this order: every instance's Dirichlet catalogue
     # weights, every weight c kept under noise, every local vertex k of the noise.
-    # rng.dirichlet(ones(16)) scales 16 standard exponential draws by one over their
-    # running sum, so the weights are drawn as those exponentials and scaled here.
     # The size= forms run the same per-element C routines as the scalar calls, so
     # unlike a hand-rolled batch (0.2 + 0.8 * rng.random(n), which a compiler may
     # contract into an FMA) they add no platform dependence.  Only the order differs
     # from per-instance draws: all weights, then all c, then all k
-    draws = rng.standard_exponential((instances, 16))
+    weights = rng.dirichlet(np.ones(16), size=instances)
     c = rng.uniform(0.2, 1.0, instances)
     k = rng.integers(16, size=instances)
-    weights = draws * (1.0 / np.cumsum(draws, axis=1)[:, -1:])
     boxes = _mixtures(weights, scope_boxes(scope))
     r = _relations(boxes, cost=1.0)
     measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)

@@ -24,8 +24,9 @@ at import; the facet rows decide feasibility and C is the tables' value.
 The argmax cost row r* is an optimal dual solution, so by complementary
 slackness a cheapest decomposition uses only the 16 to 48 vertices on which
 r* is tight (_TIGHT), and `min_comm_cost` finds its weights by one phase-1
-solve on those columns, which gives no verdict of its own.  The tests
-certify the tables complete in exact integer arithmetic.
+solve of the box's 16 cell equations on those columns, which gives no
+verdict of its own.  The tests certify the tables complete in exact integer
+arithmetic.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -76,8 +77,7 @@ VERTICES = tuple(enumerate_deterministic("local") + enumerate_deterministic("all
 VERTEX_BOXES = strategy_boxes(VERTICES)
 _COLUMNS = np.ascontiguousarray(VERTEX_BOXES.reshape(len(VERTICES), 16).T)
 _ONEWAY = np.array([0.0 if s.kind == "local" else 1.0 for s in VERTICES])
-_A_EQ = np.vstack([_COLUMNS, np.ones((1, len(VERTICES)))])
-_COLUMNS.flags.writeable = _ONEWAY.flags.writeable = _A_EQ.flags.writeable = False
+_COLUMNS.flags.writeable = _ONEWAY.flags.writeable = False
 
 # Orbit representatives (T, k) of the two tables; T's rows run over
 # xy = 00, 01, 10, 11 and its columns over ab = 00, 01, 10, 11
@@ -162,13 +162,13 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
 
     Raises Infeasible when a facet row value exceeds tol, and only then.  C
     is the largest cost row value, clamped to [0, 1], bit for bit.  The
-    weights are phase 1's least-violation point over the vertices on which
+    weights are phase 1's least-violation point of the box's 16 cell
+    equations (each setting's four fix their sum) over the vertices on which
     that row is tight, less those up to tol / 1000; NumericalError is raised
     if they reproduce the box only beyond tol.  On a box up to tol outside
     the polytope they fit a point inside it, so their one-way total misses
-    C by up to a few tol: 3.95 tol at most over 20,000 near-boundary boxes
-    per tol (a tier-1 test holds 4 tol), and 0.78 tol above tol 1e-12 on
-    those that phase 1 fits within tol.
+    C by up to a few tol: 3.99 tol at most over 20,000 near-boundary boxes
+    per tol (a tier-1 test holds 4 tol).
     Anything but a CorrelationBox is first checked as one.
     """
     check_tolerance(tol)
@@ -178,7 +178,7 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
         raise Infeasible(f"facet row value {excess:.3e} exceeds {tol:.1e}")
     costs = _values(cells, _COST_T, _COST_K)
     columns = np.flatnonzero(_TIGHT[costs.argmax()])
-    x = solve_lp(_A_EQ[:, columns], np.append(cells, 1.0))
+    x = solve_lp(_COLUMNS[:, columns], cells[0])
     x[x <= 1e-3 * tol] = 0.0  # weights to tol / 1000 are dropped; the rest are checked
     residual = float(np.abs(_COLUMNS[:, columns] @ x - cells[0]).max())
     if residual > tol:

@@ -2,16 +2,16 @@
 
 Finds the x >= 0 of least total violation of A x = b, for b >= 0 and
 tens of rows and columns, and gives no verdict on whether A x = b has a
-solution.  Bland's rule keeps it cycle-free.
+solution.  Bland's rule, with ratio ties only to rounding, keeps it cycle-free.
 An artificial variable left in the basis at level zero is harmless, so
-redundant rows (the polytope descriptions here are rank-deficient) need no
+redundant rows (the vertices' 16 cells span 13 dimensions) need no
 special care.  Each pivot writes its rank-1 update into one buffer made per
 call, so a pivot allocates no tableau-sized array.
 
 Its one caller is `decompose.min_comm_cost` (behind the `decompose`
-command), for a decomposition's weights on the columns where the tables'
-argmax cost row is tight; the tables' facet rows alone decide 1-bit
-feasibility, and the tables give C.
+command), for a decomposition's weights: it solves the box's 16 cell
+equations over the columns where the tables' argmax cost row is tight.  The
+tables' facet rows alone decide 1-bit feasibility, and the tables give C.
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ from .errors import NumericalError
 
 PIVOT_TOL = 1e-10
 MAX_PIVOTS = 20000
-
-
-def _pivot(tableau, basis, row, col, buf):
-    """Pivot on (row, col); the rank-1 update is written into buf, tableau's shape."""
-    tableau[row] /= tableau[row, col]
-    colvals = tableau[:, col].copy()
-    colvals[row] = 0.0
-    np.multiply(colvals[:, None], tableau[row], out=buf)
-    tableau -= buf
-    basis[row] = col
 
 
 def _run(tableau, basis, ncols, buf):
@@ -45,9 +35,16 @@ def _run(tableau, basis, ncols, buf):
         ratios = [(rhs[i] / v, i) for i, v in enumerate(tableau[:-1, col].tolist()) if v > PIVOT_TOL]
         if not ratios:
             raise NumericalError("unbounded direction in a bounded polytope")
-        least = min(ratios)[0] + 1e-12  # of the ties, Bland takes the lowest basic variable
+        # ties are ratios within rounding of the least, and Bland takes the lowest basic variable;
+        # a wider window takes rows whose ratio is not the least, driving others negative
+        least = min(ratios)[0] + 1e-15
         row = min((i for r, i in ratios if r <= least), key=basis.__getitem__)
-        _pivot(tableau, basis, row, col, buf)
+        tableau[row] /= tableau[row, col]
+        colvals = tableau[:, col].copy()
+        colvals[row] = 0.0
+        np.multiply(colvals[:, None], tableau[row], out=buf)
+        tableau -= buf
+        basis[row] = col
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
 

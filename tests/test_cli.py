@@ -620,16 +620,25 @@ def test_decompose_reports_the_verdict_and_c_of_analyze(tmp_path, capsys):
 def test_boundary_box_decomposes_with_the_c_of_analyze(tmp_path, capsys):
     # (1 - 5e-10) [a=0, b=0] + 5e-10 S5+ lies just outside the 1-bit polytope, by a facet
     # row value within tol at 1e-8 and at the default 1e-9; an LP over all 112 vertices
-    # reports C = 1.000000082740371e-09, the tables 1.5e-9
-    corner = bc.strategy_box(bc.DeterministicStrategy((0, 0, 0, 0), (0, 0, 0, 0)))
-    s5 = bc.strategy_box(bc.scope_strategies()[8])
+    # reports C = 1.000000082740371e-09, the tables 1.5e-9.  0.5 (1 - e) [a=0, b=0] +
+    # 0.5 (1 - e) [a=0, b=y] + e [a=xy, b=xy] lies inside (its largest facet row value is
+    # 0); at e = tol = 1e-12, phase 1 meets ratios about tol apart, and must take the least
+    # of them to fit the box within tol
+    d, e = bc.DeterministicStrategy, 1e-12
+    corner = d((0, 0, 0, 0), (0, 0, 0, 0))
+    cases = [((1.0 - 5e-10, 5e-10), [corner, bc.scope_strategies()[8]], [["--tol", "1e-8"], []],
+              1.5000000000000002e-09),
+             ((0.5 * (1 - e), 0.5 * (1 - e), e),
+              [corner, d((0, 0, 0, 0), (0, 1, 0, 1)), d((0, 0, 0, 1), (0, 0, 0, 1))],
+              [["--tol", "1e-12"]], 2.0000112677109882e-12)]
     path = str(tmp_path / "boundary.json")
-    bc.dump_box(bc.mix((1.0 - 5e-10, 5e-10), np.stack([corner.p, s5.p])), path)
-    for tol in ["--tol", "1e-8"], []:
-        rc_an, an = _json_report(["analyze", "--box", path] + tol, capsys)
-        rc_de, de = _json_report(["decompose", "--box", path] + tol, capsys)
-        assert (rc_an, rc_de) == (0, 0), tol
-        assert de["C"] == an["C_min"] == 1.5000000000000002e-09
+    for weights, vertices, tols, c in cases:
+        bc.dump_box(bc.mix(weights, bc.strategy_boxes(vertices)), path)
+        for tol in tols:
+            rc_an, an = _json_report(["analyze", "--box", path] + tol, capsys)
+            rc_de, de = _json_report(["decompose", "--box", path] + tol, capsys)
+            assert (rc_an, rc_de) == (0, 0), (weights, tol)
+            assert de["C"] == an["C_min"] == c
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
