@@ -18,20 +18,23 @@ suite's `cost-complementarity` check draws dense mixtures of all 112
 vertices, on which no failure has been seen.
 
 Each relation is written once, in `_relations`, as a slack that is
-nonnegative exactly when the relation holds.  It measures a box, or a
-(..., 2, 2, 2, 2) stack, once: `chsh_max`, `signal` and
-`indeterminacy_per_setting`.  The bounds then read those measured values,
-never the box.  `complementarity_report` (a stack of one, behind `analyze`)
-and the `verify` suites read it; the suites run over stacks of random 1-bit
-boxes, catalogue specs with their conditional bounds, +/- pairs (C = 1 for
-these two) and entropic-floor grids.  Every floor grid is a prefix of the
+nonnegative exactly when the relation holds.  It builds the `marginals` and
+`correlators` of a box, or a (..., 2, 2, 2, 2) stack, once, keeps both on
+its record, and reads S, I and chsh_max from the measures' private cores
+(`_signal`, `_indeterminacy_per_setting`, `_chsh_max`); the bounds read
+those values.  `complementarity_report` (a stack of one, behind `analyze`)
+reads the fixed CHSH value, H_S and H_I from the record's arrays (`_chsh`,
+`_entropic_signal`, `_entropic_indeterminacy`), as the +/- pair suite reads
+its entropies.  The `verify` suites run over stacks of random 1-bit boxes,
+catalogue specs with their conditional bounds, +/- pairs (C = 1 for these
+two) and entropic-floor grids.  Every floor grid is a prefix of the
 1001-point p grid, so the floor reads H(p) from one entropy of that grid.
 The suites pass stacks, never box or spec objects: random instances are
 drawn into arrays that the suites trust, as every internal stack path
 does; the 1-bit boxes are checked once, as a stack, by the rules of a box.
-They read the catalogue from boxcore's one table, which
-the negative-control test corrupts; the zero-signal check reads an integer
-identity of it, not an LP.  `Certificate` is `analyze`'s only record.
+They read the catalogue from boxcore's one table, which the negative-control
+test corrupts; the zero-signal check reads an integer identity of it, not
+an LP.  `Certificate` is `analyze`'s only record.
 
 Both read C from `comm_cost_many`'s core: the largest value of decompose's 344
 integer cost rows, with a box outside the 1-bit polytope when one of the
@@ -69,18 +72,18 @@ from .decompose import (
 from .errors import Infeasible
 from .measures import (
     SignalReport,
+    _chsh,
+    _chsh_max,
+    _entropic_indeterminacy,
+    _entropic_signal,
+    _indeterminacy_per_setting,
     _max2,
+    _signal,
     _value,
     binary_entropy,
-    chsh,
-    chsh_max,
-    entropic_indeterminacy,
-    entropic_signal,
+    correlators,
     entropic_signal_lower_bound,
-    indeterminacy_per_setting,
     marginals,
-    pironio_bound,
-    signal,
     two_point_mutual_information,
 )
 
@@ -101,26 +104,26 @@ def certified_indeterminacy_bound(lam, s):
 
 
 def _relations(box, cost=None):
-    """Measure a box or a stack once; the terms and slack of every relation.
+    """Measure a box or a stack once: marginals, correlators, each relation's terms and slack.
 
     Each slack is nonnegative exactly when its relation holds:
     relaxed Bell chsh_max - 2 <= 2S + 4I, certified I >= chsh_max/4 - (1+S)/2,
     and, given the cost C (a value, or an array over the stack), S + 2I >= C
-    and the CHSH floor C >= chsh_max/2 - 1.
+    and the CHSH floor C >= chsh_max/2 - 1.  The two bounds are written out
+    on the measured values, which need no range check.
     """
-    lam_max = chsh_max(box)
-    sig = signal(box)
-    per = indeterminacy_per_setting(box)
+    m, e = marginals(box), correlators(box)
+    lam_max, sig, per = _chsh_max(e), _signal(m), _indeterminacy_per_setting(m)
     ind = _value(_max2(_max2(per)))
-    bound = certified_indeterminacy_bound(lam_max, sig.S)
+    bound = _value(np.maximum(lam_max / 4.0 - (1.0 + sig.S) / 2.0, 0.0))
     lhs, rhs = lam_max - 2.0, 2.0 * sig.S + 4.0 * ind
-    terms = SimpleNamespace(lambda_max=lam_max, signal=sig, I_per_setting=per, I=ind,
-                            cert_I_bound=bound, relax_lhs=lhs, relax_rhs=rhs,
-                            relax_slack=rhs - lhs, cert_slack=ind - bound,
+    terms = SimpleNamespace(marginals=m, correlators=e, lambda_max=lam_max, signal=sig,
+                            I_per_setting=per, I=ind, cert_I_bound=bound, relax_lhs=lhs,
+                            relax_rhs=rhs, relax_slack=rhs - lhs, cert_slack=ind - bound,
                             thm1_slack=None, pironio_slack=None)
     if cost is not None:
         terms.thm1_slack = sig.S + 2.0 * ind - cost
-        terms.pironio_slack = cost - pironio_bound(lam_max)
+        terms.pironio_slack = cost - np.maximum(lam_max / 2.0 - 1.0, 0.0)
     return terms
 
 
@@ -217,13 +220,13 @@ def complementarity_report(box, tol=1e-9):
         flags["cost_complementarity"] = bool(r.thm1_slack >= -tol)
         flags["pironio"] = bool(r.pironio_slack >= -tol)
     return Certificate(
-        lambda_fixed=chsh(box),
+        lambda_fixed=_chsh(r.correlators),
         lambda_max=r.lambda_max,
         signal=r.signal,
         I=r.I,
         I_per_setting=tuple(tuple(row) for row in r.I_per_setting.tolist()),
-        H_S=entropic_signal(box),
-        H_I=entropic_indeterminacy(box),
+        H_S=_entropic_signal(r.marginals),
+        H_I=_entropic_indeterminacy(r.marginals),
         C_min=c_min,
         cert_I_bound=r.cert_I_bound,
         relax_lhs=r.relax_lhs,
@@ -299,19 +302,11 @@ class SuiteReport:
 
 def _check_catalogue(scope):
     strategies = scope_strategies(scope)
-    bad = 0
-    for i, s in enumerate(strategies):
-        if not scope.holds_for(s):
-            bad += 1
-        want_two_way = i >= 8
-        if (s.kind == "two_way") != want_two_way:
-            bad += 1
-    for i in range(0, 16, 2):
-        plus, minus = strategies[i], strategies[i + 1]
-        if any(pa == ma for pa, ma in zip(plus.fa, minus.fa)):
-            bad += 1
-        if any(pb == mb for pb, mb in zip(plus.fb, minus.fb)):
-            bad += 1
+    bad = sum((not scope.holds_for(s)) + ((s.kind == "two_way") != (i >= 8))
+              for i, s in enumerate(strategies))
+    for plus, minus in zip(strategies[::2], strategies[1::2]):  # complements in every output
+        bad += any(pa == ma for pa, ma in zip(plus.fa, minus.fa))
+        bad += any(pb == mb for pb, mb in zip(plus.fb, minus.fb))
     return bad
 
 
@@ -351,9 +346,9 @@ def _suite_single_pairs(scope):
     w = np.stack([p, 1.0 - p], axis=-1)
     table = scope_boxes(scope)
     boxes = np.concatenate([_mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
-    worst_sat = np.abs(_relations(boxes, cost=1.0).thm1_slack).max()
-    worst_ent = np.abs(entropic_signal(boxes) + entropic_indeterminacy(boxes) - 1.0).max()
-    return float(worst_sat), float(worst_ent)
+    r = _relations(boxes, cost=1.0)
+    ent = _entropic_signal(r.marginals) + _entropic_indeterminacy(r.marginals)
+    return float(np.abs(r.thm1_slack).max()), float(np.abs(ent - 1.0).max())
 
 
 def _floor_chunks(s, bound):

@@ -165,11 +165,13 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     weights are phase 1's least-violation point of the box's 16 cell
     equations (each setting's four fix their sum) over the vertices on which
     that row is tight, less those up to tol / 1000; NumericalError is raised
-    if they reproduce the box only beyond tol.  On a box up to tol outside
-    the polytope they fit a point inside it, so their one-way total misses
-    C by up to a few tol: 3.99 tol at most over 20,000 near-boundary boxes
-    per tol (a tier-1 test holds 4 tol).
-    Anything but a CorrelationBox is first checked as one.
+    if they reproduce the box only beyond tol + 8 ulps of 1.0.  That rounding
+    allowance, at the cells' scale and never a multiple of tol, lets a box
+    exactly tol outside the polytope decompose when phase 1 misses it by tol
+    and a rounding.  On a box up to tol outside the polytope they fit a
+    point inside it, so their one-way total misses C by up to a few tol:
+    3.99 tol at most over 20,000 near-boundary boxes per tol (a tier-1 test
+    holds 4 tol).  Anything but a CorrelationBox is first checked as one.
     """
     check_tolerance(tol)
     cells = checked_boxes(box, ndim=4).reshape(1, 16)
@@ -181,7 +183,7 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     x = solve_lp(_COLUMNS[:, columns], cells[0])
     x[x <= 1e-3 * tol] = 0.0  # weights to tol / 1000 are dropped; the rest are checked
     residual = float(np.abs(_COLUMNS[:, columns] @ x - cells[0]).max())
-    if residual > tol:
+    if residual > tol + 8.0 * math.ulp(1.0):
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
     weights = {VERTICES[j]: w for j, w in zip(columns.tolist(), x.tolist()) if w > 0.0}
     return Decomposition(weights=weights, C=float(np.clip(costs.max(axis=1), 0.0, 1.0)[0]))

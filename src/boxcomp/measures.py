@@ -18,20 +18,21 @@ H_S and H_I are their entropic counterparts: the best mutual information a
 remote party can extract about the flipped input under a chosen prior, and
 the largest output Shannon entropy over settings and parties.
 
-Every marginal-based measure reads `marginals`, which forms the outcome
-marginals as cell sums (never as 1 - x); this keeps every measure exact on
-exactly-normalized dyadic tables.  A max or min over a 2-long axis is an
+A box measure checks the box and applies a private core to `marginals(box)`
+(`_signal`, `_indeterminacy_per_setting`, `_entropic_per_setting`,
+`_entropic_signal`, `_entropic_indeterminacy`) or to `correlators(box)`
+(`_chsh`, `_chsh_max`); `certify` calls the cores on arrays it builds
+once.  `marginals` sums cells (never 1 - x), which keeps every measure exact
+on exactly-normalized dyadic tables.  A max or min over a 2-long axis is an
 elementwise np.maximum/np.minimum of its two halves, which gives the bits of
-the `.max(axis=...)` reduction, sign of zero included, without its length-2
+the `.max(axis=...)` reduction, sign of zero included, without length-2
 inner loops.  `binary_entropy` lays p and 1 - p out as two contiguous halves
 of one array and takes one log2 over both, with no masked log2 for p = 0.
 
 Measures read boxes; bounds read measured values.  `pironio_bound` takes
 sign-maximized CHSH values and `entropic_signal_lower_bound` signal
 strengths, elementwise like `certify.certified_indeterminacy_bound`; each
-raises DomainError on a value outside its range, NaN included.  `analyze` and
-`verify` measure through one relation core in `certify`, which evaluates
-`chsh_max`, `signal` and `indeterminacy_per_setting` once per box or stack.
+raises DomainError on a value outside its range, NaN included.
 """
 
 from __future__ import annotations
@@ -104,13 +105,19 @@ def correlators(box):
 
 def chsh(box):
     """Fixed-form CHSH value E(0,0) + E(0,1) + E(1,0) - E(1,1)."""
-    e = correlators(box)
+    return _chsh(correlators(box))
+
+
+def _chsh(e):
     return _value(e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1])
 
 
 def chsh_max(box):
     """CHSH maximized over the 8 sign choices (minus-sign position and global sign)."""
-    e = correlators(box)
+    return _chsh_max(correlators(box))
+
+
+def _chsh_max(e):
     total = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] + e[..., 1, 1]
     return _value(_max2(_max2(np.abs(total[..., None, None] - 2.0 * e))))
 
@@ -141,25 +148,25 @@ class SignalReport:
 
 def signal(box):
     """Marginal-shift signal strengths in both directions."""
-    m = marginals(box)
+    return _signal(marginals(box))
+
+
+def _signal(m):
     s_ab = _max2(np.abs(m[..., 1, 1, :, :] - m[..., 1, 0, :, :]))
     s_ba = _max2(np.abs(m[..., 0, :, 1, :] - m[..., 0, :, 0, :]))
-    s_a_to_b = _max2(s_ab)
-    s_b_to_a = _max2(s_ba)
+    s_a_to_b, s_b_to_a = _max2(s_ab), _max2(s_ba)
     if s_ab.ndim == 1:
         s_ab, s_ba = tuple(s_ab.tolist()), tuple(s_ba.tolist())
-    return SignalReport(
-        s_A_to_B_per_y=s_ab,
-        s_B_to_A_per_x=s_ba,
-        S_A_to_B=_value(s_a_to_b),
-        S_B_to_A=_value(s_b_to_a),
-        S=_value(np.maximum(s_a_to_b, s_b_to_a)),
-    )
+    return SignalReport(s_A_to_B_per_y=s_ab, s_B_to_A_per_x=s_ba, S_A_to_B=_value(s_a_to_b),
+                        S_B_to_A=_value(s_b_to_a), S=_value(np.maximum(s_a_to_b, s_b_to_a)))
 
 
 def indeterminacy_per_setting(box):
     """Smallest outcome-marginal probability at each setting, indexed [..., x, y]."""
-    m = marginals(box)
+    return _indeterminacy_per_setting(marginals(box))
+
+
+def _indeterminacy_per_setting(m):
     r = np.minimum(m[..., 0], m[..., 1])  # over the outcome, then the party
     return np.minimum(r[..., 0, :, :], r[..., 1, :, :])
 
@@ -171,13 +178,21 @@ def indeterminacy(box):
 
 def entropic_indeterminacy_per_setting(box):
     """Largest output Shannon entropy (bits) over the two parties, per setting."""
-    h = _entropy(marginals(box))
+    return _entropic_per_setting(marginals(box))
+
+
+def _entropic_per_setting(m):
+    h = _entropy(m)
     return np.maximum(h[..., 0, :, :], h[..., 1, :, :])
 
 
 def entropic_indeterminacy(box):
     """H_I: sup over settings and parties of the output Shannon entropy."""
-    return _value(_max2(_max2(entropic_indeterminacy_per_setting(box))))
+    return _entropic_indeterminacy(marginals(box))
+
+
+def _entropic_indeterminacy(m):
+    return _value(_max2(_max2(_entropic_per_setting(m))))
 
 
 def entropic_signal(box, prior=(0.5, 0.5)):
@@ -193,7 +208,10 @@ def entropic_signal(box, prior=(0.5, 0.5)):
         pi0 = pi1 = np.nan
     if not (pi0 >= 0.0 and pi1 >= 0.0 and abs(pi0 + pi1 - 1.0) <= _ENTROPY_SLACK):
         raise DomainError(f"prior must be a distribution over the two inputs, got {prior!r}")
-    m = marginals(box)
+    return _entropic_signal(marginals(box), pi0, pi1)
+
+
+def _entropic_signal(m, pi0=0.5, pi1=0.5):
     # the receiver's outcome rows for remote input 0, 1 and their mixture, indexed
     # [row, ..., direction, own setting, outcome]: B at y = 0, 1, then A at x = 0, 1
     rows = np.empty((3,) + m.shape[:-4] + (2, 2, 2))

@@ -1,6 +1,7 @@
 """Certificates, entropic complementarity, and the property suites."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import sys
@@ -13,7 +14,8 @@ from boxcomp import certify, decompose, measures
 from boxcomp.cli import main
 from _helpers import (corrupt_catalogue, pair_box, random_feasible_box, random_resource_spec,
                       row_values, tsirelson_box)
-from test_reference import ref_signed_signals
+from test_cli import _audit_corpus
+from test_reference import _same_bytes, ref_signed_signals
 
 SQRT2 = math.sqrt(2.0)
 H_QUARTER = 0.8112781244591328
@@ -288,8 +290,9 @@ def _count_calls(monkeypatch, names, home=measures):
 
 
 def test_analyze_measures_each_box_once(tmp_path, monkeypatch, capsys):
-    names = ("chsh", "chsh_max", "signal", "indeterminacy_per_setting", "entropic_signal",
-             "entropic_indeterminacy")
+    # every measure of the report, entropies and both CHSH values included, is read
+    # from one build of the box's marginals and one of its correlators
+    names = ("marginals", "correlators")
     path = tmp_path / "tsirelson.json"
     bc.dump_box(tsirelson_box(), path)
     calls = _count_calls(monkeypatch, names)
@@ -297,6 +300,43 @@ def test_analyze_measures_each_box_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert main(["analyze", "--box", str(path), "--format", fmt]) == 0
         assert calls == dict.fromkeys(names, 1), fmt
+
+
+def _unlike_the_public_measures(got, sig, p):
+    """The names of the values in `got`, and of the fields of SignalReport `sig`, that are
+    not byte for byte the public measure of the box or stack p."""
+    want_sig, lam_max = bc.signal(p), bc.chsh_max(p)
+    want = {"lambda_fixed": bc.chsh(p), "lambda_max": lam_max, "I": bc.indeterminacy(p),
+            "I_per_setting": bc.indeterminacy_per_setting(p), "H_S": bc.entropic_signal(p),
+            "H_I": bc.entropic_indeterminacy(p),
+            "cert_I_bound": bc.certified_indeterminacy_bound(lam_max, want_sig.S)}
+    assert got.keys() == want.keys()
+    fields = [f.name for f in dataclasses.fields(bc.SignalReport)]
+    return ([key for key in want if not _same_bytes(got[key], want[key])]
+            + [f for f in fields if not _same_bytes(getattr(sig, f), getattr(want_sig, f))])
+
+
+def test_the_measured_record_is_the_public_measures_bit_for_bit():
+    # the report reads every value from one marginals and one correlators build; each
+    # equals its public measure, byte for byte, sign of zero included
+    names = ("lambda_fixed", "lambda_max", "I", "I_per_setting", "H_S", "H_I", "cert_I_bound")
+    for name, p in _audit_corpus():
+        cert = bc.complementarity_report(p)
+        got = {key: getattr(cert, key) for key in names}
+        assert _unlike_the_public_measures(got, cert.signal, p) == [], name
+    # and so does the relation core on the 404-box +/- pair stack, with the pair suite's
+    # entropies and the suites' inline Pironio bound
+    w = np.stack([np.arange(101) / 100.0, 1.0 - np.arange(101) / 100.0], axis=-1)
+    boxes = np.concatenate([bc.mixtures(w, bc.scope_boxes()[2 * j:2 * j + 2]) for j in range(4)])
+    r = certify._relations(boxes, cost=1.0)
+    got = {key: getattr(r, key) for key in names[1:4] + names[6:]}
+    got.update(lambda_fixed=measures._chsh(r.correlators),
+               H_S=measures._entropic_signal(r.marginals),
+               H_I=measures._entropic_indeterminacy(r.marginals))
+    assert len(boxes) == 404 and _unlike_the_public_measures(got, r.signal, boxes) == []
+    assert _same_bytes(r.marginals, bc.marginals(boxes))
+    assert _same_bytes(r.correlators, bc.correlators(boxes))
+    assert _same_bytes(r.pironio_slack, 1.0 - bc.pironio_bound(bc.chsh_max(boxes)))
 
 
 def test_the_entropic_floor_is_computed_once_per_process(monkeypatch):
@@ -333,12 +373,22 @@ def test_a_broken_floor_measure_is_seen_once_the_floor_cache_is_cleared(monkeypa
     assert bc.run_property_suite(seed=5, instances=20).passed
 
 
-def test_suite_measures_its_box_stack_once(monkeypatch):
-    names = ("chsh_max", "signal", "indeterminacy_per_setting")
-    calls = _count_calls(monkeypatch, names)
-    worst = certify._suite_feasible_boxes(np.random.default_rng(5), 20)
-    assert calls == dict.fromkeys(names, 1)
-    assert len(worst) == 4 and all(math.isfinite(v) for v in worst)
+def test_suite_measures_its_box_stack_once(monkeypatch, capsys):
+    # one marginals build per suite stack: the feasible boxes, the specs and the +/- pairs,
+    # whose entropies read the same build; the fourth is the zero-signal bias's catalogue
+    calls = _count_calls(monkeypatch, ("marginals",))
+    rng, scope = np.random.default_rng(5), bc.PRScope()
+    for suite in (lambda: certify._suite_feasible_boxes(rng, 20),
+                  lambda: certify._suite_specs(rng, 20, scope),
+                  lambda: certify._suite_single_pairs(scope)):
+        calls.clear()
+        worst = suite()
+        assert calls == {"marginals": 1}
+        assert all(math.isfinite(v) for v in worst)
+    calls.clear()
+    assert main(["verify", "--instances", "200"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls == {"marginals": 4}
     # the whole suite reads its costs from the tables in one call, never box by box, and
     # hands its checked stack to the unchecked core, so the boxes are not checked twice
     costs = _count_calls(monkeypatch, ("comm_cost_many", "_comm_costs", "min_comm_cost"),

@@ -641,6 +641,23 @@ def test_boundary_box_decomposes_with_the_c_of_analyze(tmp_path, capsys):
             assert de["C"] == an["C_min"] == c
 
 
+def test_a_box_exactly_tol_outside_decomposes_with_the_c_of_analyze(tmp_path, capsys):
+    # t S5+ + (1 - t) [a=0, b=0] has largest facet row value t, so at --tol t the facet rows
+    # accept it.  Phase 1's point then misses the box by t and a rounding more: one ulp of
+    # 0.3 at t = 0.3, four of 1e-3 at t = 1e-3, and 2.9e-17 (1.3e5 ulps of 1e-6) at t = 1e-6.
+    # decompose must not refuse it for that rounding (exit 4), and reports analyze's C
+    corner = bc.strategy_box(bc.DeterministicStrategy((0,) * 4, (0,) * 4))
+    s5 = bc.strategy_box(bc.scope_strategies()[8])
+    path = str(tmp_path / "tol-edge.json")
+    for t, c in ((0.3, 0.8999999999999999), (1e-3, 0.003), (1e-6, 3e-06)):
+        bc.dump_box(bc.mix((t, 1.0 - t), [s5, corner]), path)
+        tol = ["--tol", repr(t)]
+        rc_an, an = _json_report(["analyze", "--box", path] + tol, capsys)
+        rc_de, de = _json_report(["decompose", "--box", path] + tol, capsys)
+        assert (rc_an, rc_de) == (0, 0), t
+        assert an["feasible"] and de["C"].hex() == an["C_min"].hex() == c.hex(), t
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
