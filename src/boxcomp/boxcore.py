@@ -46,6 +46,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -135,8 +136,7 @@ def load_box(path):
 
 def dump_box(box, path):
     """Write a CorrelationBox to a JSON file in the form `load_box` reads, with sorted keys."""
-    text = json.dumps(_of_type(box, CorrelationBox, "box must be a CorrelationBox").to_json(),
-                      indent=2, sort_keys=True)
+    text = _json_text(_of_type(box, CorrelationBox, "box must be a CorrelationBox").to_json())
     _write_text(_of_type(path, _PATH, _PATH_RULE), text + "\n")
 
 
@@ -145,11 +145,88 @@ def _write_text(path, text):
 
     Unlike open(path, "w") it does not truncate first, which on ext4 costs
     several times a small report's write; inode and new-file mode are the same.
+    As in a text file, "\n" becomes os.linesep.  The bytes go to the descriptor
+    by os.write, again after each short write, and the descriptor is closed
+    whatever is raised.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        data = text.replace("\n", os.linesep).encode("utf-8")
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _json_text(value):
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, written in one call per value.
+
+    With indent set, json writes through a chain of pure-Python generators.
+    Here strings and keys are escaped by json's own `encode_basestring_ascii`,
+    floats are `float.__repr__` with json's NaN and Infinity, dict items are
+    sorted and keys converted as json does, and a value json refuses raises
+    its TypeError.  A value that holds itself raises RecursionError, not
+    json's ValueError; no report nests more than a few levels.
+    """
+    return _JSON_WRITERS.get(type(value), _json_other)(value, "\n")
+
+
+def _json_float(value, newline):
+    """A float as json writes it: its repr, but NaN, Infinity and -Infinity."""
+    text = float.__repr__(value)
+    return _JSON_SPECIAL_FLOATS.get(text, text)
+
+
+def _json_list(items, newline):
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    texts = [_JSON_WRITERS.get(type(item), _json_other)(item, inner) for item in items]
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+
+
+def _json_dict(items, newline):
+    if not items:
+        return "{}"
+    inner = newline + "  "
+    texts = [f"{_json_str(key) if type(key) is str else _json_key(key)}: "
+             f"{_JSON_WRITERS.get(type(item), _json_other)(item, inner)}"
+             for key, item in sorted(items.items())]
+    return f"{{{inner}{(',' + inner).join(texts)}{newline}}}"
+
+
+def _json_key(key):
+    """A key that is not exactly a str, as json writes it: a str, or an int, float, bool or None."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_JSON_WRITERS.get(type(key), _json_other)(key, None)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_other(value, newline):
+    """A subclass of a JSON type, written as json writes its base, or json's TypeError."""
+    for base in (str, int, float, list, tuple, dict):  # json's order; bool has no subclasses
+        if isinstance(value, base):
+            return _JSON_WRITERS[base](value, newline)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# the text of each JSON type, by exact type; (value, newline), newline indenting nested lines
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_WRITERS = {
+    str: lambda value, newline: _json_str(value),
+    float: _json_float,
+    int: lambda value, newline: int.__repr__(value),
+    bool: lambda value, newline: "true" if value else "false",
+    type(None): lambda value, newline: "null",
+    list: _json_list,
+    tuple: _json_list,
+    dict: _json_dict,
+}
 
 
 _PATH = (str, bytes, os.PathLike)

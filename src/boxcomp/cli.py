@@ -5,18 +5,20 @@ decomposition), simulate (one angle), sweep (angle grid to CSV), verify
 (randomized property suites).  Exit codes: 0 ok, 1 invariant violation,
 failed analyze check or failed verification, 2 malformed input or usage,
 3 infeasible decomposition (a facet row exceeds tol), 4 numerical failure.
+
+A JSON report, on stdout or in an --out file, is exactly
+`json.dumps(payload, indent=2, sort_keys=True) + "\n"` of its payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
 
-from .boxcore import _write_text, checked_count_and_seed, load_box
+from .boxcore import _json_text, _write_text, checked_count_and_seed, load_box
 from .certify import complementarity_report, run_property_suite
 from .decompose import ResourceSpec, min_comm_cost
 from .errors import (
@@ -106,16 +108,12 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _json_dumps(payload):
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def cmd_analyze(args):
     box = load_box(args.box)
     cert = complementarity_report(box, tol=args.tol)
     nonsig = cert.S <= max(args.tol, 1e-12)
     if args.format == "json":
-        _emit(_json_dumps(dict(cert.to_json(), nonsignaling=nonsig, label=box.label)), args.out)
+        _emit(_json_text(dict(cert.to_json(), nonsignaling=nonsig, label=box.label)), args.out)
     else:
         # a path byte that is not UTF-8 is shown as a \xNN escape, never as a lone surrogate
         name = box.label or os.fsencode(args.box).decode("utf-8", "backslashreplace")
@@ -132,13 +130,13 @@ def cmd_decompose(args):
         dec = min_comm_cost(box, tol=args.tol)
     except Infeasible as exc:
         if args.format == "json":
-            _emit(_json_dumps({"feasible": False, "infeasible": True,
-                               "detail": str(exc)}), args.out)
+            _emit(_json_text({"feasible": False, "infeasible": True,
+                              "detail": str(exc)}), args.out)
         else:
             _emit(f"infeasible: {exc}", args.out)
         return EXIT_INFEASIBLE
     if args.format == "json":
-        _emit(_json_dumps(dec.to_json()), args.out)
+        _emit(_json_text(dec.to_json()), args.out)
     else:
         lines = [f"C = {dec.C!r}"]
         for row in dec.to_json()["weights"]:
@@ -162,7 +160,7 @@ def _sweep_common(args, angles):
             "max_abs_error": worst,
             "support": support,
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit(_json_text(payload), args.out)
     elif args.format == "text":
         lines = [f"{'angle_rad':>12} {'estimate':>12} {'target':>12} {'stderr':>12}"]
         for p in points:
@@ -199,7 +197,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     report = run_property_suite(seed=args.seed, instances=args.instances, tol=args.tol)
     if args.format == "json":
-        _emit(_json_dumps(report.to_json()), args.out)
+        _emit(_json_text(report.to_json()), args.out)
     else:
         _emit(report.render_text(), args.out)
     return EXIT_OK if report.passed else EXIT_INVARIANT
@@ -216,11 +214,31 @@ _COMMANDS = {
 
 # built once and never mutated; parse_args only reads it
 _PARSER = build_parser()
+_SUBPARSERS = next(action.choices for action in _PARSER._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv):
+    """`_PARSER.parse_args(argv)`, by the parser of the subcommand that argv names.
+
+    The top-level parser only hands what follows the command's name to that
+    parser and records the name, so this does the same without it.  The
+    top-level parser still parses help, an unknown or missing command, and
+    any argument the subcommand's parser leaves over, so that its
+    "unrecognized arguments" error keeps its usage line.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv and isinstance(argv[0], str) else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -50,10 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxcore import (
+    DeterministicStrategy,
     INPUT_PAIRS,
     PRScope,
     STRATEGY_NAMES,
     SYMMETRIES,
+    _DETERMINISTIC,
     _of_type,
     _real,
     check_tolerance,
@@ -136,6 +138,11 @@ def _values(cells, table, k):
     return values
 
 
+# each strategy's (name, kind) in a Decomposition's report: its name when the canonical
+# scope's catalogue has one, which is unambiguous only there, and its output table otherwise
+_ROW_LABELS = {s: (strategy_name(s) or s.table_str(), s.kind) for s in _DETERMINISTIC}
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Convex decomposition over local + one-way vertices with cost C."""
@@ -144,15 +151,13 @@ class Decomposition:
     C: float
 
     def to_json(self):
-        rows = []
-        for s, w in self.weights.items():
-            # names are only unambiguous for the canonical scope; raw tables otherwise
-            name = strategy_name(s)
-            rows.append({
-                "strategy": name if name is not None else s.table_str(),
-                "kind": s.kind,
-                "w": w,
-            })
+        try:
+            labels = [_ROW_LABELS[s] for s in self.weights]
+        except KeyError as exc:  # not a strategy: refused as a strategy argument is
+            _of_type(exc.args[0], DeterministicStrategy, "strategy must be a DeterministicStrategy")
+            raise
+        rows = [{"strategy": name, "kind": kind, "w": w}
+                for (name, kind), w in zip(labels, self.weights.values())]
         rows.sort(key=lambda r: (-r["w"], r["strategy"]))
         return {"C": self.C, "weights": rows}
 

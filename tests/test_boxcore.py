@@ -451,3 +451,36 @@ def test_weight_rows_are_checked_like_one_row(monkeypatch):
     long[7] += 2.0 * boxcore.NORM_TOL
     with pytest.raises(bc.WeightError, match="^weights sum to 1.0000000000020002, not 1$"):
         check_weights(long, 100_000)
+
+
+def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys():
+    inf = float("inf")
+    values = [
+        float("nan"), inf, -inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 2**70, -2**70, 0,
+        True, False, None, [True, 1, False, 0, 1.0], np.float64(0.1), np.float64("nan"),
+        [], {}, (), [[]], [{}], [()], {"a": []}, {"a": {}, "b": ()},
+        [1, [2, [3, (4, 5)]], {"k": (6, [7, {"m": None}])}],
+        {"b": True, "a": 1, "c": [None, False, 0.5, -inf], "B": {"z": "y", "": ""}},
+        {1: "int", 2.5: "float", -3: "negative"}, {True: 1, False: 0}, {None: "none"},
+        {float("nan"): "nan", inf: "inf"}, {np.float64(0.5): np.float64(-0.0)},
+        'quote " backslash \\ slash / tab \t newline \n nul \x00 bell \x07 del \x7f \x1f',
+        "non-ASCII é ü ß 中 😀 \ud800 and the separators \u2028 \u2029",
+        {'"': "\\", "\n": " ", "é": "😀", "\x00": "\t"},
+        bc.pr_box(label="pr \u2028 é").to_json(),
+        bc.min_comm_cost(bc.pr_box()).to_json(),
+        dict(bc.complementarity_report(bc.pr_box()).to_json(), label=None, nonsignaling=True),
+    ]
+    for value in values:
+        assert boxcore._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+    loop = [1]
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        boxcore._json_text(loop)
+    refused = [np.bool_(True), np.int64(3), {1, 2}, object(), [1, {"a": np.int64(3)}],
+               {(1, 2): 0}, {"a": {object(): 0}}, {1: 0, "a": 1}, {None: 0, 1: 1}]
+    for value in refused:
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            boxcore._json_text(value)
+        assert str(got.value) == str(expected.value), value

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import boxcomp as bc
 from _helpers import corrupt_catalogue, random_feasible_box
-from boxcomp import simulate
+from boxcomp import cli, simulate
 from boxcomp.cli import main
 from boxcomp.simulate import MAX_TRIALS
 
@@ -724,3 +724,72 @@ def test_dump_box_over_a_longer_file_round_trips(tmp_path):
     assert loaded.label == "sp" and loaded.p.tobytes() == box.p.tobytes()
     assert path.read_text(encoding="utf-8") == json.dumps(box.to_json(), indent=2,
                                                           sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--box", "{pr}"],
+    ["analyze", "--box", "{pr}", "--format", "json", "--tol", "1e-6"],
+    ["decompose", "--box", "{pr}", "--format", "json"],
+    ["decompose", "--box", "{two_way}"],
+    ["simulate", "--resource", "S1+:0.5,S1-:0.5", "--angle", "1.0", "--trials", "1000"],
+    ["sweep", "--resource", "S1+:1", "--angles", "0,1.5", "--trials", "1000", "--format", "json"],
+    ["verify", "--instances", "5", "--seed", "3"],
+    ["-h"], ["--help"], ["analyze", "-h"], ["sweep", "--help"],
+    [], ["bogus"], ["bogus", "--box", "{pr}"], ["--box", "{pr}"],
+    ["analyze"], ["analyze", "--box", "{pr}", "--format", "yaml"],
+    ["analyze", "--box", "{pr}", "--tol", "x"], ["analyze", "--box", "b", "--bogus"],
+    ["decompose", "--box", "{pr}", "extra"], ["analyze", "--bo", "{pr}"],
+    ["sweep", "--resource", "S1+:1", "--angles", "0", "--angle-grid", "2"],
+])
+def test_main_parses_argv_as_the_top_level_parser_does(argv, box_files, monkeypatch, capsys):
+    # main parses by the named subcommand's parser; the whole top-level parse is the reference
+    argv = [arg.format(**box_files) for arg in argv]
+    got = main(argv), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    assert (main(argv), *capsys.readouterr()) == got
+
+
+def test_a_long_report_reaches_a_fifo_whole_or_fails_once_its_reader_closes(tmp_path,
+                                                                            monkeypatch, capsys):
+    import threading
+
+    if not hasattr(os, "mkfifo") or not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs FIFOs and /proc/self/fd")
+    # the error of a write to a pipe with no reader, as the report's one error line shows it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with pytest.raises(BrokenPipeError) as broken:
+        os.write(write_end, b"x")
+    os.close(write_end)
+    # the text report of 21,000 angles is over 1 MiB; two simulated points stand in for them
+    points = simulate.sweep_angles(bc.ResourceSpec.parse("S1+:1"), [0.0, 1.0], 100, 0)
+    monkeypatch.setattr(simulate, "sweep_angles",
+                        lambda spec, angles, n, seed: [points[i % 2] for i in range(len(angles))])
+    argv = ["sweep", "--resource", "S1+:1", "--angle-grid", "21000", "--trials", "100",
+            "--format", "text"]
+    report = _stdout(argv, capsys).encode("utf-8")
+    assert len(report) >= 2**20
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+
+    def read_all(got):
+        got.append(fifo.read_bytes())
+
+    def read_one_byte_and_close(got):
+        with open(fifo, "rb", buffering=0) as fh:
+            got.append(fh.read(1))
+
+    for reader, code, expected in ((read_all, 0, report), (read_one_byte_and_close, 2, report[:1])):
+        got = []
+        thread = threading.Thread(target=reader, args=(got,), daemon=True)
+        thread.start()
+        assert main(argv + ["--out", str(fifo)]) == code
+        thread.join(timeout=60)
+        assert not thread.is_alive() and got == [expected]
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out, err.count("\n")) == ("", 1) and err.startswith("max |estimate")
+        else:
+            assert (out, err) == ("", f"error: {broken.value}\n")
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
