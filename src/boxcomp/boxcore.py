@@ -165,11 +165,13 @@ def _json_text(value):
     """The text of `json.dumps(value, indent=2, sort_keys=True)`, written in one call per value.
 
     With indent set, json writes through a chain of pure-Python generators.
-    Here strings and keys are escaped by json's own `encode_basestring_ascii`,
-    floats are `float.__repr__` with json's NaN and Infinity, dict items are
-    sorted and keys converted as json does, and a value json refuses raises
-    its TypeError.  A value that holds itself raises RecursionError, not
-    json's ValueError; no report nests more than a few levels.
+    Here each value of exactly a JSON type is written in one call: strings
+    and keys by json's own `encode_basestring_ascii`, floats by
+    `float.__repr__` with json's NaN and Infinity, dict items sorted.  Any
+    other value, and a dict with a key that is not a str or a value json
+    refuses, is handed to `json.dumps` itself, which writes it or raises its
+    TypeError.  A value that holds itself raises RecursionError, not json's
+    ValueError; no report nests more than a few levels.
     """
     return _JSON_WRITERS.get(type(value), _json_other)(value, "\n")
 
@@ -181,38 +183,24 @@ def _json_float(value, newline):
 
 
 def _json_list(items, newline):
-    if not items:
-        return "[]"
     inner = newline + "  "
     texts = [_JSON_WRITERS.get(type(item), _json_other)(item, inner) for item in items]
-    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]" if texts else "[]"
 
 
 def _json_dict(items, newline):
-    if not items:
-        return "{}"
     inner = newline + "  "
-    texts = [f"{_json_str(key) if type(key) is str else _json_key(key)}: "
-             f"{_JSON_WRITERS.get(type(item), _json_other)(item, inner)}"
-             for key, item in sorted(items.items())]
-    return f"{{{inner}{(',' + inner).join(texts)}{newline}}}"
-
-
-def _json_key(key):
-    """A key that is not exactly a str, as json writes it: a str, or an int, float, bool or None."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, (int, float)) or key is None:
-        return f'"{_JSON_WRITERS.get(type(key), _json_other)(key, None)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    try:
+        texts = [f"{_json_str(key)}: {_JSON_WRITERS.get(type(item), _json_other)(item, inner)}"
+                 for key, item in sorted(items.items())]
+    except TypeError:  # a key that is not a str, or a value json refuses
+        return _json_other(items, newline)
+    return f"{{{inner}{(',' + inner).join(texts)}{newline}}}" if texts else "{}"
 
 
 def _json_other(value, newline):
-    """A subclass of a JSON type, written as json writes its base, or json's TypeError."""
-    for base in (str, int, float, list, tuple, dict):  # json's order; bool has no subclasses
-        if isinstance(value, base):
-            return _JSON_WRITERS[base](value, newline)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    """json's own text for a value, indented to `newline`, or json's TypeError."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 # the text of each JSON type, by exact type; (value, newline), newline indenting nested lines

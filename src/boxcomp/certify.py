@@ -27,8 +27,9 @@ reads the fixed CHSH value, H_S and H_I from the record's arrays (`_chsh`,
 `_entropic_signal`, `_entropic_indeterminacy`), as the +/- pair suite reads
 its entropies.  The `verify` suites run over stacks of random 1-bit boxes,
 catalogue specs with their conditional bounds, +/- pairs (C = 1 for these
-two) and entropic-floor grids.  Every floor grid is a prefix of the
-1001-point p grid, so the floor reads H(p) from one entropy of that grid.
+two) and entropic-floor grids.  The floor reads the information of each
+signal strength on its p grid, a prefix of the 1001-point one, from the
+public `two_point_mutual_information`, 8 strengths per call.
 The suites pass stacks, never box or spec objects: random instances are
 drawn into arrays that the suites trust, as every internal stack path
 does; the 1-bit boxes are checked once, as a stack, by the rules of a box.
@@ -64,6 +65,7 @@ from .boxcore import (
 from .decompose import (
     SIGNAL_COEFFICIENTS,
     VERTEX_BOXES,
+    WEIGHT_TOL,
     _comm_costs,
     _conditional_bounds,
     _random_feasible_boxes,
@@ -80,7 +82,6 @@ from .measures import (
     _max2,
     _signal,
     _value,
-    binary_entropy,
     correlators,
     entropic_signal_lower_bound,
     marginals,
@@ -197,7 +198,7 @@ class Certificate:
         return "\n".join(lines)
 
 
-def complementarity_report(box, tol=1e-9):
+def complementarity_report(box, tol=WEIGHT_TOL):
     """Measure a box and audit every complementarity relation that applies.
 
     Boxes outside the local + one-way polytope skip the cost-based checks;
@@ -351,36 +352,25 @@ def _suite_single_pairs(scope):
     return float(np.abs(r.thm1_slack).max()), float(np.abs(ent - 1.0).max())
 
 
-def _floor_chunks(s, bound):
-    """Per 8 signal strengths: the strengths, the information on their p grids, the bounds.
-
-    The p grid of strength v, np.arange(0, 1 - v + 1e-12, 1e-3), is a prefix
-    of v = 0's 1001 points, bit for bit, so H(p) is read from one entropy of
-    those; the rest is two_point_mutual_information, term for term.
-    """
-    base = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    h_base = binary_entropy(base)
-    sizes = np.ceil((1.0 - s + 1e-12) / 1e-3).astype(np.intp)  # np.arange's lengths
-    # 8 strengths at a time: all 101 at once peak at 3.9 MiB (tracemalloc), not 0.7
-    for lo in range(0, len(s), 8):
-        n = sizes[lo:lo + 8]
-        p = np.concatenate([base[:k] for k in n])
-        shift = np.repeat(s[lo:lo + 8], n)
-        info = (binary_entropy(p + 0.5 * shift) - 0.5 * np.concatenate([h_base[:k] for k in n])
-                - 0.5 * binary_entropy(p + shift))
-        yield s[lo:lo + 8], info, np.repeat(bound[lo:lo + 8], n)
-
-
 @functools.cache  # seed-free: fixed grids, module functions, no catalogue
 def _suite_entropic_floor():
     s = np.arange(101) / 100.0
     bound = entropic_signal_lower_bound(s)
     worst_eq = float(np.abs(two_point_mutual_information((1.0 - s) / 2.0, s) - bound).max())
-    worst_slack = min(float((info - b).min()) for _, info, b in _floor_chunks(s, bound))
+    # strength v's p grid, np.arange(0, 1 - v + 1e-12, 1e-3), is a prefix of v = 0's, bit for bit
+    base = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+    sizes = np.ceil((1.0 - s + 1e-12) / 1e-3).astype(np.intp)  # np.arange's lengths
+    worst_slack = np.inf
+    # 8 strengths at a time: all 101 at once peak at 3.9 MiB (tracemalloc), not 0.7
+    for lo in range(0, len(s), 8):
+        n = sizes[lo:lo + 8]
+        info = two_point_mutual_information(np.concatenate([base[:k] for k in n]),
+                                            np.repeat(s[lo:lo + 8], n))
+        worst_slack = min(worst_slack, float((info - np.repeat(bound[lo:lo + 8], n)).min()))
     return worst_slack, worst_eq
 
 
-def run_property_suite(seed=0, instances=1000, tol=1e-9):
+def run_property_suite(seed=0, instances=1000, tol=WEIGHT_TOL):
     """Randomized + exhaustive grid checks of every certified relation.
 
     The suites check the canonical scope (0,0,0), reading its catalogue from
@@ -388,12 +378,10 @@ def run_property_suite(seed=0, instances=1000, tol=1e-9):
     ran before; `seed` drives every random draw.  Each suite draws its
     randomness as whole stacks, in a fixed order, with the same number of
     generator calls at any `instances` (the spec suite: all weights, then
-    all kept weights c, then all noise vertices k).  For a given seed this
-    samples other specs than the per-instance draws of earlier versions,
-    so seeded worst values of the spec checks differ from theirs.  The two
-    entropic-floor checks read only fixed S and p grids, so the first call
-    in a process computes them and later calls report the first call's two
-    values, even if a measure they read has changed since;
+    all kept weights c, then all noise vertices k).  The two entropic-floor
+    checks read only fixed S and p grids, so the first call in a process
+    computes them and later calls report the first call's two values, even
+    if a measure they read has changed since;
     `_suite_entropic_floor.cache_clear()` makes the next call compute them
     again.  DomainError unless seed and instances are integers with
     seed >= 0 and 1 <= instances <= MAX_INSTANCES.

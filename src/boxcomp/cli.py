@@ -20,7 +20,7 @@ import sys
 
 from .boxcore import _json_text, _write_text, checked_count_and_seed, load_box
 from .certify import complementarity_report, run_property_suite
-from .decompose import ResourceSpec, min_comm_cost
+from .decompose import WEIGHT_TOL, ResourceSpec, min_comm_cost
 from .errors import (
     BoxFormatError,
     BoxInvariantError,
@@ -53,14 +53,14 @@ def build_parser():
 
     p_an = sub.add_parser("analyze", help="report all measures of a box JSON file")
     p_an.add_argument("--box", required=True, help="path to a box JSON file")
-    p_an.add_argument("--tol", type=float, default=1e-9,
+    p_an.add_argument("--tol", type=float, default=WEIGHT_TOL,
                       help="largest facet-row value a 1-bit box may have, and the flags' slack")
     p_an.add_argument("--out", help="write the report here instead of stdout")
     p_an.add_argument("--format", choices=("text", "json"), default="text")
 
     p_de = sub.add_parser("decompose", help="minimum-communication 1-bit decomposition")
     p_de.add_argument("--box", required=True)
-    p_de.add_argument("--tol", type=float, default=1e-9,
+    p_de.add_argument("--tol", type=float, default=WEIGHT_TOL,
                       help="largest facet-row value a 1-bit box may have, and the largest "
                            "reconstruction error of its weights")
     p_de.add_argument("--out")
@@ -91,7 +91,7 @@ def build_parser():
     p_ve = sub.add_parser("verify", help="run the randomized property suites")
     p_ve.add_argument("--seed", type=int, default=0)
     p_ve.add_argument("--instances", type=int, default=200)
-    p_ve.add_argument("--tol", type=float, default=1e-9,
+    p_ve.add_argument("--tol", type=float, default=WEIGHT_TOL,
                       help="slack allowed to each check")
     p_ve.add_argument("--out")
     p_ve.add_argument("--format", choices=("text", "json"), default="text")

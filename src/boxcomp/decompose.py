@@ -25,8 +25,9 @@ The argmax cost row r* is an optimal dual solution, so by complementary
 slackness a cheapest decomposition uses only the 16 to 48 vertices on which
 r* is tight (_TIGHT), and `min_comm_cost` finds its weights by one phase-1
 solve of the box's 16 cell equations on those columns, which gives no
-verdict of its own.  The tests certify the tables complete in exact integer
-arithmetic.
+verdict of its own; a box that a facet row puts more than a rounding
+outside the polytope is first pulled onto it, toward the uniform box.  The
+tests certify the tables complete in exact integer arithmetic.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -73,6 +74,7 @@ from .simplex import solve_lp
 
 SUPPORT_EPS = 1e-12
 WEIGHT_TOL = 1e-9
+_ROUNDING = 8.0 * math.ulp(1.0)  # a rounding at the cells' scale, 1, whatever tol is
 
 # the 16 local vertices first, then the 96 one-way ones
 VERTICES = tuple(enumerate_deterministic("local") + enumerate_deterministic("all_one_bit"))
@@ -138,6 +140,10 @@ def _values(cells, table, k):
     return values
 
 
+# each facet row's value on the uniform box, all cells 1/4: -3/4 or -1
+_FACET_AT_UNIFORM = _values(np.full((1, 16), 0.25), _FACET_T, _FACET_K)[0]
+
+
 # each strategy's (name, kind) in a Decomposition's report: its name when the canonical
 # scope's catalogue has one, which is unambiguous only there, and its output table otherwise
 _ROW_LABELS = {s: (strategy_name(s) or s.table_str(), s.kind) for s in _DETERMINISTIC}
@@ -166,29 +172,40 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     """Cheapest 1-bit decomposition of a box, with comm_cost_many's verdict and C.
 
     Raises Infeasible when a facet row value exceeds tol, and only then.  C
-    is the largest cost row value, clamped to [0, 1], bit for bit.  The
-    weights are phase 1's least-violation point of the box's 16 cell
-    equations (each setting's four fix their sum) over the vertices on which
-    that row is tight, less those up to tol / 1000; NumericalError is raised
-    if they reproduce the box only beyond tol + 8 ulps of 1.0.  That rounding
-    allowance, at the cells' scale and never a multiple of tol, lets a box
-    exactly tol outside the polytope decompose when phase 1 misses it by tol
-    and a rounding.  On a box up to tol outside the polytope they fit a
-    point inside it, so their one-way total misses C by up to a few tol:
-    3.99 tol at most over 20,000 near-boundary boxes per tol (a tier-1 test
-    holds 4 tol).  Anything but a CorrelationBox is first checked as one.
+    is the box's largest cost row value, clamped to [0, 1], bit for bit.
+    The weights are fitted to a point of the polytope: the box itself when
+    no facet row exceeds a rounding (8 ulps of 1.0, the cells' scale), and
+    otherwise the box pulled toward the uniform box by the least mu that
+    makes every facet row nonpositive, mu = max e_r / (e_r - L_r(uniform))
+    over the positive rows e_r.  Every facet row is at most -3/4 on the
+    uniform box, so each cell moves by less than the largest facet value,
+    which is at most tol.  The weights are phase 1's least-violation point
+    of the point's 16 cell equations (each setting's four fix their sum)
+    over the vertices on which the point's argmax cost row is tight, less
+    those up to tol / 1000; NumericalError is raised if they reproduce the
+    given box only beyond tol and a rounding.  Their one-way total is the
+    point's C, which misses the box's by up to a few tol: 2.43 tol at most
+    over 20,000 near-boundary boxes per tol (a tier-1 test holds 2.5 tol).
+    Anything but a CorrelationBox is first checked as one.
     """
     check_tolerance(tol)
     cells = checked_boxes(box, ndim=4).reshape(1, 16)
-    excess = float(_values(cells, _FACET_T, _FACET_K).max())
+    facets = _values(cells, _FACET_T, _FACET_K)[0]
+    excess = float(facets.max())
     if excess > tol:
         raise Infeasible(f"facet row value {excess:.3e} exceeds {tol:.1e}")
-    costs = _values(cells, _COST_T, _COST_K)
-    columns = np.flatnonzero(_TIGHT[costs.argmax()])
-    x = solve_lp(_COLUMNS[:, columns], cells[0])
+    costs = point_costs = _values(cells, _COST_T, _COST_K)
+    point = cells
+    if excess > _ROUNDING:
+        e, at_uniform = facets[facets > 0.0], _FACET_AT_UNIFORM[facets > 0.0]
+        mu = float((e / (e - at_uniform)).max())
+        point = (1.0 - mu) * cells + 0.25 * mu
+        point_costs = _values(point, _COST_T, _COST_K)
+    columns = np.flatnonzero(_TIGHT[point_costs.argmax()])
+    x = solve_lp(_COLUMNS[:, columns], point[0])
     x[x <= 1e-3 * tol] = 0.0  # weights to tol / 1000 are dropped; the rest are checked
     residual = float(np.abs(_COLUMNS[:, columns] @ x - cells[0]).max())
-    if residual > tol + 8.0 * math.ulp(1.0):
+    if residual > tol + _ROUNDING:
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
     weights = {VERTICES[j]: w for j, w in zip(columns.tolist(), x.tolist()) if w > 0.0}
     return Decomposition(weights=weights, C=float(np.clip(costs.max(axis=1), 0.0, 1.0)[0]))

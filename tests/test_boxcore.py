@@ -453,6 +453,10 @@ def test_weight_rows_are_checked_like_one_row(monkeypatch):
         check_weights(long, 100_000)
 
 
+class Name(str):
+    """A str subclass, which json writes as a str."""
+
+
 def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys():
     inf = float("inf")
     values = [
@@ -469,6 +473,11 @@ def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys():
         bc.pr_box(label="pr \u2028 é").to_json(),
         bc.min_comm_cost(bc.pr_box()).to_json(),
         dict(bc.complementarity_report(bc.pr_box()).to_json(), label=None, nonsignaling=True),
+        # at depth 2 and deeper, where a dict with a key that is not a str, or a value that
+        # is not exactly of a JSON type, is written by json itself at its indent
+        {"rows": [{1: "int", -2: [np.float64(0.25)]}, {None: Name("sub")}, {True: 0.5}]},
+        {"a": [{False: {"b": [Name('q "x" \u2028'), np.float64(-0.0), np.float64("inf")]}}]},
+        {"z": [[{2.5: {3: Name("k")}}, {"s": {Name("key"): [1]}}]], "y": [np.float64(1e308)]},
     ]
     for value in values:
         assert boxcore._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
@@ -477,7 +486,9 @@ def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys():
     with pytest.raises(RecursionError):
         boxcore._json_text(loop)
     refused = [np.bool_(True), np.int64(3), {1, 2}, object(), [1, {"a": np.int64(3)}],
-               {(1, 2): 0}, {"a": {object(): 0}}, {1: 0, "a": 1}, {None: 0, 1: 1}]
+               {(1, 2): 0}, {"a": {object(): 0}}, {1: 0, "a": 1}, {None: 0, 1: 1},
+               {"a": [{"b": [{1: 0, "c": 1}]}]}, {"a": [{"b": {None: 0, True: 1, "c": 2}}]},
+               {"a": [{"b": [np.float64(0.5), np.int64(3)]}]}, [{"a": [{2: {(1,): 0}}]}]]
     for value in refused:
         with pytest.raises(TypeError) as expected:
             json.dumps(value, indent=2, sort_keys=True)

@@ -643,9 +643,8 @@ def test_boundary_box_decomposes_with_the_c_of_analyze(tmp_path, capsys):
 
 def test_a_box_exactly_tol_outside_decomposes_with_the_c_of_analyze(tmp_path, capsys):
     # t S5+ + (1 - t) [a=0, b=0] has largest facet row value t, so at --tol t the facet rows
-    # accept it.  Phase 1's point then misses the box by t and a rounding more: one ulp of
-    # 0.3 at t = 0.3, four of 1e-3 at t = 1e-3, and 2.9e-17 (1.3e5 ulps of 1e-6) at t = 1e-6.
-    # decompose must not refuse it for that rounding (exit 4), and reports analyze's C
+    # accept it.  Its weights, fitted to the box pulled onto the polytope, miss it by up to
+    # t; decompose must not refuse it (exit 4), and reports analyze's C
     corner = bc.strategy_box(bc.DeterministicStrategy((0,) * 4, (0,) * 4))
     s5 = bc.strategy_box(bc.scope_strategies()[8])
     path = str(tmp_path / "tol-edge.json")

@@ -25,9 +25,7 @@ CI runs this file on one and on two BLAS threads.
 The measures' pairwise maxima and minima over 2-long axes are held to the
 `.max(axis=...)`/`.min(axis=...)` reductions they replaced, and the
 entropies to the masked log2 over interleaved pairs, byte for byte with the
-sign of zero, on stacks whose zero cells carry both signs.  The entropic
-floor's chunks, which read H(p) from one shared grid, are held to
-`two_point_mutual_information` on each strength's own grid.
+sign of zero, on stacks whose zero cells carry both signs.
 """
 
 import math
@@ -463,16 +461,3 @@ def test_pairwise_maxima_and_minima_are_the_reductions_bit_for_bit():
         arr = np.clip(v, 0.0, 1.0)
         assert _same_bytes(bc.binary_entropy(v), ref_entropy(np.stack([arr, 1.0 - arr], axis=-1)))
 
-
-def test_entropic_floor_chunks_are_two_point_information_on_their_own_grids():
-    s = np.arange(101) / 100.0
-    bound = bc.entropic_signal_lower_bound(s)
-    seen = []
-    for strengths, info, bounds in certify._floor_chunks(s, bound):
-        grids = [np.arange(0.0, 1.0 - v + 1e-12, 1e-3) for v in strengths]
-        sizes = [len(g) for g in grids]
-        ref = bc.two_point_mutual_information(np.concatenate(grids), np.repeat(strengths, sizes))
-        assert _same_bytes(info, ref)
-        assert _same_bytes(bounds, np.repeat(bound[len(seen):len(seen) + len(strengths)], sizes))
-        seen.extend(strengths.tolist())
-    assert seen == s.tolist()
