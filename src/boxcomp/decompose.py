@@ -26,8 +26,11 @@ slackness a cheapest decomposition uses only the 16 to 48 vertices on which
 r* is tight (_TIGHT), and `min_comm_cost` finds its weights by one phase-1
 solve of the box's 16 cell equations on those columns, which gives no
 verdict of its own; a box that a facet row puts more than a rounding
-outside the polytope is first pulled onto it, toward the uniform box.  The
-tests certify the tables complete in exact integer arithmetic.
+outside the polytope is first pulled onto it, toward the uniform box.
+Phase 1 runs on the box's support, exactly: weights are nonnegative, so a
+zero cell gives weight 0 to every vertex with a 1 there, and its row and
+those vertices are dropped.  The tests certify the tables complete in exact
+integer arithmetic.
 
 `ResourceSpec` fixes a scope and distributes weight over its 16 catalogued
 strategies, whose boxes `resource_box` mixes from the scope's catalogue
@@ -182,11 +185,14 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     which is at most tol.  The weights are phase 1's least-violation point
     of the point's 16 cell equations (each setting's four fix their sum)
     over the vertices on which the point's argmax cost row is tight, less
-    those up to tol / 1000; NumericalError is raised if they reproduce the
-    given box only beyond tol and a rounding.  Their one-way total is the
-    point's C, which misses the box's by up to a few tol: 2.43 tol at most
-    over 20,000 near-boundary boxes per tol (a tier-1 test holds 2.5 tol).
-    Anything but a CorrelationBox is first checked as one.
+    those up to tol / 1000.  Phase 1 sees only the point's nonzero cells and
+    the tight vertices with no 1 in a zero cell; this is exact, since a zero
+    cell gives weight 0 to every vertex with a 1 there.  NumericalError is
+    raised if the weights reproduce the given box only beyond tol and a
+    rounding.  Their one-way total is the point's C, which misses the box's
+    by up to a few tol: 2.43 tol at most over 20,000 near-boundary boxes per
+    tol (a tier-1 test holds 2.5 tol).  Anything but a CorrelationBox is
+    first checked as one.
     """
     check_tolerance(tol)
     cells = checked_boxes(box, ndim=4).reshape(1, 16)
@@ -201,10 +207,12 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
         mu = float((e / (e - at_uniform)).max())
         point = (1.0 - mu) * cells + 0.25 * mu
         point_costs = _values(point, _COST_T, _COST_K)
-    columns = np.flatnonzero(_TIGHT[point_costs.argmax()])
-    x = solve_lp(_COLUMNS[:, columns], point[0])
+    zero = point[0] == 0.0  # a zero cell gives weight 0 to each vertex with a 1 there
+    columns = (_TIGHT[point_costs.argmax()] & (zero @ _COLUMNS == 0.0)).nonzero()[0]
+    a = _COLUMNS.take(columns, axis=1)[~zero]
+    x = solve_lp(a, point[0][~zero])
     x[x <= 1e-3 * tol] = 0.0  # weights to tol / 1000 are dropped; the rest are checked
-    residual = float(np.abs(_COLUMNS[:, columns] @ x - cells[0]).max())
+    residual = float(np.abs(a @ x - cells[0][~zero]).max())  # 0 - 0 on the zero cells
     if residual > tol + _ROUNDING:
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
     weights = {VERTICES[j]: w for j, w in zip(columns.tolist(), x.tolist()) if w > 0.0}

@@ -10,7 +10,9 @@ call, so a pivot allocates no tableau-sized array.
 
 Its one caller is `decompose.min_comm_cost` (behind the `decompose`
 command), for a decomposition's weights: it solves the box's 16 cell
-equations over the columns where the tables' argmax cost row is tight.  The
+equations over the columns where the tables' argmax cost row is tight, less
+the zero cells' rows and the columns with a 1 in one: exact, since with 0/1
+columns and x >= 0 a row with b_i = 0 forces x_j = 0 wherever a_ij = 1.  The
 tables' facet rows alone decide 1-bit feasibility, and the tables give C.
 """
 
@@ -26,23 +28,24 @@ MAX_PIVOTS = 20000
 
 def _run(tableau, basis, ncols, buf):
     """Bland-rule pivoting until no reduced cost is negative. Entering columns < ncols."""
+    reduced, rhs = tableau[-1, :ncols], tableau[:-1, -1]  # views, which each pivot updates
     for _ in range(MAX_PIVOTS):
-        reduced = tableau[-1, :ncols]
-        col = int((reduced < -PIVOT_TOL).argmax())  # the first such column, or 0
-        if not reduced[col] < -PIVOT_TOL:
+        negative = reduced < -PIVOT_TOL
+        col = int(negative.argmax())  # the first such column, or 0
+        if not negative[col]:
             return
-        rhs = tableau[:-1, -1].tolist()  # the ratio test in Python floats, which round as float64
-        ratios = [(rhs[i] / v, i) for i, v in enumerate(tableau[:-1, col].tolist()) if v > PIVOT_TOL]
+        colvals = tableau[:, col].copy()
+        column = colvals.tolist()  # the ratio test in Python floats, which round as float64
+        ratios = [(r / column[i], i) for i, r in enumerate(rhs.tolist()) if column[i] > PIVOT_TOL]
         if not ratios:
             raise NumericalError("unbounded direction in a bounded polytope")
         # ties are ratios within rounding of the least, and Bland takes the lowest basic variable;
         # a wider window takes rows whose ratio is not the least, driving others negative
         least = min(ratios)[0] + 1e-15
         row = min((i for r, i in ratios if r <= least), key=basis.__getitem__)
-        tableau[row] /= tableau[row, col]
-        colvals = tableau[:, col].copy()
+        tableau[row] /= column[row]
         colvals[row] = 0.0
-        np.multiply(colvals[:, None], tableau[row], out=buf)
+        np.multiply.outer(colvals, tableau[row], out=buf)
         tableau -= buf
         basis[row] = col
     raise NumericalError(f"simplex did not converge in {MAX_PIVOTS} pivots")

@@ -14,6 +14,7 @@ import boxcomp as bc
 from boxcomp import decompose
 from _helpers import (lp_matrices, pair_spec, random_feasible_box, random_resource_spec,
                       reconstruct, tsirelson_box)
+from test_cli import _audit_corpus
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,6 +203,54 @@ def test_a_box_decomposes_at_tol_its_own_largest_facet_value():
         assert miss <= tol + 8.0 * math.ulp(1.0)
         decomposed += 1
     assert decomposed == 1097
+
+
+def test_phase_1_runs_on_the_support_of_the_box(monkeypatch):
+    # a zero cell forces weight 0 onto every vertex with a 1 there, so phase 1 sees only the
+    # positive cells' rows and the tight vertices that avoid every zero cell; a vertex has
+    # one 1 per setting, so a column that kept all four of its 1s touches no zero cell
+    calls = []
+
+    def spy(a, b):
+        calls.append((np.array(a), np.array(b)))
+        return solve_lp(a, b)
+
+    solve_lp = decompose.solve_lp
+    monkeypatch.setattr(decompose, "solve_lp", spy)
+    rng = np.random.default_rng(34)
+    vertices = decompose.VERTEX_BOXES
+    sparse = []
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        support = rng.choice(len(vertices), size=k, replace=False)
+        sparse.append(bc.mixtures(rng.dirichlet(np.ones(k)), vertices[support]))
+    catalogue = [p for scope in bc.all_scopes()
+                 for p in [*bc.scope_boxes(scope)[:8], bc.pr_box(scope).p]]
+    neg_zero = [p for name, p in _audit_corpus() if name.startswith("neg-zero")]
+    dense = [random_feasible_box(rng)[0].p for _ in range(20)]
+    for p in sparse + catalogue + neg_zero + dense:
+        cells = p.ravel()
+        zero = cells == 0.0
+        costs = decompose._values(cells.reshape(1, 16), decompose._COST_T, decompose._COST_K)
+        tight = decompose._TIGHT[costs.argmax()]
+        calls.clear()
+        dec = bc.min_comm_cost(p)
+        ((a, b),) = calls
+        assert b.tobytes() == cells[~zero].tobytes()
+        assert (a.sum(axis=0) == 4.0).all()
+        full = np.zeros((16, a.shape[1]))
+        full[~zero] = a
+        avoids_zero = ~decompose._COLUMNS[zero].any(axis=0)
+        assert np.array_equal(full, decompose._COLUMNS[:, tight & avoids_zero])
+        if not zero.any():
+            assert np.array_equal(a, decompose._COLUMNS[:, tight])
+        assert not any(bc.strategy_box(s).p.ravel()[zero].any() for s in dec.weights)
+        columns = [decompose.VERTICES.index(s) for s in dec.weights]
+        x = np.array(list(dec.weights.values()))
+        assert np.abs(decompose._COLUMNS[:, columns] @ x - cells).max() <= (
+            decompose.WEIGHT_TOL + 8.0 * math.ulp(1.0))
+        assert dec.C.hex() == bc.comm_cost_many(p)[0].hex()
+    assert len(neg_zero) == 4 and all((p == 0.0).any() for p in sparse + catalogue)
 
 
 def test_decomposition_structure():

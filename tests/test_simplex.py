@@ -99,7 +99,19 @@ def test_box_polytope_instances_match_scipy():
         k = int(rng.integers(2, 5))
         support = rng.choice(len(vertices), size=k, replace=False)
         boxes.append(bc.mix(rng.dirichlet(np.ones(k)), vertices[support]))
-    for box in boxes:
+    # boxes with zero cells, on which phase 1 runs on the support; HiGHS sees all 112 vertices
+    zero_cell = [bc.pr_box(scope) for scope in bc.all_scopes()]
+    for scope in bc.all_scopes():
+        v = rng.uniform(0.5, 1.0)
+        weights = np.append(v * rng.dirichlet(np.ones(8)), 1.0 - v)
+        local = vertices[int(rng.integers(16))]
+        zero_cell.append(bc.mix(weights, np.concatenate([bc.scope_boxes(scope)[:8], [local]])))
+    for _ in range(14):
+        k = int(rng.integers(1, 5))
+        support = rng.choice(len(vertices), size=k, replace=False)
+        zero_cell.append(bc.mix(rng.dirichlet(np.ones(k)), vertices[support]))
+    assert len(zero_cell) == 30 and all((box.p == 0.0).any() for box in zero_cell)
+    for box in boxes + zero_cell:
         dec = bc.min_comm_cost(box)
         ref = linprog(oneway, A_eq=a, b_eq=np.append(box.p.ravel(), 1.0), bounds=(0, None),
                       method="highs")
