@@ -359,8 +359,10 @@ def mixtures(weights, boxes):
     """Mixtures sum_k weights[..., k] * boxes[k] of a (n, 2, 2, 2, 2) stack, one per weight row.
 
     `weights` is a row or a (K, n) stack of rows of finite, nonnegative
-    weights, which need not sum to 1; each mixture is summed in k order.
-    The boxes are checked as `mix` checks them.
+    weights, which need not sum to 1; each mixture is summed in k order,
+    from 0, as one cell-major pass: box k's 16 cells times every row's
+    weight k are added to the running sums of all rows at once.  The boxes
+    are checked as `mix` checks them.
     """
     stack = checked_boxes(boxes, ndim=5)
     w = check_weights(weights)
@@ -371,7 +373,10 @@ def mixtures(weights, boxes):
 
 def _mixtures(w, boxes):
     """`mixtures` of a float weight array and a stack that are already checked."""
-    return (w[..., None, None, None, None] * boxes).sum(axis=-5)
+    n, lead = len(boxes), w.shape[:-1]
+    # (n, 16, K): the rows on the inner axis; the sum over axis 0 runs in k order
+    terms = boxes.reshape(n, 16, 1) * w.reshape(math.prod(lead), n).T[:, None, :]
+    return terms.sum(axis=0).T.reshape(*lead, 2, 2, 2, 2)
 
 
 def _box_array(boxes, ndim=None):

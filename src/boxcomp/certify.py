@@ -27,7 +27,8 @@ reads the fixed CHSH value, H_S and H_I from the record's arrays (`_chsh`,
 `_entropic_signal`, `_entropic_indeterminacy`), as the +/- pair suite reads
 its entropies.  The `verify` suites run over stacks of random 1-bit boxes,
 catalogue specs with their conditional bounds, +/- pairs (C = 1 for these
-two) and entropic-floor grids.  The floor reads the information of each
+two) and entropic-floor grids; the first three are measured as one stack, in
+one `_relations` pass.  The floor reads the information of each
 signal strength on its p grid, a prefix of the 1001-point one, from the
 public `two_point_mutual_information`, 8 strengths per call.
 The suites pass stacks, never box or spec objects: random instances are
@@ -311,45 +312,48 @@ def _check_catalogue(scope):
     return bad
 
 
-def _suite_feasible_boxes(rng, instances):
-    boxes, _ = _random_feasible_boxes(rng, instances)
-    r = _relations(boxes, _comm_costs(boxes.reshape(-1, 16)))
-    return tuple(float(v.min()) for v in (r.thm1_slack, r.pironio_slack, r.relax_slack,
-                                           r.cert_slack))
+def _suite_stacks(rng, instances, scope):
+    """The worst values of the nine checks that read the suite's three stacks, in check order.
 
-
-def _suite_specs(rng, instances, scope):
-    # three whole-stack draws, in this order: every instance's Dirichlet catalogue
-    # weights, every weight c kept under noise, every local vertex k of the noise.
-    # The size= forms run the same per-element C routines as the scalar calls, so
-    # unlike a hand-rolled batch (0.2 + 0.8 * rng.random(n), which a compiler may
-    # contract into an FMA) they add no platform dependence.  Only the order differs
-    # from per-instance draws: all weights, then all c, then all k
+    Each draw is one whole-stack call, in this order: the feasible boxes'
+    weights, then the specs' weights, kept weights c and noise vertices k.
+    The size= forms run the same per-element C routines as the scalar
+    calls, so unlike a hand-rolled batch (0.2 + 0.8 * rng.random(n), which
+    a compiler may contract into an FMA) they add no platform dependence.
+    One `_relations` pass measures the three stacks, at cost C on the
+    feasible rows and 1 on the rest, and each check reads its slice.
+    """
+    feasible = _random_feasible_boxes(rng, instances)[0]
     weights = rng.dirichlet(np.ones(16), size=instances)
     c = rng.uniform(0.2, 1.0, instances)
     k = rng.integers(16, size=instances)
-    boxes = _mixtures(weights, scope_boxes(scope))
-    r = _relations(boxes, cost=1.0)
-    measured = np.concatenate([r.signal.s_A_to_B_per_y, r.signal.s_B_to_A_per_x], axis=-1)
-    signed = _signed_signal_rows(weights)
-    worst_signed = float(np.abs(np.abs(signed) - measured).max())
-    worst_sat = float(r.thm1_slack.min())
-    # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
-    kept = c[:, None, None, None, None]
-    mixed = kept * boxes + (1.0 - kept) * VERTEX_BOXES[k]
-    bounds, cells = _conditional_bounds(signed, c, scope)
-    worst_cond = float((mixed[(slice(None), *np.transpose(cells))] - bounds).min())
-    return worst_signed, worst_cond, worst_sat
-
-
-def _suite_single_pairs(scope):
+    table = scope_boxes(scope)
+    specs = _mixtures(weights, table)
     p = np.arange(101) / 100.0
     w = np.stack([p, 1.0 - p], axis=-1)
-    table = scope_boxes(scope)
-    boxes = np.concatenate([_mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)])
-    r = _relations(boxes, cost=1.0)
-    ent = _entropic_signal(r.marginals) + _entropic_indeterminacy(r.marginals)
-    return float(np.abs(r.thm1_slack).max()), float(np.abs(ent - 1.0).max())
+    pairs = [_mixtures(w, table[2 * j:2 * j + 2]) for j in range(4)]
+    boxes = np.concatenate([feasible, specs, *pairs])
+    cost = np.ones(len(boxes))
+    cost[:instances] = _comm_costs(feasible.reshape(-1, 16))
+    r = _relations(boxes, cost)
+    box, spec, pair = slice(instances), slice(instances, 2 * instances), slice(2 * instances, None)
+
+    feasible_worst = [float(v[box].min()) for v in (r.thm1_slack, r.pironio_slack,
+                                                   r.relax_slack, r.cert_slack)]
+    measured = np.concatenate([r.signal.s_A_to_B_per_y[spec], r.signal.s_B_to_A_per_x[spec]],
+                              axis=-1)
+    signed = _signed_signal_rows(weights)
+    worst_signed = float(np.abs(np.abs(signed) - measured).max())
+    # weight c on the catalogue mixture, the rest on one local vertex (the first 16)
+    kept = c[:, None, None, None, None]
+    mixed = kept * specs + (1.0 - kept) * VERTEX_BOXES[k]
+    bounds, cells = _conditional_bounds(signed, c, scope)
+    worst_cond = float((mixed[(slice(None), *np.transpose(cells))] - bounds).min())
+    worst_sat = float(r.thm1_slack[spec].min())
+    m = r.marginals[pair]
+    ent = _entropic_signal(m) + _entropic_indeterminacy(m)
+    return (*feasible_worst, worst_signed, worst_cond, worst_sat,
+            float(np.abs(r.thm1_slack[pair]).max()), float(np.abs(ent - 1.0).max()))
 
 
 @functools.cache  # seed-free: fixed grids, module functions, no catalogue
@@ -375,10 +379,13 @@ def run_property_suite(seed=0, instances=1000, tol=WEIGHT_TOL):
 
     The suites check the canonical scope (0,0,0), reading its catalogue from
     boxcore's one table on every call, so a corrupted table is seen whatever
-    ran before; `seed` drives every random draw.  Each suite draws its
-    randomness as whole stacks, in a fixed order, with the same number of
-    generator calls at any `instances` (the spec suite: all weights, then
-    all kept weights c, then all noise vertices k).  The two entropic-floor
+    ran before; `seed` drives every random draw.  The randomness is drawn
+    as whole stacks, in a fixed order, with the same number of generator
+    calls at any `instances`: the random 1-bit boxes' weights, then the
+    spec suite's (all weights, then all kept weights c, then all noise
+    vertices k).  Those boxes, the specs and the +/- pairs are then
+    measured in one pass, as one stack: one build of the marginals and of
+    the correlators serves all three.  The two entropic-floor
     checks read only fixed S and p grids, so the first call in a process
     computes them and later calls report the first call's two values, even
     if a measure they read has changed since;
@@ -397,7 +404,8 @@ def run_property_suite(seed=0, instances=1000, tol=WEIGHT_TOL):
     checks.append(SuiteCheck("catalogue-structure", bad == 0, float(bad),
                              "scope relation, kind split, +/- complements"))
 
-    thm1, pir, relax, cert = _suite_feasible_boxes(rng, instances)
+    (thm1, pir, relax, cert, signed, cond, sat,
+     sat_pair, ent_pair) = _suite_stacks(rng, instances, scope)
     checks.append(SuiteCheck("cost-complementarity", thm1 >= -tol, thm1,
                              f"min S + 2I - C over {instances} random 1-bit boxes"))
     checks.append(SuiteCheck("pironio-floor", pir >= -tol, pir,
@@ -407,7 +415,6 @@ def run_property_suite(seed=0, instances=1000, tol=WEIGHT_TOL):
     checks.append(SuiteCheck("certified-indeterminacy", cert >= -tol, cert,
                              f"min I - bound over {instances} boxes"))
 
-    signed, cond, sat = _suite_specs(rng, instances, scope)
     checks.append(SuiteCheck("signed-signal-consistency", signed <= 1e-12, signed,
                              f"max ||s_k| - measured| over {instances} specs"))
     checks.append(SuiteCheck("conditional-bounds", cond >= -1e-12, cond,
@@ -415,7 +422,6 @@ def run_property_suite(seed=0, instances=1000, tol=WEIGHT_TOL):
     checks.append(SuiteCheck("spec-complementarity", sat >= -tol, sat,
                              f"min S + 2I - 1 over {instances} catalogue mixtures"))
 
-    sat_pair, ent_pair = _suite_single_pairs(scope)
     checks.append(SuiteCheck("single-pair-saturation", sat_pair <= tol, sat_pair,
                              "max |S + 2I - 1| over +/- pair mixtures, 0.01 grid"))
     checks.append(SuiteCheck("entropic-pair-saturation", ent_pair <= tol, ent_pair,

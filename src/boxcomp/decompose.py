@@ -78,6 +78,7 @@ from .simplex import solve_lp
 SUPPORT_EPS = 1e-12
 WEIGHT_TOL = 1e-9
 _ROUNDING = 8.0 * math.ulp(1.0)  # a rounding at the cells' scale, 1, whatever tol is
+_COST_BLOCK = 4096  # boxes per table product: 11 MB of cost values, not 721 MB at 2**18 boxes
 
 # the 16 local vertices first, then the 96 one-way ones
 VERTICES = tuple(enumerate_deterministic("local") + enumerate_deterministic("all_one_bit"))
@@ -216,7 +217,7 @@ def min_comm_cost(box, tol=WEIGHT_TOL):
     if residual > tol + _ROUNDING:
         raise NumericalError(f"decomposition reproduces the box only to {residual:.3e}")
     weights = {VERTICES[j]: w for j, w in zip(columns.tolist(), x.tolist()) if w > 0.0}
-    return Decomposition(weights=weights, C=float(np.clip(costs.max(axis=1), 0.0, 1.0)[0]))
+    return Decomposition(weights=weights, C=min(max(float(costs.max(axis=1)[0]), 0.0), 1.0))
 
 
 def comm_cost_many(boxes, tol=WEIGHT_TOL):
@@ -233,13 +234,21 @@ def comm_cost_many(boxes, tol=WEIGHT_TOL):
 
 
 def _comm_costs(cells, tol=WEIGHT_TOL):
-    """comm_cost_many on a (K, 16) stack of flat boxes that is already checked, tol too."""
-    excess = _values(cells, _FACET_T, _FACET_K).max(axis=1)
-    outside = np.flatnonzero(excess > tol)
-    if outside.size:
-        k = int(outside[0])
-        raise Infeasible(f"stack index {k}: facet row value {excess[k]:.3e} exceeds {tol:.1e}")
-    return np.clip(_values(cells, _COST_T, _COST_K).max(axis=1), 0.0, 1.0)
+    """comm_cost_many on a (K, 16) stack of flat boxes that is already checked, tol too.
+
+    _COST_BLOCK boxes at a time: a box's values are the same bits at any stack height.
+    """
+    costs = np.empty(len(cells))
+    for lo in range(0, len(cells), _COST_BLOCK):
+        block = cells[lo:lo + _COST_BLOCK]
+        excess = _values(block, _FACET_T, _FACET_K).max(axis=1)
+        outside = np.flatnonzero(excess > tol)
+        if outside.size:
+            k = int(outside[0])
+            raise Infeasible(f"stack index {lo + k}: facet row value {excess[k]:.3e} "
+                             f"exceeds {tol:.1e}")
+        costs[lo:lo + _COST_BLOCK] = _values(block, _COST_T, _COST_K).max(axis=1)
+    return np.clip(costs, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,7 @@ def test_property_suite_refuses_more_instances_than_its_maximum(monkeypatch):
     def never_drawn(*args):
         raise AssertionError("instances past the maximum were drawn")
 
-    monkeypatch.setattr(certify, "_suite_feasible_boxes", never_drawn)
+    monkeypatch.setattr(certify, "_random_feasible_boxes", never_drawn)
     for instances in (certify.MAX_INSTANCES + 1, 10 ** 12):
         with pytest.raises(bc.DomainError, match=r"instances in \[1, 2\*\*18\]"):
             bc.run_property_suite(instances=instances)
@@ -377,21 +377,16 @@ def test_a_broken_floor_measure_is_seen_once_the_floor_cache_is_cleared(monkeypa
 
 
 def test_suite_measures_its_box_stack_once(monkeypatch, capsys):
-    # one marginals build per suite stack: the feasible boxes, the specs and the +/- pairs,
-    # whose entropies read the same build; the fourth is the zero-signal bias's catalogue
+    # one marginals build for the feasible boxes, the specs and the +/- pairs together,
+    # whose entropies read the same build; the second is the zero-signal bias's catalogue
     calls = _count_calls(monkeypatch, ("marginals",))
-    rng, scope = np.random.default_rng(5), bc.PRScope()
-    for suite in (lambda: certify._suite_feasible_boxes(rng, 20),
-                  lambda: certify._suite_specs(rng, 20, scope),
-                  lambda: certify._suite_single_pairs(scope)):
-        calls.clear()
-        worst = suite()
-        assert calls == {"marginals": 1}
-        assert all(math.isfinite(v) for v in worst)
+    worst = certify._suite_stacks(np.random.default_rng(5), 20, bc.PRScope())
+    assert calls == {"marginals": 1}
+    assert len(worst) == 9 and all(math.isfinite(v) for v in worst)
     calls.clear()
     assert main(["verify", "--instances", "200"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert calls == {"marginals": 4}
+    assert calls == {"marginals": 2}
     # the whole suite reads its costs from the tables in one call, never box by box, and
     # hands its checked stack to the unchecked core, so the boxes are not checked twice
     costs = _count_calls(monkeypatch, ("comm_cost_many", "_comm_costs", "min_comm_cost"),
@@ -438,9 +433,10 @@ def test_spec_suite_draws_in_a_fixed_number_of_generator_calls():
     counts = []
     for instances in (1, 200, 20000):
         rng = _CountingGenerator(5)
-        worst = certify._suite_specs(rng, instances, scope)
+        worst = certify._suite_stacks(rng, instances, scope)
         assert all(math.isfinite(v) for v in worst)
         counts.append(dict(rng.calls))
-    # one call per kind of draw, whatever the suite's size
+    # one call per kind of draw, whatever the suite's size: the feasible boxes' Dirichlet
+    # weights, then the specs' three draws (their Dirichlet weights, every c, every k)
     assert counts[0] == counts[1] == counts[2]
-    assert sum(counts[0].values()) == 3
+    assert counts[0] == {"dirichlet": 2, "uniform": 1, "integers": 1}

@@ -126,6 +126,13 @@ def test_comm_cost_many_is_min_comm_cost_per_box():
     two_way = bc.strategy_box(bc.scope_strategies()[8])
     with pytest.raises(bc.Infeasible, match="^stack index 17: "):
         bc.comm_cost_many(boxes[:17] + [two_way] + boxes[17:])
+    # past the first block of rows the index still counts from the start of the stack
+    block = decompose._COST_BLOCK
+    stack = np.stack([box.p for box in boxes] * (block // len(boxes) + 2))
+    assert bc.comm_cost_many(stack).tolist() == costs.tolist() * (block // len(boxes) + 2)
+    stack[block + 3] = two_way.p
+    with pytest.raises(bc.Infeasible, match=f"^stack index {block + 3}: "):
+        bc.comm_cost_many(stack)
     with pytest.raises(bc.DomainError):
         bc.comm_cost_many(boxes, tol=1.0)
     with pytest.raises(bc.BoxInvariantError):

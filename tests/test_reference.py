@@ -348,6 +348,24 @@ def test_mixtures_sum_in_vertex_order():
         spec = random_resource_spec(rng, scope)
         table = [bc.strategy_box(s).p for s in bc.scope_strategies(scope)]
         assert np.array_equal(bc.resource_box(spec).p, ref_mix(spec.weights, table))
+    # every shape of weights, bit for bit with the sign of zero, on boxes and weights
+    # whose zeros carry both signs: a row, (K, n) and (K1, K2, n) stacks, empty ones
+    signed = _signed_zero_boxes(rng)
+    for n in (0, 1, 2, 16, 112):
+        stack = signed[rng.choice(len(signed), size=n, replace=False)]
+        for shape in ((n,), (5, n), (3, 4, n), (0, n)):
+            w = rng.random(shape) * rng.choice([1.0, 0.0, -0.0], size=shape)
+            if len(shape) == 1 and n:  # a row that sums to 1, so that mix takes it too
+                w[0] = 1.0
+                w /= w.sum()
+            lead = shape[:-1]
+            rows = w.reshape(math.prod(lead), n)
+            ref = np.array([ref_mix(row, stack) for row in rows]).reshape(*lead, 2, 2, 2, 2)
+            assert _same_bytes(bc.boxcore._mixtures(w, stack), ref), (n, shape)
+            if len(shape) < 3:  # the public form takes a row or a (K, n) stack
+                assert _same_bytes(bc.mixtures(w, stack), ref), (n, shape)
+            if len(shape) == 1 and n:
+                assert _same_bytes(bc.mix(w, stack).p, ref), (n, shape)
 
 
 def test_apply_relabelling_is_the_per_cell_loop():
